@@ -16,7 +16,7 @@ and the block reduces to plain dot-product attention; sigma is kept inside
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -66,6 +66,29 @@ class BackboneConfig:
         return self.embed_dim // self.heads
 
 
+# Checkpoint codec: every field is one float scalar of metadata under its own
+# name, with gd_placement stored as its index in GD_PLACEMENTS.
+
+
+def config_to_meta(config: BackboneConfig) -> dict:
+    meta = asdict(config)
+    meta["gd_placement"] = GD_PLACEMENTS.index(config.gd_placement)
+    return meta
+
+
+def config_from_meta(meta: dict) -> BackboneConfig:
+    kwargs = {}
+    try:
+        for f in fields(BackboneConfig):
+            if f.name == "gd_placement":
+                kwargs[f.name] = GD_PLACEMENTS[int(meta[f.name])]
+            else:
+                kwargs[f.name] = type(f.default)(meta[f.name])
+    except (KeyError, IndexError) as exc:
+        raise ConfigError(f"checkpoint metadata incomplete: {exc}") from None
+    return BackboneConfig(**kwargs)
+
+
 @dataclass(frozen=True)
 class MaskSet:
     """Hidden patch indices within a grid of ``n_patches`` patches."""
@@ -88,8 +111,25 @@ class MaskSet:
         vis = [i for i in range(self.n_patches) if i not in self.hidden]
         return np.asarray(vis, dtype=np.int64)
 
-    def is_empty(self) -> bool:
-        return len(self.hidden) == 0
+
+def mask_from_flags(flags: np.ndarray, patch_len: int) -> MaskSet:
+    """Hide every patch containing at least one flagged sample."""
+    flags = np.asarray(flags, dtype=bool)
+    if flags.ndim != 1 or flags.size % patch_len != 0:
+        raise ContractError(
+            f"flag vector of {flags.size} does not tile into patches of {patch_len}"
+        )
+    n = flags.size // patch_len
+    hidden = frozenset(i for i in range(n) if flags[i * patch_len : (i + 1) * patch_len].any())
+    return MaskSet(hidden, n)
+
+
+def mask_sample_indices(mask: MaskSet, patch_len: int) -> np.ndarray:
+    """Flat sample indices covered by the hidden patches, ascending."""
+    hidden = mask.hidden_sorted()
+    if hidden.size == 0:
+        return np.empty(0, dtype=np.int64)
+    return (hidden[:, None] * patch_len + np.arange(patch_len, dtype=np.int64)[None, :]).reshape(-1)
 
 
 @dataclass
@@ -116,15 +156,6 @@ class ModelParams:
             return self.store[name]
         except KeyError:
             raise ConfigError(f"unknown parameter '{name}'") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.store
-
-    def names(self):
-        return list(self.store.keys())
-
-    def items(self):
-        return self.store.items()
 
     def all_params(self):
         return list(self.store.values())
@@ -245,13 +276,6 @@ def patchify(values: np.ndarray, patch_len: int) -> np.ndarray:
             f"segment length {arr.size} is not a multiple of patch length {patch_len}"
         )
     return arr.reshape(-1, patch_len)
-
-
-def unpatchify(patches: np.ndarray) -> np.ndarray:
-    arr = np.asarray(patches, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"unpatchify needs a 2-D input, got {arr.shape}")
-    return arr.reshape(-1)
 
 
 def pe_table(n_positions: int, dim: int) -> np.ndarray:

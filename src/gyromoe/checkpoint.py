@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CheckpointError
+from .backbone import BackboneConfig, config_from_meta, config_to_meta
+from .errors import CheckpointError, ConfigError
+from .signal import ClipSpec
 
 FORMAT_TAG = "gyromoe-ckpt-v1"
 
@@ -117,3 +119,27 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         else:
             arrays[name] = arr
     return arrays, meta
+
+
+# ---------------------------------------------------------------------------
+# Expert checkpoints. The backbone geometry and clip level ride along as
+# metadata so inference needs nothing beyond the file; ``kind`` tells the
+# experts' files apart.
+
+
+def save_expert(
+    path, arrays: dict, kind: float, backbone: BackboneConfig, clip: ClipSpec, extra: dict | None = None
+) -> None:
+    meta = config_to_meta(backbone)
+    meta.update(kind=kind, clip_level=clip.level, **(extra or {}))
+    save_checkpoint(path, arrays, meta)
+
+
+def load_expert(path, kind: float, expert: str) -> tuple[dict, BackboneConfig, ClipSpec, dict]:
+    """Load an expert checkpoint; returns (arrays, backbone, clip, meta)."""
+    arrays, meta = load_checkpoint(path)
+    if meta.get("kind") != kind:
+        raise ConfigError(f"checkpoint at {path} is not a {expert} checkpoint")
+    if "clip_level" not in meta:
+        raise ConfigError("checkpoint metadata incomplete: 'clip_level'")
+    return arrays, config_from_meta(meta), ClipSpec(meta["clip_level"]), meta

@@ -11,6 +11,7 @@ variable (debug/info/warning/error) controls verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -44,6 +45,23 @@ log = logging.getLogger("gyromoe.cli")
 
 _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING, "error": logging.ERROR}
 
+# the keys each config section accepts; anything else is rejected as a typo
+_SECTION_KEYS = {
+    "backbone": tuple(f.name for f in dataclasses.fields(BackboneConfig)),
+    "synth": ("duration_s", "white_noise_sigma", "drift_rate", "peak_events"),
+    "train_ore": (
+        "n_segments", "epochs", "batch_size", "learn_rate",
+        "amp_lo_x", "amp_hi_x", "width_lo_s", "width_hi_s", "noise_sigma",
+    ),
+    "train_de": (
+        "n_segments", "epochs", "batch_size", "learn_rate", "noise_sigma",
+        "beta", "corruption_gain", "n_snippets", "weight_share",
+    ),
+    "gate": ("peak_run", "quiet_run", "quiet_threshold"),
+    "bench": ("static_region",),
+}
+_TOP_KEYS = ("clip_level", "sample_rate", "segment_len", *_SECTION_KEYS)
+
 
 def _setup_logging():
     name = os.environ.get("GYROMOE_LOG", "warning").lower()
@@ -70,7 +88,22 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_unknown(cfg, _TOP_KEYS, "config")
     return cfg
+
+
+def _reject_unknown(mapping: dict, allowed, where: str):
+    unknown = set(mapping) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _section(cfg: dict, name: str) -> dict:
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section '{name}' must be a JSON object")
+    _reject_unknown(section, _SECTION_KEYS[name], name)
+    return section
 
 
 def _clip_spec(cfg: dict) -> ClipSpec:
@@ -80,23 +113,7 @@ def _clip_spec(cfg: dict) -> ClipSpec:
 
 
 def _backbone_config(cfg: dict) -> BackboneConfig:
-    section = cfg.get("backbone", {})
-    allowed = {
-        "patch_len",
-        "embed_dim",
-        "enc_layers",
-        "dec_layers",
-        "heads",
-        "mlp_ratio",
-        "gd_placement",
-        "sigma_init",
-        "sigma_min",
-        "sigma_max",
-    }
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown backbone keys: {sorted(unknown)}")
-    return BackboneConfig(**section)
+    return BackboneConfig(**_section(cfg, "backbone"))
 
 
 def _require_seed(args) -> int:
@@ -117,7 +134,7 @@ def _write_text(path, text: str):
 def cmd_synth(args) -> int:
     cfg = _load_config(args.config)
     spec = _clip_spec(cfg)
-    section = cfg.get("synth", {})
+    section = _section(cfg, "synth")
     synth_cfg = SynthConfig(
         duration_s=float(section.get("duration_s", 60.0)),
         sample_rate=float(cfg.get("sample_rate", 100.0)),
@@ -139,7 +156,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _trace_csv(step_losses, epoch_len_hint=None) -> str:
+def _trace_csv(step_losses) -> str:
     lines = ["step,loss"]
     for i, loss in enumerate(step_losses):
         lines.append(f"{i},{loss!r}")
@@ -151,7 +168,7 @@ def cmd_train_ore(args) -> int:
     seed = _require_seed(args)
     if args.out is None:
         raise ConfigError("train-ore needs --out <checkpoint path>")
-    section = cfg.get("train_ore", {})
+    section = _section(cfg, "train_ore")
     spec = _clip_spec(cfg)
     seg_len = int(cfg.get("segment_len", 256))
     fs = float(cfg.get("sample_rate", 100.0))
@@ -193,7 +210,7 @@ def cmd_train_de(args) -> int:
     seed = _require_seed(args)
     if args.out is None:
         raise ConfigError("train-de needs --out <checkpoint path>")
-    section = cfg.get("train_de", {})
+    section = _section(cfg, "train_de")
     spec = _clip_spec(cfg)
     seg_len = int(cfg.get("segment_len", 256))
     fs = float(cfg.get("sample_rate", 100.0))
@@ -233,7 +250,7 @@ def cmd_train_de(args) -> int:
 
 
 def _gate_config(cfg: dict, spec: ClipSpec) -> gate_mod.GateConfig:
-    section = cfg.get("gate", {})
+    section = _section(cfg, "gate")
     return gate_mod.GateConfig(
         clip=spec,
         segment_len=int(cfg.get("segment_len", 256)),
@@ -247,22 +264,40 @@ def _gate_config(cfg: dict, spec: ClipSpec) -> gate_mod.GateConfig:
     )
 
 
+def _check_expert(expert: str, expert_cfg, gate_cfg: gate_mod.GateConfig, min_patches: int):
+    """Reject a checkpoint whose geometry or rail disagrees with the config."""
+    P = expert_cfg.backbone.patch_len
+    L = gate_cfg.segment_len
+    if L % P != 0 or L // P < min_patches:
+        raise ConfigError(
+            f"{expert} checkpoint needs segment_len to tile into >= {min_patches} "
+            f"patches of {P}, got segment_len {L}"
+        )
+    if expert_cfg.clip.level != gate_cfg.clip.level:
+        raise ConfigError(
+            f"{expert} checkpoint was trained at clip_level {expert_cfg.clip.level}, "
+            f"config has {gate_cfg.clip.level}"
+        )
+
+
 def cmd_enhance(args) -> int:
     cfg = _load_config(args.config)
+    if args.out is None:
+        raise ConfigError("enhance needs --out <csv path>")
     spec = _clip_spec(cfg)
     gate_cfg = _gate_config(cfg, spec)
-    series = load_csv(args.input)
     peak_fn = None
     noise_fn = None
     if args.ore_ckpt is not None:
         params, ore_cfg = ore_mod.load_ore(args.ore_ckpt)
+        _check_expert("peak-expert", ore_cfg, gate_cfg, min_patches=1)
         peak_fn = ore_mod.make_peak_fn(params, ore_cfg)
     if args.de_ckpt is not None:
         de_params, de_cfg = load_de(args.de_ckpt)
+        _check_expert("noise-expert", de_cfg, gate_cfg, min_patches=2)
         noise_fn = make_noise_fn(de_params, de_cfg)
+    series = load_csv(args.input)
     enhanced = gate_mod.enhance(series, gate_cfg, peak_fn=peak_fn, noise_fn=noise_fn)
-    if args.out is None:
-        raise ConfigError("enhance needs --out <csv path>")
     save_csv(enhanced, args.out)
     print(f"enhanced {len(series)} samples into {args.out}")
     return 0
@@ -274,7 +309,7 @@ def cmd_bench(args) -> int:
     raw = load_csv(args.raw)
     enhanced = load_csv(args.enhanced)
     truth = load_csv(args.truth)
-    section = cfg.get("bench", {})
+    section = _section(cfg, "bench")
     static_region = section.get("static_region")
     if static_region is not None:
         static_region = (int(static_region[0]), int(static_region[1]))

@@ -14,7 +14,6 @@ extra noise) is the regression target.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -22,12 +21,11 @@ import numpy as np
 
 from . import backbone as bb
 from . import diffmath as dm
+from .checkpoint import load_expert, save_expert
 from .diffmath import DiffContext, Param, Tensor
 from .errors import ConfigError, ContractError, DimensionError
-from .optim import Adam
+from .optim import TrainTrace, fit
 from .signal import ClipSpec, SampleSeries, Segment, SpectralDensity, psd
-
-log = logging.getLogger("gyromoe.denoise")
 
 SHARE_MODES = ("none", "encoder", "decoder", "both")
 
@@ -75,7 +73,7 @@ class DeParams:
         self.branch_b = branch_b
         self.weight_share = weight_share
 
-    def unique_params(self):
+    def all_params(self):
         seen = set()
         out = []
         for p in list(self.branch_a.store.values()) + list(self.branch_b.store.values()):
@@ -85,7 +83,7 @@ class DeParams:
         return out
 
     def n_scalars(self) -> int:
-        return sum(p.tensor.data.size for p in self.unique_params())
+        return sum(p.tensor.data.size for p in self.all_params())
 
     def clamp_sigma(self):
         self.branch_a.clamp_sigma()
@@ -180,10 +178,9 @@ def fuse(pred_a, pred_b, mask_a: bb.MaskSet, mask_b: bb.MaskSet, patch_len: int)
         raise DimensionError("fuse masks do not tile the segment")
     if mask_a.hidden | mask_b.hidden != frozenset(range(n)) or mask_a.hidden & mask_b.hidden:
         raise ContractError("fuse needs complementary masks covering every patch")
-    out = np.empty_like(a)
-    for i in range(n):
-        src = a if i in mask_a.hidden else c
-        out[i * patch_len : (i + 1) * patch_len] = src[i * patch_len : (i + 1) * patch_len]
+    out = c.copy()
+    from_a = bb.mask_sample_indices(mask_a, patch_len)
+    out[from_a] = a[from_a]
     return out
 
 
@@ -311,12 +308,10 @@ def dual_forward(
 
 def branch_loss(target, pred, mask: bb.MaskSet, patch_len: int, ctx: DiffContext | None = None) -> Tensor:
     """Mean squared error at the samples the branch had hidden."""
-    from .ore import mask_sample_indices  # local import avoids a cycle
-
     ctx = ctx if ctx is not None else (pred._ctx if isinstance(pred, Tensor) else DiffContext())
     tv = np.asarray(dm.value(target), dtype=np.float64)
     ph = pred if isinstance(pred, (Tensor, Param)) else dm.constant(pred)
-    idx = mask_sample_indices(mask, patch_len)
+    idx = bb.mask_sample_indices(mask, patch_len)
     if idx.size == 0:
         raise ContractError("branch mask hides no patches")
     diff = dm.sub(ctx, dm.constant(tv[idx]), dm.gather(ctx, ph, idx))
@@ -341,12 +336,6 @@ def de_pair_loss(
     return dm.add(ctx, la, lb)
 
 
-@dataclass
-class DeTrainTrace:
-    step_losses: list
-    epoch_means: list
-
-
 def train_de(
     noise_segments,
     sample_rate: float,
@@ -354,10 +343,8 @@ def train_de(
     config: DeConfig,
     epochs: int,
     seed: int,
-) -> tuple[DeParams, DeTrainTrace]:
+) -> tuple[DeParams, TrainTrace]:
     """Train both branches on freshly augmented noise segments each epoch."""
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
     segs = [np.asarray(s, dtype=np.float64) for s in noise_segments]
     if not segs:
         raise ConfigError("train_de needs at least one noise segment")
@@ -373,38 +360,15 @@ def train_de(
     rng = np.random.default_rng(seed)
     de_params = build_de_params(config, rng)
     mask_a, mask_b = cross_masks(seg_len // P)
-    opt = Adam(de_params.unique_params(), lr=config.learn_rate, clip_norm=config.grad_clip)
-    trace = DeTrainTrace([], [])
     level = config.clip.level
-    n = len(segs)
-    B = config.batch_size
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, B):
-            batch = order[start : start + B]
-            opt.zero_grad()
-            batch_losses = []
-            for i in batch:
-                series = SampleSeries(segs[i], sample_rate)
-                x_mix, x_clean, _ = augment_segment(series, aug, rng)
-                ctx = DiffContext()
-                pred_a, pred_b = dual_forward(
-                    ctx, de_params, config, x_mix / level, mask_a, mask_b
-                )
-                loss = de_pair_loss(
-                    x_clean / level, pred_a, pred_b, mask_a, mask_b, P, ctx=ctx
-                )
-                dm.backward(dm.scale(ctx, loss, 1.0 / batch.size), ctx)
-                batch_losses.append(float(loss.data))
-            opt.step()
-            de_params.clamp_sigma()
-            step_loss = float(np.mean(batch_losses))
-            trace.step_losses.append(step_loss)
-            epoch_losses.append(step_loss)
-        epoch_mean = float(np.mean(epoch_losses))
-        trace.epoch_means.append(epoch_mean)
-        log.info("de epoch %d/%d mean loss %.6f", epoch + 1, epochs, epoch_mean)
+
+    def item_loss(ctx, i, rng):
+        series = SampleSeries(segs[i], sample_rate)
+        x_mix, x_clean, _ = augment_segment(series, aug, rng)
+        pred_a, pred_b = dual_forward(ctx, de_params, config, x_mix / level, mask_a, mask_b)
+        return de_pair_loss(x_clean / level, pred_a, pred_b, mask_a, mask_b, P, ctx=ctx)
+
+    trace = fit(de_params, config, len(segs), item_loss, epochs, rng, "de")
     return de_params, trace
 
 
@@ -439,31 +403,17 @@ _KIND_DE = 2.0
 
 
 def save_de(path, de_params: DeParams, config: DeConfig) -> None:
-    from .checkpoint import save_checkpoint
-    from .ore import _backbone_meta
-
-    meta = _backbone_meta(config.backbone)
-    meta.update(
-        kind=_KIND_DE,
-        clip_level=config.clip.level,
-        weight_share=SHARE_MODES.index(config.weight_share),
-    )
-    save_checkpoint(path, de_params.to_arrays(), meta)
+    share = {"weight_share": SHARE_MODES.index(config.weight_share)}
+    save_expert(path, de_params.to_arrays(), _KIND_DE, config.backbone, config.clip, extra=share)
 
 
 def load_de(path) -> tuple[DeParams, DeConfig]:
-    from .checkpoint import load_checkpoint
-    from .ore import _backbone_from_meta
-
-    arrays, meta = load_checkpoint(path)
-    if meta.get("kind") != _KIND_DE:
-        raise ConfigError(f"checkpoint at {path} is not a noise-expert checkpoint")
-    backbone_cfg = _backbone_from_meta(meta)
+    arrays, backbone_cfg, clip_spec, meta = load_expert(path, _KIND_DE, "noise-expert")
     try:
         share = SHARE_MODES[int(meta["weight_share"])]
     except (KeyError, IndexError):
         raise ConfigError("checkpoint metadata is missing the weight-share mode") from None
-    config = DeConfig(clip=ClipSpec(meta["clip_level"]), backbone=backbone_cfg, weight_share=share)
+    config = DeConfig(clip=clip_spec, backbone=backbone_cfg, weight_share=share)
     de_params = build_de_params(config, np.random.default_rng(0))
     de_params.load_arrays(arrays)
     return de_params, config

@@ -1,13 +1,19 @@
-"""Adam optimizer with global gradient-norm clipping."""
+"""Adam optimizer with global gradient-norm clipping, and the training loop
+both experts share."""
 
 from __future__ import annotations
 
+import logging
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diffmath import Param
+from . import diffmath as dm
+from .diffmath import DiffContext, Param
 from .errors import ConfigError
+
+log = logging.getLogger("gyromoe.optim")
 
 
 class Adam:
@@ -83,3 +89,47 @@ class Adam:
             v_hat = v / bc2
             p.tensor.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         return norm
+
+
+@dataclass
+class TrainTrace:
+    step_losses: list
+    epoch_means: list
+    skipped_segments: int = 0
+
+
+def fit(params, config, n_items: int, item_loss, epochs: int, rng: np.random.Generator, name: str) -> TrainTrace:
+    """Minibatch Adam over ``n_items`` training items.
+
+    ``params`` offers ``all_params()`` and ``clamp_sigma()``; ``config``
+    supplies ``learn_rate``, ``grad_clip`` and ``batch_size``. Each epoch
+    visits the items in a fresh ``rng`` permutation. ``item_loss(ctx, i, rng)``
+    records item ``i``'s scalar loss on the tape ``ctx``; the batch gradient
+    is the mean over its items. Returns the per-step and per-epoch mean losses.
+    """
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    opt = Adam(params.all_params(), lr=config.learn_rate, clip_norm=config.grad_clip)
+    trace = TrainTrace([], [])
+    B = config.batch_size
+    for epoch in range(epochs):
+        order = rng.permutation(n_items)
+        epoch_losses = []
+        for start in range(0, n_items, B):
+            batch = order[start : start + B]
+            opt.zero_grad()
+            batch_losses = []
+            for i in batch:
+                ctx = DiffContext()
+                loss = item_loss(ctx, i, rng)
+                dm.backward(dm.scale(ctx, loss, 1.0 / batch.size), ctx)
+                batch_losses.append(float(loss.data))
+            opt.step()
+            params.clamp_sigma()
+            step_loss = float(np.mean(batch_losses))
+            trace.step_losses.append(step_loss)
+            epoch_losses.append(step_loss)
+        epoch_mean = float(np.mean(epoch_losses))
+        trace.epoch_means.append(epoch_mean)
+        log.info("%s epoch %d/%d mean loss %.6f", name, epoch + 1, epochs, epoch_mean)
+    return trace

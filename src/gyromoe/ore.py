@@ -16,10 +16,11 @@ import numpy as np
 
 from . import backbone as bb
 from . import diffmath as dm
+from .checkpoint import load_expert, save_expert
 from .diffmath import DiffContext, Param, Tensor
 from .errors import ConfigError, ContractError
-from .optim import Adam
-from .signal import CLIP_EPS, ClipSpec, Segment, clip, saturated_mask
+from .optim import TrainTrace, fit
+from .signal import ClipSpec, Segment, clip, saturated_mask
 
 log = logging.getLogger("gyromoe.ore")
 
@@ -44,39 +45,6 @@ class OreConfig:
             raise ConfigError(f"kappa must be positive, got {self.kappa}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-
-
-@dataclass
-class TrainTrace:
-    step_losses: list
-    epoch_means: list
-    skipped_segments: int = 0
-
-
-def mask_from_flags(flags: np.ndarray, patch_len: int) -> bb.MaskSet:
-    """Hide every patch containing at least one flagged sample."""
-    flags = np.asarray(flags, dtype=bool)
-    if flags.ndim != 1 or flags.size % patch_len != 0:
-        raise ContractError(
-            f"flag vector of {flags.size} does not tile into patches of {patch_len}"
-        )
-    n = flags.size // patch_len
-    hidden = frozenset(i for i in range(n) if flags[i * patch_len : (i + 1) * patch_len].any())
-    return bb.MaskSet(hidden, n)
-
-
-def threshold_mask(values_norm: np.ndarray, patch_len: int, eps: float = CLIP_EPS) -> bb.MaskSet:
-    """Mask built from rail contact on a normalized segment (rail at 1)."""
-    arr = np.asarray(values_norm, dtype=np.float64)
-    return mask_from_flags(np.abs(arr) >= 1.0 - eps, patch_len)
-
-
-def mask_sample_indices(mask: bb.MaskSet, patch_len: int) -> np.ndarray:
-    """Flat sample indices covered by the hidden patches, ascending."""
-    hidden = mask.hidden_sorted()
-    if hidden.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return (hidden[:, None] * patch_len + np.arange(patch_len, dtype=np.int64)[None, :]).reshape(-1)
 
 
 def _resolve_ctx(ctx, *tensors):
@@ -208,11 +176,11 @@ def _prepare_segment(clean: np.ndarray, config: OreConfig):
     flags = saturated_mask(clipped, config.clip)
     if not flags.any():
         return None
-    mask = mask_from_flags(flags, P)
+    mask = bb.mask_from_flags(flags, P)
     if len(mask.hidden) == mask.n_patches:
         return None  # nothing left for the encoder
     level = config.clip.level
-    midx = mask_sample_indices(mask, P)
+    midx = bb.mask_sample_indices(mask, P)
     return clipped / level, clean / level, mask, midx
 
 
@@ -228,8 +196,6 @@ def train_ore(
     touch the rail (or saturate everywhere) are skipped. Returns the trained
     parameters and the per-step/per-epoch loss trace.
     """
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
     rng = np.random.default_rng(seed)
     params = bb.init_params(config.backbone, rng)
     prepared = []
@@ -246,32 +212,14 @@ def train_ore(
             "or saturates every patch"
         )
     log.info("ore training: %d usable segments, %d skipped", len(prepared), skipped)
-    opt = Adam(params.all_params(), lr=config.learn_rate, clip_norm=config.grad_clip)
-    trace = TrainTrace([], [], skipped_segments=skipped)
-    n = len(prepared)
-    B = config.batch_size
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, B):
-            batch = order[start : start + B]
-            opt.zero_grad()
-            batch_losses = []
-            for i in batch:
-                x_in, x_tgt, mask, midx = prepared[i]
-                ctx = DiffContext()
-                pred = bb.forward(ctx, params, config.backbone, x_in, mask)
-                loss = ore_total_loss(x_tgt, pred, midx, config, ctx=ctx)
-                dm.backward(dm.scale(ctx, loss, 1.0 / batch.size), ctx)
-                batch_losses.append(float(loss.data))
-            opt.step()
-            params.clamp_sigma()
-            step_loss = float(np.mean(batch_losses))
-            trace.step_losses.append(step_loss)
-            epoch_losses.append(step_loss)
-        epoch_mean = float(np.mean(epoch_losses))
-        trace.epoch_means.append(epoch_mean)
-        log.info("ore epoch %d/%d mean loss %.6f", epoch + 1, epochs, epoch_mean)
+
+    def item_loss(ctx, i, rng):
+        x_in, x_tgt, mask, midx = prepared[i]
+        pred = bb.forward(ctx, params, config.backbone, x_in, mask)
+        return ore_total_loss(x_tgt, pred, midx, config, ctx=ctx)
+
+    trace = fit(params, config, len(prepared), item_loss, epochs, rng, "ore")
+    trace.skipped_segments = skipped
     return params, trace
 
 
@@ -287,7 +235,7 @@ def reconstruct(seg: Segment, params: bb.ModelParams, config: OreConfig) -> Segm
     if not flags.any():
         return Segment(vals, seg.origin_index, seg.true_len)
     P = config.backbone.patch_len
-    mask = mask_from_flags(flags, P)
+    mask = bb.mask_from_flags(flags, P)
     level = config.clip.level
     pred = bb.forward_values(params, config.backbone, vals / level, mask)
     vals[flags] = pred[flags] * level
@@ -304,61 +252,18 @@ def make_peak_fn(params: bb.ModelParams, config: OreConfig):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint glue. The backbone geometry and clip level ride along as
-# metadata so inference needs nothing beyond the file.
+# Checkpoint glue.
 
 _KIND_ORE = 1.0
 
 
-def _backbone_meta(cfg: bb.BackboneConfig) -> dict:
-    return {
-        "patch_len": cfg.patch_len,
-        "embed_dim": cfg.embed_dim,
-        "enc_layers": cfg.enc_layers,
-        "dec_layers": cfg.dec_layers,
-        "heads": cfg.heads,
-        "mlp_ratio": cfg.mlp_ratio,
-        "gd_placement": bb.GD_PLACEMENTS.index(cfg.gd_placement),
-        "sigma_init": cfg.sigma_init,
-        "sigma_min": cfg.sigma_min,
-        "sigma_max": cfg.sigma_max,
-    }
-
-
-def _backbone_from_meta(meta: dict) -> bb.BackboneConfig:
-    try:
-        return bb.BackboneConfig(
-            patch_len=int(meta["patch_len"]),
-            embed_dim=int(meta["embed_dim"]),
-            enc_layers=int(meta["enc_layers"]),
-            dec_layers=int(meta["dec_layers"]),
-            heads=int(meta["heads"]),
-            mlp_ratio=int(meta["mlp_ratio"]),
-            gd_placement=bb.GD_PLACEMENTS[int(meta["gd_placement"])],
-            sigma_init=float(meta["sigma_init"]),
-            sigma_min=float(meta["sigma_min"]),
-            sigma_max=float(meta["sigma_max"]),
-        )
-    except (KeyError, IndexError) as exc:
-        raise ConfigError(f"checkpoint metadata incomplete: {exc}") from None
-
-
 def save_ore(path, params: bb.ModelParams, config: OreConfig) -> None:
-    from .checkpoint import save_checkpoint
-
-    meta = _backbone_meta(config.backbone)
-    meta.update(kind=_KIND_ORE, clip_level=config.clip.level)
-    save_checkpoint(path, params.to_arrays(), meta)
+    save_expert(path, params.to_arrays(), _KIND_ORE, config.backbone, config.clip)
 
 
 def load_ore(path) -> tuple[bb.ModelParams, OreConfig]:
-    from .checkpoint import load_checkpoint
-
-    arrays, meta = load_checkpoint(path)
-    if meta.get("kind") != _KIND_ORE:
-        raise ConfigError(f"checkpoint at {path} is not a peak-expert checkpoint")
-    backbone_cfg = _backbone_from_meta(meta)
-    config = OreConfig(clip=ClipSpec(meta["clip_level"]), backbone=backbone_cfg)
+    arrays, backbone_cfg, clip_spec, _ = load_expert(path, _KIND_ORE, "peak-expert")
+    config = OreConfig(clip=clip_spec, backbone=backbone_cfg)
     params = bb.init_params(backbone_cfg, np.random.default_rng(0))
     params.load_arrays(arrays)
     return params, config

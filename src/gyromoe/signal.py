@@ -103,13 +103,6 @@ class ClipSpec:
         return self.level * (1.0 - eps)
 
 
-@dataclass(frozen=True)
-class NormState:
-    """Scale captured by ``normalize`` so outputs can be mapped back."""
-
-    level: float
-
-
 @dataclass
 class SpectralDensity:
     """One-sided power spectral density with its frequency grid."""
@@ -173,27 +166,6 @@ def stitch(segments: list[Segment], total_len: int) -> np.ndarray:
             )
         out[seg.origin_index : stop] = seg.true_values()
     return out
-
-
-def normalize(seg: Segment, spec: ClipSpec) -> tuple[Segment, NormState]:
-    """Scale a segment by the clip level so the rail maps to magnitude 1."""
-    state = NormState(spec.level)
-    return Segment(seg.values / spec.level, seg.origin_index, seg.true_len), state
-
-
-def denormalize(seg: Segment, state: NormState) -> Segment:
-    """Invert ``normalize``."""
-    return Segment(seg.values * state.level, seg.origin_index, seg.true_len)
-
-
-def dft(values: np.ndarray) -> np.ndarray:
-    """Two-sided discrete Fourier transform (numpy convention)."""
-    return np.fft.fft(np.asarray(values, dtype=np.float64))
-
-
-def idft(coeffs: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Inverse of :func:`dft`, returning the real part."""
-    return np.fft.ifft(coeffs, n=n).real
 
 
 def psd(series: SampleSeries) -> SpectralDensity:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gyromoe.backbone import GD_PLACEMENTS, BackboneConfig, init_params
 from gyromoe.checkpoint import (
     FORMAT_TAG,
     load_arrays,
@@ -8,7 +11,10 @@ from gyromoe.checkpoint import (
     save_arrays,
     save_checkpoint,
 )
+from gyromoe.denoise import SHARE_MODES, DeConfig, build_de_params, load_de, save_de
 from gyromoe.errors import CheckpointError
+from gyromoe.ore import OreConfig, load_ore, save_ore
+from gyromoe.signal import ClipSpec
 
 
 def sample_arrays(seed=0):
@@ -100,3 +106,54 @@ class TestValidation:
         path.write_bytes(raw)
         with pytest.raises(CheckpointError):
             load_arrays(path)
+
+
+# every field away from its default, so a field the codec drops shows up
+ODD_BACKBONE = BackboneConfig(
+    patch_len=2, embed_dim=6, enc_layers=2, dec_layers=3, heads=3, mlp_ratio=3,
+    gd_placement="both", sigma_init=2.5, sigma_min=0.25, sigma_max=50.0,
+)
+
+
+def assert_same_arrays(a: dict, b: dict):
+    assert a.keys() == b.keys()
+    for name in a:
+        np.testing.assert_array_equal(a[name], b[name])
+
+
+class TestExpertCodec:
+    def test_odd_backbone_sets_every_field(self):
+        default = BackboneConfig()
+        same = [f.name for f in dataclasses.fields(BackboneConfig)
+                if getattr(ODD_BACKBONE, f.name) == getattr(default, f.name)]
+        assert same == []
+
+    @pytest.mark.parametrize("placement", GD_PLACEMENTS)
+    def test_ore_round_trip_keeps_every_field(self, tmp_path, placement):
+        backbone = dataclasses.replace(ODD_BACKBONE, gd_placement=placement)
+        cfg = OreConfig(clip=ClipSpec(123.5), backbone=backbone)
+        params = init_params(backbone, np.random.default_rng(1))
+        path = tmp_path / "ore.ckpt"
+        save_ore(path, params, cfg)
+        params2, cfg2 = load_ore(path)
+        assert cfg2.backbone == backbone
+        assert cfg2.clip == cfg.clip
+        assert_same_arrays(params.to_arrays(), params2.to_arrays())
+
+    @pytest.mark.parametrize("share", SHARE_MODES)
+    def test_de_round_trip_keeps_every_field(self, tmp_path, share):
+        cfg = DeConfig(clip=ClipSpec(77.0), backbone=ODD_BACKBONE, weight_share=share)
+        params = build_de_params(cfg, np.random.default_rng(2))
+        path = tmp_path / "de.ckpt"
+        save_de(path, params, cfg)
+        params2, cfg2 = load_de(path)
+        assert (cfg2.backbone, cfg2.clip, cfg2.weight_share) == (ODD_BACKBONE, cfg.clip, share)
+        assert_same_arrays(params.to_arrays(), params2.to_arrays())
+
+    def test_truncated_expert_checkpoint(self, tmp_path):
+        cfg = OreConfig(clip=ClipSpec(1.0), backbone=ODD_BACKBONE)
+        path = tmp_path / "ore.ckpt"
+        save_ore(path, init_params(ODD_BACKBONE, np.random.default_rng(3)), cfg)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CheckpointError):
+            load_ore(path)

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from gyromoe.backbone import BackboneConfig, init_params
 from gyromoe.cli import main
-from gyromoe.signal import SampleSeries, load_csv, save_csv
+from gyromoe.denoise import DeConfig, build_de_params, save_de
+from gyromoe.ore import OreConfig, save_ore
+from gyromoe.signal import ClipSpec, SampleSeries, load_csv, save_csv
 
 TINY_BACKBONE = {
     "patch_len": 4,
@@ -78,6 +81,19 @@ class TestSynth:
     def test_missing_config_is_error(self, tmp_path, capsys):
         assert main(["synth", "--seed", "1", "--out", str(tmp_path / "d")]) == 2
         assert "--config" in capsys.readouterr().err
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "extra, bad",
+        [({"train_ore": {"epoch": 1}}, "epoch"), ({"segment_length": 32}, "segment_length")],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, extra, bad):
+        cfg = write_config(tmp_path, **extra)
+        out = tmp_path / "ore.ckpt"
+        assert main(["train-ore", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+        assert bad in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTraining:
@@ -168,6 +184,54 @@ class TestEnhance:
         assert len(enhanced) == len(clipped)
         # saturated samples must have been rewritten somewhere
         assert not np.array_equal(enhanced.values, clipped.values)
+
+
+def untrained_checkpoints(tmp_path, clip_level=450.0):
+    """Paths of freshly initialized peak and noise expert checkpoints."""
+    backbone = BackboneConfig(**TINY_BACKBONE)
+    rng = np.random.default_rng(0)
+    ore_cfg = OreConfig(clip=ClipSpec(clip_level), backbone=backbone)
+    de_cfg = DeConfig(clip=ClipSpec(clip_level), backbone=backbone)
+    ore_path, de_path = tmp_path / "ore.ckpt", tmp_path / "de.ckpt"
+    save_ore(ore_path, init_params(backbone, rng), ore_cfg)
+    save_de(de_path, build_de_params(de_cfg, rng), de_cfg)
+    return {"--ore-ckpt": str(ore_path), "--de-ckpt": str(de_path)}
+
+
+class TestEnhanceStartupChecks:
+    """A misconfigured expert fails before any window, even on a stream that
+    would route nowhere."""
+
+    def run(self, tmp_path, cfg, ckpt_args):
+        vals = np.full(64, 200.0)
+        src = tmp_path / "in.csv"
+        save_csv(SampleSeries(vals, 100.0), src)
+        out = tmp_path / "out.csv"
+        argv = ["enhance", "--config", cfg, "--input", str(src), "--out", str(out)]
+        for flag, path in ckpt_args.items():
+            argv += [flag, path]
+        code = main(argv)
+        assert not out.exists()
+        return code
+
+    def test_segment_len_must_tile_into_patches(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, segment_len=30)
+        ckpt = untrained_checkpoints(tmp_path)
+        assert self.run(tmp_path, cfg, {"--ore-ckpt": ckpt["--ore-ckpt"]}) == 2
+        assert "segment_len" in capsys.readouterr().err
+
+    def test_noise_expert_needs_two_patches(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, segment_len=4)
+        ckpt = untrained_checkpoints(tmp_path)
+        assert self.run(tmp_path, cfg, {"--de-ckpt": ckpt["--de-ckpt"]}) == 2
+        assert "noise-expert" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--ore-ckpt", "--de-ckpt"])
+    def test_clip_level_must_match(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path)
+        ckpt = untrained_checkpoints(tmp_path, clip_level=300.0)
+        assert self.run(tmp_path, cfg, {flag: ckpt[flag]}) == 2
+        assert "clip_level" in capsys.readouterr().err
 
 
 class TestBench:

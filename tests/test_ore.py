@@ -5,20 +5,17 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import gyromoe.diffmath as dm
-from gyromoe.backbone import BackboneConfig
+from gyromoe.backbone import BackboneConfig, mask_from_flags, mask_sample_indices
 from gyromoe.diffmath import DiffContext
 from gyromoe.errors import ConfigError, ContractError
 from gyromoe.ore import (
     OreConfig,
     corr_loss,
     load_ore,
-    mask_from_flags,
-    mask_sample_indices,
     ore_total_loss,
     pinn_loss,
     reconstruct,
     save_ore,
-    threshold_mask,
     train_ore,
 )
 from gyromoe.signal import ClipSpec, Segment, clip
@@ -39,16 +36,6 @@ class TestMasks:
         m = mask_from_flags(flags, 4)
         assert set(m.hidden) == {1}
         assert m.n_patches == 3
-
-    def test_threshold_mask_on_normalized_rail(self):
-        x = np.array([0.0, 0.2, 1.0, -1.0, 0.5, 0.1, -0.3, 0.0])
-        m = threshold_mask(x, 4)
-        assert set(m.hidden) == {0}
-
-    def test_threshold_mask_eps_margin(self):
-        x = np.array([1.0 - 1e-7, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0])
-        m = threshold_mask(x, 4)
-        assert set(m.hidden) == {0}
 
     def test_sample_indices(self):
         m = mask_from_flags(np.array([0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1], dtype=bool), 4)

@@ -10,12 +10,8 @@ from gyromoe.signal import (
     Segment,
     SynthConfig,
     clip,
-    denormalize,
-    dft,
-    idft,
     load_csv,
     make_snippet_pool,
-    normalize,
     psd,
     saturated_mask,
     save_csv,
@@ -125,36 +121,7 @@ class TestSegment:
         np.testing.assert_array_equal(stitch(segs, 100), x)
 
 
-class TestNormalize:
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(3)
-        seg = Segment(rng.normal(0, 300, 64), 0, 64)
-        spec = ClipSpec(450.0)
-        normed, state = normalize(seg, spec)
-        back = denormalize(normed, state)
-        assert np.max(np.abs(back.values - seg.values)) < 1e-12
-
-    def test_rail_maps_to_one(self):
-        seg = Segment(np.array([450.0, -450.0, 225.0]), 0, 3)
-        normed, _ = normalize(seg, ClipSpec(450.0))
-        assert normed.values.tolist() == [1.0, -1.0, 0.5]
-
-
 class TestSpectra:
-    def test_parseval(self):
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            x = rng.normal(size=int(rng.integers(16, 256)))
-            X = dft(x)
-            time_energy = float((x * x).sum())
-            freq_energy = float((np.abs(X) ** 2).sum()) / x.size
-            assert abs(time_energy - freq_energy) <= 1e-9 * max(time_energy, 1.0)
-
-    def test_dft_round_trip(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=128)
-        assert np.max(np.abs(idft(dft(x)) - x)) < 1e-12
-
     def test_psd_sinusoid_bin(self):
         fs = 100.0
         n = 1000
