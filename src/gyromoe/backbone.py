@@ -6,6 +6,13 @@ hidden from the encoder. The decoder sees encoder latents re-expanded to
 the full grid, with a learned mask token standing in at hidden positions,
 and predicts every patch.
 
+The pass is batch-first: it takes a ``[B, L]`` batch of segments with one
+mask per row, and every row must leave the same number of patches
+visible, so the encoder sees one ``[B, n_visible, d]`` tensor with no
+padding. Rows never mix, so a row's output does not depend on its
+batch-mates. Training records the pass on a tape; inference runs the same
+pass on a context that records none (:func:`forward_values`).
+
 Attention logits can carry an additive distance penalty
 ``B[i, j] = -(pos_i - pos_j)^2 / (2 sigma^2)`` with a single learnable
 sigma shared across layers and heads. As sigma grows the penalty vanishes
@@ -134,7 +141,8 @@ def mask_sample_indices(mask: MaskSet, patch_len: int) -> np.ndarray:
 
 @dataclass
 class TokenSequence:
-    """Token matrix plus the patch-grid positions each row came from."""
+    """Token batch ``[B, n, d]`` plus the patch-grid positions ``[B, n]``
+    each token came from."""
 
     tokens: Tensor
     positions: np.ndarray
@@ -267,15 +275,16 @@ def init_params(config: BackboneConfig, rng: np.random.Generator) -> ModelParams
 
 
 def patchify(values: np.ndarray, patch_len: int) -> np.ndarray:
-    """Reshape a flat segment into [n_patches, patch_len] rows."""
+    """Reshape segments ``[..., L]`` into patch rows ``[..., n_patches, patch_len]``."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"patchify needs a 1-D input, got {arr.shape}")
-    if patch_len < 1 or arr.size % patch_len != 0:
+    if arr.ndim < 1:
+        raise DimensionError(f"patchify needs at least one axis, got {arr.shape}")
+    L = arr.shape[-1]
+    if patch_len < 1 or L % patch_len != 0:
         raise DimensionError(
-            f"segment length {arr.size} is not a multiple of patch length {patch_len}"
+            f"segment length {L} is not a multiple of patch length {patch_len}"
         )
-    return arr.reshape(-1, patch_len)
+    return arr.reshape(arr.shape[:-1] + (L // patch_len, patch_len))
 
 
 def pe_table(n_positions: int, dim: int) -> np.ndarray:
@@ -336,9 +345,10 @@ def gd_attention(q, k, v, sigma: float | None, positions=None) -> np.ndarray:
 
 
 def _gd_bias_tensor(ctx: DiffContext, sigma_param: Param, positions: np.ndarray) -> Tensor:
-    # differentiable in sigma: B = (-0.5 / sigma^2) * d^2
+    # differentiable in sigma: B = (-0.5 / sigma^2) * d^2, one [n, n] per batch
+    # row, shaped [B, 1, n, n] to broadcast over heads
     pos = np.asarray(positions, dtype=np.float64)
-    d = pos[:, None] - pos[None, :]
+    d = pos[:, None, :, None] - pos[:, None, None, :]
     d2 = dm.constant(d * d)
     s2 = dm.square(ctx, sigma_param)
     inv = dm.reciprocal(ctx, s2)
@@ -347,7 +357,7 @@ def _gd_bias_tensor(ctx: DiffContext, sigma_param: Param, positions: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# Transformer blocks (pre-norm).
+# Transformer blocks (pre-norm) on [B, n, d] token batches.
 
 
 def _linear(ctx, x, params, w_name, b_name):
@@ -355,24 +365,30 @@ def _linear(ctx, x, params, w_name, b_name):
 
 
 def _attention_sublayer(ctx, params, prefix, config, x, bias_term):
-    d_k = config.head_dim
+    B, n, d = x.shape
+    heads, d_k = config.heads, config.head_dim
+    a = f"{prefix}.attn."
     h = dm.layer_norm(ctx, x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    q = _linear(ctx, h, params, f"{prefix}.attn.wq", f"{prefix}.attn.bq")
-    k = _linear(ctx, h, params, f"{prefix}.attn.wk", f"{prefix}.attn.bk")
-    v = _linear(ctx, h, params, f"{prefix}.attn.wv", f"{prefix}.attn.bv")
-    head_outs = []
-    for head in range(config.heads):
-        cols = np.arange(head * d_k, (head + 1) * d_k, dtype=np.int64)
-        qh = dm.gather(ctx, q, cols, axis=1)
-        kh = dm.gather(ctx, k, cols, axis=1)
-        vh = dm.gather(ctx, v, cols, axis=1)
-        logits = dm.scale(ctx, dm.matmul(ctx, qh, dm.transpose(ctx, kh)), 1.0 / math.sqrt(d_k))
-        if bias_term is not None:
-            logits = dm.add(ctx, logits, bias_term)
-        attn = dm.row_softmax(ctx, logits)
-        head_outs.append(dm.matmul(ctx, attn, vh))
-    merged = head_outs[0] if len(head_outs) == 1 else dm.concat(ctx, head_outs, axis=1)
-    out = _linear(ctx, merged, params, f"{prefix}.attn.wo", f"{prefix}.attn.bo")
+    # q, k and v are three products stacked afterwards, not one product over
+    # concatenated weights, so each input-gradient term sums over d entries
+    # (a 3d-wide product would round differently)
+    qkv = dm.concat(
+        ctx, [_linear(ctx, h, params, a + f"w{p}", a + f"b{p}") for p in "qkv"], axis=2
+    )  # [B, n, 3d]
+    # column (part * heads + head) * d_k + j of qkv is entry j of that head's
+    # query (part 0), key (1) or value (2); move the heads onto axis 1
+    cols = dm.reshape(ctx, dm.transpose(ctx, qkv), (B, 3 * heads, d_k, n))
+    rows = dm.transpose(ctx, cols)  # [B, 3 * heads, n, d_k]
+    q = dm.gather(ctx, rows, np.arange(0, heads), axis=1)
+    k_t = dm.gather(ctx, cols, np.arange(heads, 2 * heads), axis=1)
+    v = dm.gather(ctx, rows, np.arange(2 * heads, 3 * heads), axis=1)
+    logits = dm.scale(ctx, dm.matmul(ctx, q, k_t), 1.0 / math.sqrt(d_k))  # [B, heads, n, n]
+    if bias_term is not None:
+        logits = dm.add(ctx, logits, bias_term)
+    attn = dm.row_softmax(ctx, logits)
+    per_head = dm.matmul(ctx, attn, v)  # [B, heads, n, d_k]
+    merged_t = dm.reshape(ctx, dm.transpose(ctx, per_head), (B, d, n))
+    out = _linear(ctx, dm.transpose(ctx, merged_t), params, a + "wo", a + "bo")
     return dm.add(ctx, x, out)
 
 
@@ -398,25 +414,43 @@ def _run_blocks(ctx, params, config, x, prefix, n_layers, positions, use_gd):
 # Backbone passes.
 
 
+def _grid(batch: int, n: int) -> np.ndarray:
+    return np.broadcast_to(np.arange(n, dtype=np.int64), (batch, n))
+
+
 def embed(ctx: DiffContext, params: ModelParams, config: BackboneConfig, values) -> TokenSequence:
-    """Patchify, linearly project, and add position codes for all patches."""
+    """Patchify a ``[B, L]`` batch, project linearly, and add position codes."""
     patches = patchify(dm.value(values), config.patch_len)
-    n = patches.shape[0]
+    if patches.ndim != 3:
+        raise DimensionError(f"embed needs a [B, L] batch, got {dm.value(values).shape}")
+    B, n, _ = patches.shape
     tok = _linear(ctx, dm.constant(patches), params, "embed.w", "embed.b")
     tok = dm.add(ctx, tok, dm.constant(pe_table(n, config.embed_dim)))
-    return TokenSequence(tok, np.arange(n, dtype=np.int64))
+    return TokenSequence(tok, _grid(B, n))
 
 
-def apply_mask(ctx: DiffContext, seq: TokenSequence, mask: MaskSet) -> TokenSequence:
-    """Drop hidden-position tokens; raises if nothing stays visible."""
-    if len(seq.positions) != mask.n_patches:
-        raise DimensionError(
-            f"mask covers {mask.n_patches} patches but sequence has {len(seq.positions)}"
-        )
-    visible = mask.visible_sorted()
-    if visible.size == 0:
+def apply_mask(ctx: DiffContext, seq: TokenSequence, masks) -> TokenSequence:
+    """Drop each row's hidden-position tokens.
+
+    Raises :class:`MaskError` if a row keeps nothing visible, and
+    :class:`ContractError` if rows keep different numbers of tokens.
+    """
+    B, n = seq.positions.shape
+    if len(masks) != B:
+        raise DimensionError(f"{len(masks)} masks for a batch of {B} segments")
+    for m in masks:
+        if m.n_patches != n:
+            raise DimensionError(f"mask covers {m.n_patches} patches but sequence has {n}")
+    visible = [m.visible_sorted() for m in masks]
+    if any(v.size == 0 for v in visible):
         raise MaskError("mask hides every patch; encoder needs at least one visible token")
-    return TokenSequence(dm.gather(ctx, seq.tokens, visible, axis=0), visible)
+    if len({v.size for v in visible}) > 1:
+        raise ContractError(
+            "one batch needs one visible-patch count; group segments by it, got "
+            f"{sorted({v.size for v in visible})}"
+        )
+    vis = np.stack(visible)
+    return TokenSequence(dm.gather(ctx, seq.tokens, vis, axis=1), vis)
 
 
 def encode(ctx: DiffContext, params: ModelParams, config: BackboneConfig, seq: TokenSequence) -> TokenSequence:
@@ -430,19 +464,20 @@ def pad_with_mask_tokens(
     params: ModelParams,
     config: BackboneConfig,
     latent: TokenSequence,
-    mask: MaskSet,
+    masks,
 ) -> TokenSequence:
     """Re-expand latents to the full grid, mask token at hidden slots."""
-    n_total = mask.n_patches
-    full = dm.scatter(ctx, latent.tokens, latent.positions, n_total, axis=0)
-    hidden = mask.hidden_sorted()
-    if hidden.size:
-        ones = dm.constant(np.ones((hidden.size, 1)))
+    B = len(masks)
+    n_total = masks[0].n_patches
+    full = dm.scatter(ctx, latent.tokens, latent.positions, n_total, axis=1)
+    hidden = np.stack([m.hidden_sorted() for m in masks])
+    if hidden.shape[1]:
+        ones = dm.constant(np.ones((B, hidden.shape[1], 1)))
         tiled = dm.matmul(ctx, ones, params["mask_token"])
-        full = dm.add(ctx, full, dm.scatter(ctx, tiled, hidden, n_total, axis=0))
+        full = dm.add(ctx, full, dm.scatter(ctx, tiled, hidden, n_total, axis=1))
     # fresh position codes for the decoder stack
     full = dm.add(ctx, full, dm.constant(pe_table(n_total, config.embed_dim)))
-    return TokenSequence(full, np.arange(n_total, dtype=np.int64))
+    return TokenSequence(full, _grid(B, n_total))
 
 
 def decode(ctx: DiffContext, params: ModelParams, config: BackboneConfig, seq: TokenSequence) -> Tensor:
@@ -458,23 +493,19 @@ def forward(
     params: ModelParams,
     config: BackboneConfig,
     values,
-    mask: MaskSet,
+    masks,
 ) -> Tensor:
-    """Full masked-autoencoder pass; returns the flat [L] prediction."""
+    """Full masked-autoencoder pass over a ``[B, L]`` batch with one mask
+    per row; returns the ``[B, L]`` prediction."""
     vals = dm.value(values)
-    n_patches = vals.size // config.patch_len
-    if mask.n_patches != n_patches:
-        raise DimensionError(
-            f"mask covers {mask.n_patches} patches but segment has {n_patches}"
-        )
     seq = embed(ctx, params, config, vals)
-    visible = apply_mask(ctx, seq, mask)
+    visible = apply_mask(ctx, seq, masks)
     latent = encode(ctx, params, config, visible)
-    full = pad_with_mask_tokens(ctx, params, config, latent, mask)
+    full = pad_with_mask_tokens(ctx, params, config, latent, masks)
     patches = decode(ctx, params, config, full)
-    return dm.reshape(ctx, patches, (vals.size,))
+    return dm.reshape(ctx, patches, vals.shape)
 
 
-def forward_values(params: ModelParams, config: BackboneConfig, values, mask: MaskSet) -> np.ndarray:
-    """Inference-only wrapper returning a plain ndarray."""
-    return forward(DiffContext(), params, config, values, mask).data
+def forward_values(params: ModelParams, config: BackboneConfig, values, masks) -> np.ndarray:
+    """Inference: :func:`forward` on a context that records no tape."""
+    return forward(DiffContext(record=False), params, config, values, masks).data

@@ -305,6 +305,8 @@ def cmd_enhance(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
+    if args.out is None:
+        raise ConfigError("bench needs --out <json path>")
     spec = _clip_spec(cfg)
     raw = load_csv(args.raw)
     enhanced = load_csv(args.enhanced)
@@ -321,8 +323,6 @@ def cmd_bench(args) -> int:
         segment_len=int(cfg.get("segment_len", 256)),
         static_region=static_region,
     )
-    if args.out is None:
-        raise ConfigError("bench needs --out <json path>")
     _write_text(args.out, rep.to_json())
     print(rep.to_json(), end="")
     return 0

@@ -168,19 +168,24 @@ def cross_masks(num_patches: int) -> tuple[bb.MaskSet, bb.MaskSet]:
 
 
 def fuse(pred_a, pred_b, mask_a: bb.MaskSet, mask_b: bb.MaskSet, patch_len: int) -> np.ndarray:
-    """Stitch branch outputs, taking each branch at its own hidden patches."""
+    """Stitch branch outputs, taking each branch at its own hidden patches.
+
+    Works on one segment ``[L]`` or a batch ``[B, L]`` fused row by row.
+    """
     a = np.asarray(dm.value(pred_a), dtype=np.float64)
     c = np.asarray(dm.value(pred_b), dtype=np.float64)
-    if a.shape != c.shape or a.ndim != 1:
-        raise DimensionError(f"fuse needs matching 1-D inputs, got {a.shape} and {c.shape}")
+    if a.shape != c.shape or a.ndim not in (1, 2):
+        raise DimensionError(
+            f"fuse needs matching [L] or [B, L] inputs, got {a.shape} and {c.shape}"
+        )
     n = mask_a.n_patches
-    if mask_b.n_patches != n or a.size != n * patch_len:
+    if mask_b.n_patches != n or a.shape[-1] != n * patch_len:
         raise DimensionError("fuse masks do not tile the segment")
     if mask_a.hidden | mask_b.hidden != frozenset(range(n)) or mask_a.hidden & mask_b.hidden:
         raise ContractError("fuse needs complementary masks covering every patch")
     out = c.copy()
     from_a = bb.mask_sample_indices(mask_a, patch_len)
-    out[from_a] = a[from_a]
+    out[..., from_a] = a[..., from_a]
     return out
 
 
@@ -301,8 +306,10 @@ def dual_forward(
     mask_a: bb.MaskSet,
     mask_b: bb.MaskSet,
 ) -> tuple[Tensor, Tensor]:
-    pred_a = bb.forward(ctx, de_params.branch_a, config.backbone, values_norm, mask_a)
-    pred_b = bb.forward(ctx, de_params.branch_b, config.backbone, values_norm, mask_b)
+    """Both branches over a ``[B, L]`` batch; each row gets the same mask."""
+    B = dm.value(values_norm).shape[0]
+    pred_a = bb.forward(ctx, de_params.branch_a, config.backbone, values_norm, [mask_a] * B)
+    pred_b = bb.forward(ctx, de_params.branch_b, config.backbone, values_norm, [mask_b] * B)
     return pred_a, pred_b
 
 
@@ -365,33 +372,45 @@ def train_de(
     def item_loss(ctx, i, rng):
         series = SampleSeries(segs[i], sample_rate)
         x_mix, x_clean, _ = augment_segment(series, aug, rng)
-        pred_a, pred_b = dual_forward(ctx, de_params, config, x_mix / level, mask_a, mask_b)
-        return de_pair_loss(x_clean / level, pred_a, pred_b, mask_a, mask_b, P, ctx=ctx)
+        pred_a, pred_b = dual_forward(ctx, de_params, config, (x_mix / level)[None], mask_a, mask_b)
+        flat = (seg_len,)
+        return de_pair_loss(
+            x_clean / level, dm.reshape(ctx, pred_a, flat), dm.reshape(ctx, pred_b, flat),
+            mask_a, mask_b, P, ctx=ctx,
+        )
 
     trace = fit(de_params, config, len(segs), item_loss, epochs, rng, "de")
     return de_params, trace
 
 
-def denoise(seg: Segment, de_params: DeParams, config: DeConfig) -> Segment:
-    """Run both branches on a segment and fuse their hidden-side outputs."""
+def denoise(segs, de_params: DeParams, config: DeConfig) -> list:
+    """Run both branches on a list of equal-length Segments and fuse each
+    window's hidden-side outputs; returns the denoised Segments.
+
+    The cross masks are the same for every window, so the whole list runs
+    as one batch.
+    """
+    if not segs:
+        return []
     P = config.backbone.patch_len
-    if seg.values.size % P != 0:
-        raise ContractError(
-            f"segment length {seg.values.size} does not tile into patches of {P}"
-        )
-    mask_a, mask_b = cross_masks(seg.values.size // P)
+    L = segs[0].values.size
+    if any(seg.values.size != L for seg in segs):
+        raise ContractError("denoise needs windows of one length")
+    if L % P != 0:
+        raise ContractError(f"segment length {L} does not tile into patches of {P}")
+    mask_a, mask_b = cross_masks(L // P)
     level = config.clip.level
-    ctx = DiffContext()
-    pred_a, pred_b = dual_forward(ctx, de_params, config, seg.values / level, mask_a, mask_b)
+    x = np.stack([seg.values for seg in segs]) / level
+    pred_a, pred_b = dual_forward(DiffContext(record=False), de_params, config, x, mask_a, mask_b)
     fused = fuse(pred_a.data, pred_b.data, mask_a, mask_b, P) * level
-    return Segment(fused, seg.origin_index, seg.true_len)
+    return [Segment(row, seg.origin_index, seg.true_len) for row, seg in zip(fused, segs)]
 
 
 def make_noise_fn(de_params: DeParams, config: DeConfig):
-    """Adapter giving the gate a segment -> full-length prediction callable."""
+    """Adapter giving the gate a windows -> ``[k, L]`` prediction callable."""
 
-    def noise_fn(seg: Segment) -> np.ndarray:
-        return denoise(seg, de_params, config).values
+    def noise_fn(segs) -> np.ndarray:
+        return np.stack([seg.values for seg in denoise(segs, de_params, config)])
 
     return noise_fn
 

@@ -2,9 +2,16 @@
 
 A :class:`DiffContext` records a tape of primitive operations as a forward
 pass runs; :func:`backward` replays the tape in reverse to fill parameter
-gradients. The primitive set is intentionally small: dense matmul, a few
-pointwise maps, row softmax, layer norm, index gather/scatter, and shape
-plumbing. Everything heavier is composed from these.
+gradients. A context made with ``record=False`` runs the same primitives
+for inference and keeps no tape. The primitive set is intentionally small:
+dense matmul, a few pointwise maps, row softmax, layer norm, index
+gather/scatter, and shape plumbing. Everything heavier is composed from
+these.
+
+Primitives are batch-first: matmul works on stacks of matrices, softmax
+and layer norm act on the last axis, transpose swaps the last two axes,
+and a second operand of add/sub may broadcast against the first (a row
+bias, or a constant shared by every batch row).
 
 Gradients land in :class:`Param` buffers and accumulate across backward
 calls until explicitly zeroed, so one optimizer step can sum losses from
@@ -78,16 +85,25 @@ class Param:
 
 
 class DiffContext:
-    """One recording tape. Create a fresh context per forward pass."""
+    """One forward pass. Create a fresh context per pass.
 
-    __slots__ = ("nodes",)
+    With ``record=True`` every primitive appends a tape node for
+    :func:`backward`; with ``record=False`` nothing is kept, and the
+    context only tags its outputs. Outputs are finite-checked either way.
+    """
 
-    def __init__(self):
+    __slots__ = ("nodes", "record")
+
+    def __init__(self, record: bool = True):
         self.nodes = []
+        self.record = record
 
-    def _record(self, out_data, inputs, vjp):
+    def _record(self, out_data, vjp, *objs):
         out = Tensor(out_data, _ctx=self)
-        self.nodes.append((out, inputs, vjp))
+        if self.record:
+            # only Tensor/Param inputs participate in backprop
+            inputs = tuple(o for o in objs if isinstance(o, (Tensor, Param)))
+            self.nodes.append((out, inputs, vjp))
         return out
 
     def __len__(self):
@@ -108,16 +124,16 @@ def constant(x) -> Tensor:
     return Tensor(x)
 
 
-def _diff_inputs(*objs):
-    # only Tensor/Param inputs participate in backprop
-    return tuple(o for o in objs if isinstance(o, (Tensor, Param)))
-
-
 def backward(output: Tensor, ctx: DiffContext | None = None) -> None:
     """Backpropagate d(output)/d(param) into every Param on the tape.
 
     ``output`` must be a scalar produced by the context being replayed.
     Gradients accumulate into ``param.grad`` (no implicit zeroing).
+
+    Replaying consumes the tape. Its nodes and the tensors they hold form
+    reference cycles with the context, which only the cycle collector
+    would free; emptying the tape frees them as soon as the caller drops
+    the output. A second backward on the same context is an error.
     """
     if not isinstance(output, Tensor):
         raise ContractError("backward expects a Tensor output")
@@ -125,10 +141,15 @@ def backward(output: Tensor, ctx: DiffContext | None = None) -> None:
         ctx = output._ctx
     if ctx is None or output._ctx is not ctx:
         raise ContractError("output is not attached to the given DiffContext")
+    if not ctx.record:
+        raise ContractError("backward needs a context that records a tape")
     if output.shape != ():
         raise ContractError(f"backward needs a scalar output, got shape {output.shape}")
+    if not ctx.nodes:
+        raise ContractError("the tape is empty: backward already replayed it")
+    nodes, ctx.nodes = ctx.nodes, []
     grads: dict[int, np.ndarray] = {id(output): np.ones((), dtype=np.float64)}
-    for out, inputs, vjp in reversed(ctx.nodes):
+    for out, inputs, vjp in reversed(nodes):
         g = grads.pop(id(out), None)
         if g is None:
             continue
@@ -149,62 +170,87 @@ def backward(output: Tensor, ctx: DiffContext | None = None) -> None:
 # Primitive operations. Each takes the tape as first argument.
 
 
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Sum ``g`` down to ``shape``, the adjoint of numpy broadcasting."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
 def matmul(ctx: DiffContext, a, b) -> Tensor:
-    """2-D matrix product."""
+    """Matrix product over the last two axes.
+
+    Either operand may carry leading batch axes; when both do they must
+    match, and a 2-D operand is shared by every batch entry.
+    """
     av, bv = value(a), value(b)
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+    if (
+        av.ndim < 2
+        or bv.ndim < 2
+        or av.shape[-1] != bv.shape[-2]
+        or (av.ndim > 2 and bv.ndim > 2 and av.shape[:-2] != bv.shape[:-2])
+    ):
         raise DimensionError(f"matmul shapes {av.shape} and {bv.shape} are incompatible")
-    out = av @ bv
+    out = np.matmul(av, bv)
 
     def vjp(g):
         grads = []
         if isinstance(a, (Tensor, Param)):
-            grads.append(g @ bv.T)
+            grads.append(_unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape))
         if isinstance(b, (Tensor, Param)):
-            grads.append(av.T @ g)
+            if bv.ndim == 2:
+                # a shared right operand: one product over all stacked rows
+                grads.append(av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            else:
+                grads.append(_unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape))
         return grads
 
-    return ctx._record(out, _diff_inputs(a, b), vjp)
+    return ctx._record(out, vjp, a, b)
 
 
-def _binary_shapes(av, bv, opname):
+def _check_broadcast(av, bv, opname):
+    # the right operand may broadcast against the left; the output keeps the left's shape
     if av.shape == bv.shape:
-        return "same"
-    if av.ndim == 2 and bv.ndim == 1 and bv.size == av.shape[1]:
-        return "bias"
+        return
+    if bv.ndim <= av.ndim and all(n in (1, m) for n, m in zip(bv.shape[::-1], av.shape[::-1])):
+        return
     raise DimensionError(f"{opname} shapes {av.shape} and {bv.shape} are incompatible")
 
 
 def add(ctx: DiffContext, a, b) -> Tensor:
-    """Elementwise sum; also accepts a 1-D row bias against a 2-D left arg."""
+    """Elementwise sum; ``b`` may broadcast against ``a`` (e.g. a row bias)."""
     av, bv = value(a), value(b)
-    mode = _binary_shapes(av, bv, "add")
+    _check_broadcast(av, bv, "add")
 
     def vjp(g):
         grads = []
         if isinstance(a, (Tensor, Param)):
             grads.append(g)
         if isinstance(b, (Tensor, Param)):
-            grads.append(g.sum(axis=0) if mode == "bias" else g)
+            grads.append(_unbroadcast(g, bv.shape))
         return grads
 
-    return ctx._record(av + bv, _diff_inputs(a, b), vjp)
+    return ctx._record(av + bv, vjp, a, b)
 
 
 def sub(ctx: DiffContext, a, b) -> Tensor:
     """Elementwise difference; same shape rules as :func:`add`."""
     av, bv = value(a), value(b)
-    mode = _binary_shapes(av, bv, "sub")
+    _check_broadcast(av, bv, "sub")
 
     def vjp(g):
         grads = []
         if isinstance(a, (Tensor, Param)):
             grads.append(g)
         if isinstance(b, (Tensor, Param)):
-            grads.append(-(g.sum(axis=0)) if mode == "bias" else -g)
+            grads.append(-_unbroadcast(g, bv.shape))
         return grads
 
-    return ctx._record(av - bv, _diff_inputs(a, b), vjp)
+    return ctx._record(av - bv, vjp, a, b)
 
 
 def mul(ctx: DiffContext, a, b) -> Tensor:
@@ -221,7 +267,7 @@ def mul(ctx: DiffContext, a, b) -> Tensor:
             grads.append(g * av)
         return grads
 
-    return ctx._record(av * bv, _diff_inputs(a, b), vjp)
+    return ctx._record(av * bv, vjp, a, b)
 
 
 def scale(ctx: DiffContext, a, c: float) -> Tensor:
@@ -232,7 +278,7 @@ def scale(ctx: DiffContext, a, c: float) -> Tensor:
     def vjp(g):
         return (c * g,) if isinstance(a, (Tensor, Param)) else ()
 
-    return ctx._record(c * av, _diff_inputs(a), vjp)
+    return ctx._record(c * av, vjp, a)
 
 
 def scalar_mul(ctx: DiffContext, s, a) -> Tensor:
@@ -249,14 +295,14 @@ def scalar_mul(ctx: DiffContext, s, a) -> Tensor:
             grads.append(sv * g)
         return grads
 
-    return ctx._record(sv * av, _diff_inputs(s, a), vjp)
+    return ctx._record(sv * av, vjp, s, a)
 
 
 def row_softmax(ctx: DiffContext, a) -> Tensor:
     """Softmax along the last axis, max-subtracted for stability."""
     av = value(a)
-    if av.ndim not in (1, 2):
-        raise DimensionError(f"row_softmax needs a 1-D or 2-D input, got {av.shape}")
+    if av.ndim < 1:
+        raise DimensionError(f"row_softmax needs at least one axis, got {av.shape}")
     shifted = av - av.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
@@ -267,21 +313,21 @@ def row_softmax(ctx: DiffContext, a) -> Tensor:
         inner = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - inner),)
 
-    return ctx._record(out, _diff_inputs(a), vjp)
+    return ctx._record(out, vjp, a)
 
 
 def layer_norm(ctx: DiffContext, x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization of a 2-D input with learned gain and bias."""
+    """Normalization over the last axis with learned gain and bias."""
     xv, gv, bv = value(x), value(gain), value(bias)
-    if xv.ndim != 2:
-        raise DimensionError(f"layer_norm needs a 2-D input, got {xv.shape}")
-    d = xv.shape[1]
+    if xv.ndim < 2:
+        raise DimensionError(f"layer_norm needs a batch of rows, got {xv.shape}")
+    d = xv.shape[-1]
     if gv.shape != (d,) or bv.shape != (d,):
         raise DimensionError(
             f"layer_norm gain/bias shapes {gv.shape}/{bv.shape} do not match width {d}"
         )
-    mu = xv.mean(axis=1, keepdims=True)
-    var = xv.var(axis=1, keepdims=True)
+    mu = xv.mean(axis=-1, keepdims=True)
+    var = xv.var(axis=-1, keepdims=True)
     std = np.sqrt(var + eps)
     xhat = (xv - mu) / std
     out = xhat * gv + bv
@@ -290,15 +336,15 @@ def layer_norm(ctx: DiffContext, x, gain, bias, eps: float = 1e-5) -> Tensor:
         grads = []
         if isinstance(x, (Tensor, Param)):
             h = g * gv
-            term = h - h.mean(axis=1, keepdims=True) - xhat * (h * xhat).mean(axis=1, keepdims=True)
+            term = h - h.mean(axis=-1, keepdims=True) - xhat * (h * xhat).mean(axis=-1, keepdims=True)
             grads.append(term / std)
         if isinstance(gain, (Tensor, Param)):
-            grads.append((g * xhat).sum(axis=0))
+            grads.append((g * xhat).reshape(-1, d).sum(axis=0))
         if isinstance(bias, (Tensor, Param)):
-            grads.append(g.sum(axis=0))
+            grads.append(g.reshape(-1, d).sum(axis=0))
         return grads
 
-    return ctx._record(out, _diff_inputs(x, gain, bias), vjp)
+    return ctx._record(out, vjp, x, gain, bias)
 
 
 def gelu(ctx: DiffContext, x) -> Tensor:
@@ -313,7 +359,7 @@ def gelu(ctx: DiffContext, x) -> Tensor:
         pdf = np.exp(-0.5 * xv * xv) * _INV_SQRT_2PI
         return (g * (cdf + xv * pdf),)
 
-    return ctx._record(out, _diff_inputs(x), vjp)
+    return ctx._record(out, vjp, x)
 
 
 def sigmoid(ctx: DiffContext, x) -> Tensor:
@@ -326,7 +372,7 @@ def sigmoid(ctx: DiffContext, x) -> Tensor:
             return ()
         return (g * out * (1.0 - out),)
 
-    return ctx._record(out, _diff_inputs(x), vjp)
+    return ctx._record(out, vjp, x)
 
 
 def exp(ctx: DiffContext, x) -> Tensor:
@@ -336,7 +382,7 @@ def exp(ctx: DiffContext, x) -> Tensor:
     def vjp(g):
         return (g * out,) if isinstance(x, (Tensor, Param)) else ()
 
-    return ctx._record(out, _diff_inputs(x), vjp)
+    return ctx._record(out, vjp, x)
 
 
 def log(ctx: DiffContext, x) -> Tensor:
@@ -349,7 +395,7 @@ def log(ctx: DiffContext, x) -> Tensor:
     def vjp(g):
         return (g / xv,) if isinstance(x, (Tensor, Param)) else ()
 
-    return ctx._record(out, _diff_inputs(x), vjp)
+    return ctx._record(out, vjp, x)
 
 
 def reciprocal(ctx: DiffContext, x) -> Tensor:
@@ -362,7 +408,7 @@ def reciprocal(ctx: DiffContext, x) -> Tensor:
     def vjp(g):
         return (-g * out * out,) if isinstance(x, (Tensor, Param)) else ()
 
-    return ctx._record(out, _diff_inputs(x), vjp)
+    return ctx._record(out, vjp, x)
 
 
 def square(ctx: DiffContext, x) -> Tensor:
@@ -371,7 +417,7 @@ def square(ctx: DiffContext, x) -> Tensor:
     def vjp(g):
         return (2.0 * xv * g,) if isinstance(x, (Tensor, Param)) else ()
 
-    return ctx._record(xv * xv, _diff_inputs(x), vjp)
+    return ctx._record(xv * xv, vjp, x)
 
 
 def mean(ctx: DiffContext, x) -> Tensor:
@@ -386,13 +432,34 @@ def mean(ctx: DiffContext, x) -> Tensor:
             return ()
         return (np.full_like(xv, float(g) / xv.size),)
 
-    return ctx._record(out, _diff_inputs(x), vjp)
+    return ctx._record(out, vjp, x)
 
 
-def _check_indices(idx, bound, opname):
+def _index_at(idx: np.ndarray, axis: int):
+    """Where ``idx`` points: a 1-D index picks the same entries
+    along ``axis`` for every leading row; a 2-D ``[B, k]`` index picks, for
+    batch row ``b``, entries ``idx[b]`` along axis 1."""
+    if idx.ndim == 1:
+        return (slice(None),) * axis + (idx,)
+    return (np.arange(idx.shape[0])[:, None], idx)
+
+
+def _check_indices(x: np.ndarray, idx, axis: int, opname: str, bound: int | None = None) -> np.ndarray:
     idx = np.asarray(idx)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ContractError(f"{opname} needs a nonempty 1-D index array")
+    if not 0 <= axis < x.ndim:
+        raise DimensionError(f"{opname} axis {axis} invalid for shape {x.shape}")
+    if bound is None:
+        bound = x.shape[axis]
+    if idx.ndim == 2:
+        if axis != 1 or idx.shape[0] != x.shape[0]:
+            raise DimensionError(
+                f"{opname} with per-row indices {idx.shape} needs axis 1 of a batch of "
+                f"{idx.shape[0]} rows, got axis {axis} of shape {x.shape}"
+            )
+    elif idx.ndim != 1:
+        raise ContractError(f"{opname} needs a 1-D or [batch, k] index array")
+    if idx.size == 0:
+        raise ContractError(f"{opname} needs a nonempty index array")
     if not np.issubdtype(idx.dtype, np.integer):
         raise ContractError(f"{opname} indices must be integers")
     if (idx < 0).any() or (idx >= bound).any():
@@ -401,54 +468,50 @@ def _check_indices(idx, bound, opname):
 
 
 def gather(ctx: DiffContext, x, idx, axis: int = 0) -> Tensor:
-    """Select rows (axis 0) or columns (axis 1) by integer index."""
+    """Select entries along ``axis`` by integer index.
+
+    A 1-D ``idx`` selects the same entries for every leading row; a 2-D
+    ``[B, k]`` ``idx`` selects per batch row along axis 1.
+    """
     xv = value(x)
-    if axis not in (0, 1) or axis >= xv.ndim:
-        raise DimensionError(f"gather axis {axis} invalid for shape {xv.shape}")
-    idx = _check_indices(idx, xv.shape[axis], "gather")
-    out = np.take(xv, idx, axis=axis)
+    idx = _check_indices(xv, idx, axis, "gather")
+    at = _index_at(idx, axis)
+    out = xv[at]
 
     def vjp(g):
         if not isinstance(x, (Tensor, Param)):
             return ()
         dx = np.zeros_like(xv)
-        if axis == 0:
-            np.add.at(dx, idx, g)
-        else:
-            np.add.at(dx, (slice(None), idx), g)
+        np.add.at(dx, at, g)
         return (dx,)
 
-    return ctx._record(out, _diff_inputs(x), vjp)
+    return ctx._record(out, vjp, x)
 
 
 def scatter(ctx: DiffContext, x, idx, size: int, axis: int = 0) -> Tensor:
     """Place slices of ``x`` into a zero tensor of extent ``size`` on ``axis``.
 
-    Duplicate indices accumulate. The adjoint is a gather at the same
-    indices.
+    Index rules are those of :func:`gather`. Duplicate indices accumulate.
+    The adjoint is a gather at the same indices.
     """
     xv = value(x)
-    if axis not in (0, 1) or axis >= xv.ndim:
-        raise DimensionError(f"scatter axis {axis} invalid for shape {xv.shape}")
-    idx = _check_indices(idx, size, "scatter")
-    if idx.size != xv.shape[axis]:
+    idx = _check_indices(xv, idx, axis, "scatter", bound=size)
+    if idx.shape[-1] != xv.shape[axis]:
         raise DimensionError(
-            f"scatter index count {idx.size} does not match input extent {xv.shape[axis]}"
+            f"scatter index count {idx.shape[-1]} does not match input extent {xv.shape[axis]}"
         )
     shape = list(xv.shape)
     shape[axis] = size
     out = np.zeros(shape, dtype=np.float64)
-    if axis == 0:
-        np.add.at(out, idx, xv)
-    else:
-        np.add.at(out, (slice(None), idx), xv)
+    at = _index_at(idx, axis)
+    np.add.at(out, at, xv)
 
     def vjp(g):
         if not isinstance(x, (Tensor, Param)):
             return ()
-        return (np.take(g, idx, axis=axis),)
+        return (g[at],)
 
-    return ctx._record(out, _diff_inputs(x), vjp)
+    return ctx._record(out, vjp, x)
 
 
 def concat(ctx: DiffContext, parts, axis: int = 0) -> Tensor:
@@ -470,19 +533,21 @@ def concat(ctx: DiffContext, parts, axis: int = 0) -> Tensor:
                 grads.append(g[tuple(sl)])
         return grads
 
-    return ctx._record(out, _diff_inputs(*parts), vjp)
+    return ctx._record(out, vjp, *parts)
 
 
 def transpose(ctx: DiffContext, x) -> Tensor:
-    """2-D transpose."""
+    """Swap the last two axes (a plain transpose for 2-D input)."""
     xv = value(x)
-    if xv.ndim != 2:
-        raise DimensionError(f"transpose needs a 2-D input, got {xv.shape}")
+    if xv.ndim < 2:
+        raise DimensionError(f"transpose needs at least 2 axes, got {xv.shape}")
 
     def vjp(g):
-        return (g.T,) if isinstance(x, (Tensor, Param)) else ()
+        # contiguous, so later reductions over g (bias gradients) sum rows in
+        # the same order whatever layout the gradient arrived in
+        return (np.ascontiguousarray(np.swapaxes(g, -1, -2)),) if isinstance(x, (Tensor, Param)) else ()
 
-    return ctx._record(xv.T.copy(), _diff_inputs(x), vjp)
+    return ctx._record(np.ascontiguousarray(np.swapaxes(xv, -1, -2)), vjp, x)
 
 
 def reshape(ctx: DiffContext, x, shape) -> Tensor:
@@ -494,7 +559,7 @@ def reshape(ctx: DiffContext, x, shape) -> Tensor:
     def vjp(g):
         return (g.reshape(xv.shape),) if isinstance(x, (Tensor, Param)) else ()
 
-    return ctx._record(xv.reshape(shape), _diff_inputs(x), vjp)
+    return ctx._record(xv.reshape(shape), vjp, x)
 
 
 # ---------------------------------------------------------------------------

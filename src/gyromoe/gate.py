@@ -10,13 +10,14 @@ and advances by the block length; everything else passes through.
 
 The implementation batches that walk (vectorized rail replacement plus
 run-length block placement) but is sample-for-sample identical to the
-scalar procedure above.
+scalar procedure above. Experts are batched too: every window is routed
+first, then each expert is called once per chunk of up to
+``EXPERT_CHUNK`` windows its route fired on.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,10 @@ from .errors import ConfigError, ContractError
 from .signal import CLIP_EPS, ClipSpec, SampleSeries, Segment, saturated_mask, segment, stitch
 
 log = logging.getLogger("gyromoe.gate")
+
+# windows per expert call: large enough to amortize per-call overhead, small
+# enough that a long stream's expert working set stays bounded
+EXPERT_CHUNK = 64
 
 
 @dataclass
@@ -136,13 +141,17 @@ def _splice(
     return y
 
 
-def _expert_output(fn, seg: Segment, name: str) -> np.ndarray:
-    out = np.asarray(fn(seg), dtype=np.float64)
-    if out.shape != seg.values.shape:
-        raise ContractError(
-            f"{name} expert returned shape {out.shape}, expected {seg.values.shape}"
-        )
-    return out
+def _expert_outputs(fn, segs: list, name: str) -> list:
+    """``fn`` over ``segs`` in chunks of EXPERT_CHUNK windows; one row per window."""
+    rows = []
+    for start in range(0, len(segs), EXPERT_CHUNK):
+        chunk = segs[start : start + EXPERT_CHUNK]
+        out = np.asarray(fn(chunk), dtype=np.float64)
+        want = (len(chunk), chunk[0].values.size)
+        if out.shape != want:
+            raise ContractError(f"{name} expert returned shape {out.shape}, expected {want}")
+        rows.extend(out)
+    return rows
 
 
 def enhance(
@@ -153,17 +162,17 @@ def enhance(
 ) -> SampleSeries:
     """Route every window of ``series`` and splice expert outputs in.
 
-    ``peak_fn`` / ``noise_fn`` map a Segment to a full-length prediction
-    array. An expert is only consulted on windows where its route fires;
-    if a route fires and its expert is missing, that is a configuration
-    error. Windows where nothing fires pass through untouched.
+    ``peak_fn`` / ``noise_fn`` map a list of k Segments to a ``[k, L]``
+    array of full-length predictions, one row per window. An expert is only
+    consulted on windows where its route fires, once per chunk of up to
+    ``EXPERT_CHUNK`` such windows; if a route fires and its expert is
+    missing, that is a configuration error, raised before any expert runs.
+    Windows where nothing fires pass through untouched.
     """
     segs = segment(series, config.segment_len, config.segment_len)
-    out_segs = []
-    n_peak = n_noise = 0
+    decisions = []
     for seg in segs:
-        x = seg.true_values()
-        decision = route(x, config)
+        decision = route(seg.true_values(), config)
         if decision.peak and peak_fn is None:
             raise ConfigError(
                 f"peak route fired on segment at {seg.origin_index} but no peak expert is loaded"
@@ -172,14 +181,19 @@ def enhance(
             raise ConfigError(
                 f"noise route fired on segment at {seg.origin_index} but no noise expert is loaded"
             )
-        p_hat = _expert_output(peak_fn, seg, "peak") if decision.peak else None
-        n_hat = _expert_output(noise_fn, seg, "noise") if decision.noise else None
-        y = _splice(x, decision, config, p_hat, n_hat)
-        n_peak += int(decision.peak)
-        n_noise += int(decision.noise)
+        decisions.append(decision)
+    p_rows = iter(_expert_outputs(peak_fn, [s for s, d in zip(segs, decisions) if d.peak], "peak"))
+    n_rows = iter(_expert_outputs(noise_fn, [s for s, d in zip(segs, decisions) if d.noise], "noise"))
+    out_segs = []
+    for seg, decision in zip(segs, decisions):
+        p_hat = next(p_rows) if decision.peak else None
+        n_hat = next(n_rows) if decision.noise else None
+        y = _splice(seg.true_values(), decision, config, p_hat, n_hat)
         padded = np.zeros_like(seg.values)
         padded[: seg.true_len] = y
         out_segs.append(Segment(padded, seg.origin_index, seg.true_len))
+    n_peak = sum(d.peak for d in decisions)
+    n_noise = sum(d.noise for d in decisions)
     log.info(
         "enhance: %d segments, %d peak-routed, %d noise-routed", len(segs), n_peak, n_noise
     )

@@ -215,38 +215,48 @@ def train_ore(
 
     def item_loss(ctx, i, rng):
         x_in, x_tgt, mask, midx = prepared[i]
-        pred = bb.forward(ctx, params, config.backbone, x_in, mask)
-        return ore_total_loss(x_tgt, pred, midx, config, ctx=ctx)
+        pred = bb.forward(ctx, params, config.backbone, x_in[None], [mask])
+        return ore_total_loss(x_tgt, dm.reshape(ctx, pred, x_tgt.shape), midx, config, ctx=ctx)
 
     trace = fit(params, config, len(prepared), item_loss, epochs, rng, "ore")
     trace.skipped_segments = skipped
     return params, trace
 
 
-def reconstruct(seg: Segment, params: bb.ModelParams, config: OreConfig) -> Segment:
-    """Replace saturated samples with model predictions.
+def reconstruct(segs, params: bb.ModelParams, config: OreConfig) -> list:
+    """Replace the saturated samples of each window with model predictions.
 
-    Samples off the rail pass through untouched; a segment with no rail
-    contact is returned as an identical copy.
+    Takes and returns a list of Segments. Samples off the rail pass through
+    untouched; a window with no rail contact comes back as an identical
+    copy. Windows run through the backbone grouped by patch count and
+    visible-patch count, never padded, so a window's output does not depend
+    on the other windows in the list. A window that saturates every patch
+    raises :class:`MaskError`.
     """
-    vals = seg.values.copy()
-    flags = saturated_mask(vals, config.clip)
-    flags[seg.true_len :] = False
-    if not flags.any():
-        return Segment(vals, seg.origin_index, seg.true_len)
     P = config.backbone.patch_len
-    mask = bb.mask_from_flags(flags, P)
     level = config.clip.level
-    pred = bb.forward_values(params, config.backbone, vals / level, mask)
-    vals[flags] = pred[flags] * level
-    return Segment(vals, seg.origin_index, seg.true_len)
+    out = [Segment(seg.values.copy(), seg.origin_index, seg.true_len) for seg in segs]
+    groups = {}  # (n_patches, n_visible) -> [(window index, rail flags, mask)]
+    for i, seg in enumerate(out):
+        flags = saturated_mask(seg.values, config.clip)
+        flags[seg.true_len :] = False
+        if flags.any():
+            mask = bb.mask_from_flags(flags, P)
+            key = (mask.n_patches, mask.n_patches - len(mask.hidden))
+            groups.setdefault(key, []).append((i, flags, mask))
+    for group in groups.values():
+        x = np.stack([out[i].values for i, _, _ in group]) / level
+        pred = bb.forward_values(params, config.backbone, x, [mask for _, _, mask in group])
+        for (i, flags, _), row in zip(group, pred):
+            out[i].values[flags] = row[flags] * level
+    return out
 
 
 def make_peak_fn(params: bb.ModelParams, config: OreConfig):
-    """Adapter giving the gate a segment -> full-length prediction callable."""
+    """Adapter giving the gate a windows -> ``[k, L]`` prediction callable."""
 
-    def peak_fn(seg: Segment) -> np.ndarray:
-        return reconstruct(seg, params, config).values
+    def peak_fn(segs) -> np.ndarray:
+        return np.stack([seg.values for seg in reconstruct(segs, params, config)])
 
     return peak_fn
 

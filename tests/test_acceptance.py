@@ -9,6 +9,7 @@ pytest run doubles as the sign-off checklist. Desk-scale training runs
 import json
 import math
 import time
+import zlib
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -117,6 +118,29 @@ def _primitive_cases():
          lambda r: [r.normal(size=(3, 4))]),
         ("reshape", lambda c, x: _sq_mean(c, dm.reshape(c, x, (2, 6))),
          lambda r: [r.normal(size=(3, 4))]),
+        # batch-first shapes: leading batch axes, last-axis rules, per-row indices
+        ("matmul_3d_2d", lambda c, a, b: _sq_mean(c, dm.matmul(c, a, b)),
+         lambda r: [r.normal(size=(2, 3, 4)), r.normal(size=(4, 2))]),
+        ("matmul_4d", lambda c, a, b: _sq_mean(c, dm.matmul(c, a, b)),
+         lambda r: [r.normal(size=(2, 2, 3, 4)), r.normal(size=(2, 2, 4, 3))]),
+        ("add_bias_3d", lambda c, a, b: _sq_mean(c, dm.add(c, a, b)),
+         lambda r: [r.normal(size=(2, 3, 4)), r.normal(size=(4,))]),
+        ("add_broadcast_4d", lambda c, a, b: _sq_mean(c, dm.add(c, a, b)),
+         lambda r: [r.normal(size=(2, 3, 4, 4)), r.normal(size=(2, 1, 4, 4))]),
+        ("layer_norm_3d", lambda c, x, g, b: _sq_mean(c, dm.layer_norm(c, x, g, b)),
+         lambda r: [r.normal(size=(2, 3, 4)), 1.0 + 0.1 * r.normal(size=(4,)), r.normal(size=(4,))]),
+        ("row_softmax_4d", lambda c, a: _sq_mean(c, dm.row_softmax(c, a)),
+         lambda r: [r.normal(size=(2, 2, 3, 5))]),
+        ("transpose_4d", lambda c, x: _sq_mean(c, dm.mul(c, dm.transpose(c, x), dm.constant(np.arange(48.0).reshape(2, 2, 4, 3)))),
+         lambda r: [r.normal(size=(2, 2, 3, 4))]),
+        ("gather_axis1_4d", lambda c, x: _sq_mean(c, dm.gather(c, x, np.array([2, 0, 2]), axis=1)),
+         lambda r: [r.normal(size=(2, 3, 2, 2))]),
+        ("gather_per_row", lambda c, x: _sq_mean(c, dm.gather(c, x, np.array([[0, 2, 2], [3, 1, 0]]), axis=1)),
+         lambda r: [r.normal(size=(2, 4, 3))]),
+        ("scatter_per_row", lambda c, x: _sq_mean(c, dm.scatter(c, x, np.array([[4, 1], [0, 4]]), 5, axis=1)),
+         lambda r: [r.normal(size=(2, 2, 3))]),
+        ("reshape_3d", lambda c, x: _sq_mean(c, dm.reshape(c, x, (2, 3, 4))),
+         lambda r: [r.normal(size=(6, 4))]),
     ]
 
 
@@ -125,7 +149,7 @@ def test_c01_gradient_correctness(capsys):
     worst = 0.0
     for name, fn, build in _primitive_cases():
         for seed in range(10):
-            rng = np.random.default_rng([910, hash(name) % 2**32, seed])
+            rng = np.random.default_rng([910, zlib.crc32(name.encode()), seed])
             rep = dm.grad_check(fn, build(rng))
             worst = max(worst, rep.max_rel_err)
             assert rep.passed, f"{name} seed {seed}: rel err {rep.max_rel_err:.2e}"
@@ -267,7 +291,7 @@ def test_c06_desk_scale_reconstruction(capsys):
     t_list, c_list, r_list, escapes = [], [], [], []
     for clean in held:
         clipped = np.clip(clean, -rail, rail)
-        recon = reconstruct(Segment(clipped.copy(), 0, seg_len), params, cfg).values
+        recon = reconstruct([Segment(clipped.copy(), 0, seg_len)], params, cfg)[0].values
         t_list.append(clean)
         c_list.append(clipped)
         r_list.append(recon)
@@ -304,7 +328,7 @@ def test_c07_desk_scale_denoising(capsys):
     for _ in range(40):
         base = SampleSeries(eval_rng.normal(0.0, sigma, seg_len), fs)
         x_mix, _, inj = augment_segment(base, aug, eval_rng)
-        y = denoise(Segment(x_mix, 0, seg_len), params, cfg).values
+        y = denoise([Segment(x_mix, 0, seg_len)], params, cfg)[0].values
         sig = np.zeros(seg_len, dtype=bool)
         sig[inj.offset : inj.offset + inj.snippet_len] = True
         gains.append(snr(y[sig], y[~sig]) - snr(x_mix[sig], x_mix[~sig]))
@@ -317,8 +341,8 @@ def test_c07_desk_scale_denoising(capsys):
     den = np.empty_like(static)
     for s in range(0, n_static, seg_len):
         den[s : s + seg_len] = denoise(
-            Segment(static[s : s + seg_len].copy(), s, seg_len), params, cfg
-        ).values
+            [Segment(static[s : s + seg_len].copy(), s, seg_len)], params, cfg
+        )[0].values
     bi_raw = bias_instability(allan_deviation(SampleSeries(static, fs)))
     bi_den = bias_instability(allan_deviation(SampleSeries(den, fs)))
     assert bi_raw is not None and bi_raw > 0.0
@@ -385,8 +409,8 @@ def test_c08_gate_equivalence(capsys):
         p_hat = rng.normal(1.5, 0.3, 64)
         n_hat = rng.normal(0.0, 0.01, 64)
         got = enhance(SampleSeries(x.copy(), 100.0), cfg,
-                      peak_fn=lambda s, p=p_hat: p,
-                      noise_fn=lambda s, nn=n_hat: nn).values
+                      peak_fn=lambda segs, p=p_hat: p[None],
+                      noise_fn=lambda segs, nn=n_hat: nn[None]).values
         want = _scalar_walk(x, cfg, p_hat, n_hat)
         if not np.array_equal(got, want):
             mismatches += 1

@@ -17,7 +17,7 @@ from gyromoe.backbone import (
     pe_table,
 )
 from gyromoe.diffmath import DiffContext, backward, mean, square, sub, constant
-from gyromoe.errors import ConfigError, DimensionError, MaskError
+from gyromoe.errors import ConfigError, ContractError, DimensionError, MaskError
 from gyromoe.optim import Adam
 
 SMALL = BackboneConfig(
@@ -73,16 +73,28 @@ class TestMaskSet:
     def test_all_hidden_rejected_at_apply(self):
         params = small_params()
         ctx = DiffContext()
-        seq = embed(ctx, params, SMALL, np.zeros(16))
+        seq = embed(ctx, params, SMALL, np.zeros((1, 16)))
         with pytest.raises(MaskError):
-            apply_mask(ctx, seq, MaskSet(hidden=frozenset(range(4)), n_patches=4))
+            apply_mask(ctx, seq, [MaskSet(hidden=frozenset(range(4)), n_patches=4)])
+
+    def test_batch_rows_need_one_visible_count(self):
+        params = small_params()
+        ctx = DiffContext()
+        seq = embed(ctx, params, SMALL, np.zeros((2, 16)))
+        with pytest.raises(ContractError):
+            apply_mask(ctx, seq, [MaskSet(frozenset({0}), 4), MaskSet(frozenset({0, 1}), 4)])
+        with pytest.raises(DimensionError):
+            apply_mask(ctx, seq, [MaskSet(frozenset({0}), 4)])
+        kept = apply_mask(ctx, seq, [MaskSet(frozenset({0}), 4), MaskSet(frozenset({3}), 4)])
+        np.testing.assert_array_equal(kept.positions, [[1, 2, 3], [0, 1, 2]])
+        np.testing.assert_array_equal(kept.tokens.data[1], seq.tokens.data[1, :3])
 
     def test_empty_mask_keeps_all_tokens(self):
         params = small_params()
         ctx = DiffContext()
-        seq = embed(ctx, params, SMALL, np.zeros(16))
-        kept = apply_mask(ctx, seq, MaskSet(hidden=frozenset(), n_patches=4))
-        assert kept.tokens.data.shape == (4, SMALL.embed_dim)
+        seq = embed(ctx, params, SMALL, np.zeros((1, 16)))
+        kept = apply_mask(ctx, seq, [MaskSet(hidden=frozenset(), n_patches=4)])
+        assert kept.tokens.data.shape == (1, 4, SMALL.embed_dim)
 
 
 class TestPositionalEncoding:
@@ -211,15 +223,15 @@ class TestForward:
         rng = np.random.default_rng(2)
         x = rng.normal(size=16)
         mask = MaskSet(hidden=frozenset({1, 3}), n_patches=4)
-        out1 = forward_values(params, SMALL, x, mask)
-        out2 = forward_values(params, SMALL, x, mask)
-        assert out1.shape == (16,)
+        out1 = forward_values(params, SMALL, x[None], [mask])
+        out2 = forward_values(params, SMALL, x[None], [mask])
+        assert out1.shape == (1, 16)
         np.testing.assert_array_equal(out1, out2)
 
     def test_length_must_tile(self):
         params = small_params()
         with pytest.raises(DimensionError):
-            forward_values(params, SMALL, np.zeros(15), MaskSet(frozenset({0}), 3))
+            forward_values(params, SMALL, np.zeros((1, 15)), [MaskSet(frozenset({0}), 3)])
 
     def test_masked_loss_ignores_hidden_input_values(self):
         # Hidden patches are replaced by the mask token, so the prediction
@@ -228,10 +240,10 @@ class TestForward:
         rng = np.random.default_rng(6)
         x = rng.normal(size=16)
         mask = MaskSet(hidden=frozenset({2}), n_patches=4)
-        y1 = forward_values(params, SMALL, x, mask)
+        y1 = forward_values(params, SMALL, x[None], [mask])
         x2 = x.copy()
         x2[8:12] = 99.0
-        y2 = forward_values(params, SMALL, x2, mask)
+        y2 = forward_values(params, SMALL, x2[None], [mask])
         np.testing.assert_array_equal(y1, y2)
 
     def test_gradient_reaches_sigma_and_encoder(self):
@@ -241,8 +253,8 @@ class TestForward:
         target = rng.normal(size=16)
         mask = MaskSet(hidden=frozenset({0, 2}), n_patches=4)
         ctx = DiffContext()
-        pred = forward(ctx, params, SMALL, x, mask)
-        loss = mean(ctx, square(ctx, sub(ctx, pred, constant(target))))
+        pred = forward(ctx, params, SMALL, x[None], [mask])
+        loss = mean(ctx, square(ctx, sub(ctx, pred, constant(target[None]))))
         backward(loss, ctx)
         assert params["gd_sigma"].grad.data.shape == ()
         assert np.abs(params["embed.w"].grad.data).sum() > 0
@@ -251,6 +263,6 @@ class TestForward:
     def test_all_placements_run(self, placement):
         cfg = BackboneConfig(patch_len=4, embed_dim=8, heads=2, gd_placement=placement)
         params = init_params(cfg, np.random.default_rng(0))
-        out = forward_values(params, cfg, np.linspace(-1, 1, 16), MaskSet(frozenset({1}), 4))
-        assert out.shape == (16,)
+        out = forward_values(params, cfg, np.linspace(-1, 1, 16)[None], [MaskSet(frozenset({1}), 4)])
+        assert out.shape == (1, 16)
         assert np.all(np.isfinite(out))

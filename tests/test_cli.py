@@ -288,6 +288,14 @@ class TestBench:
         main(args + ["--out", str(tmp_path / "rep2.json")])
         assert (tmp_path / "rep1.json").read_bytes() == (tmp_path / "rep2.json").read_bytes()
 
+    def test_missing_out_fails_before_reading_inputs(self, tmp_path, capsys):
+        # the inputs do not exist, so only an up-front --out check gives this error
+        cfg = write_config(tmp_path)
+        missing = str(tmp_path / "absent.csv")
+        code = main(["bench", "--config", cfg, "--raw", missing, "--enhanced", missing, "--truth", missing])
+        assert code == 2
+        assert "bench needs --out" in capsys.readouterr().err
+
 
 class TestAllan:
     def test_curve_csv(self, tmp_path):

@@ -300,7 +300,7 @@ class TestDenoiseInference:
     def test_output_shape_and_metadata(self):
         params, cfg = self.make_trained()
         seg = Segment(np.random.default_rng(16).normal(0, 0.05, 32), origin_index=64, true_len=30)
-        out = denoise(seg, params, cfg)
+        [out] = denoise([seg], params, cfg)
         assert out.values.shape == (32,)
         assert out.origin_index == 64 and out.true_len == 30
 
@@ -309,11 +309,11 @@ class TestDenoiseInference:
 
         params, cfg = self.make_trained(17)
         x = np.random.default_rng(18).normal(0, 0.05, 32)
-        out = denoise(Segment(x, 0, 32), params, cfg)
+        [out] = denoise([Segment(x, 0, 32)], params, cfg)
         a, b = cross_masks(8)
         ctx = DiffContext()
-        pa, pb = dual_forward(ctx, params, cfg, x / cfg.clip.level, a, b)
-        want = fuse(pa.data, pb.data, a, b, 4) * cfg.clip.level
+        pa, pb = dual_forward(ctx, params, cfg, (x / cfg.clip.level)[None], a, b)
+        want = fuse(pa.data[0], pb.data[0], a, b, 4) * cfg.clip.level
         np.testing.assert_array_equal(out.values, want)
 
     def test_checkpoint_round_trip(self, tmp_path):
@@ -325,8 +325,8 @@ class TestDenoiseInference:
         assert cfg2.backbone == cfg.backbone
         x = np.random.default_rng(20).normal(0, 0.05, 32)
         np.testing.assert_array_equal(
-            denoise(Segment(x, 0, 32), params, cfg).values,
-            denoise(Segment(x, 0, 32), params2, cfg2).values,
+            denoise([Segment(x, 0, 32)], params, cfg)[0].values,
+            denoise([Segment(x, 0, 32)], params2, cfg2)[0].values,
         )
 
     def test_wrong_kind_rejected(self, tmp_path):

@@ -251,6 +251,27 @@ class TestTape:
         p.zero_grad()
         assert not p.grad.data.any()
 
+    def test_backward_consumes_the_tape(self):
+        p = Param(np.array([1.0, -2.0]))
+        ctx = DiffContext()
+        out = dm.mean(ctx, dm.square(ctx, p))
+        dm.backward(out, ctx)
+        assert len(ctx) == 0
+        with pytest.raises(ContractError):
+            dm.backward(out, ctx)
+        np.testing.assert_allclose(p.grad.data, [1.0, -2.0])
+
+    def test_context_without_tape_records_nothing(self):
+        p = Param(np.array([1.0, -2.0]))
+        ctx = DiffContext(record=False)
+        out = dm.mean(ctx, dm.square(ctx, p))
+        assert len(ctx) == 0 and float(out.data) == 2.5
+        with pytest.raises(ContractError):
+            dm.backward(out, ctx)
+        # outputs are still finite-checked
+        with np.errstate(over="ignore"), pytest.raises(ContractError):
+            dm.scale(ctx, dm.constant(np.array([1e308])), 10.0)
+
     def test_shape_error_names_both_shapes(self):
         ctx = DiffContext()
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 2\)"):

@@ -1,9 +1,15 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from gyromoe.errors import ConfigError, ContractError
-from gyromoe.gate import GateConfig, RouteDecision, enhance, route
+from gyromoe import backbone as bb
+from gyromoe import ore
+from gyromoe.errors import ConfigError, ContractError, MaskError
+from gyromoe.gate import EXPERT_CHUNK, GateConfig, RouteDecision, enhance, route
 from gyromoe.signal import ClipSpec, SampleSeries, saturated_mask
+
+de = importlib.import_module("gyromoe.denoise")
 
 LEVEL = 1.0
 
@@ -115,10 +121,17 @@ class TestRoute:
             route(np.empty(0), gate_config())
 
 
+def const_expert(row):
+    """Expert that predicts ``row`` for every window it is given."""
+    return lambda segs: np.tile(row, (len(segs), 1))
+
+
+def identity_expert(segs):
+    return np.stack([seg.values for seg in segs])
+
+
 def stub_experts(n):
-    peak = lambda seg: np.full(seg.values.size, 7.0)
-    noise = lambda seg: -np.arange(seg.values.size, dtype=np.float64)
-    return peak, noise
+    return const_expert(np.full(n, 7.0)), const_expert(-np.arange(n, dtype=np.float64))
 
 
 class TestEnhance:
@@ -129,9 +142,9 @@ class TestEnhance:
         series = SampleSeries(vals, 100.0)
         calls = []
 
-        def spy(seg):
-            calls.append(seg.origin_index)
-            return seg.values
+        def spy(segs):
+            calls.append([seg.origin_index for seg in segs])
+            return identity_expert(segs)
 
         out = enhance(series, cfg, peak_fn=spy, noise_fn=spy)
         np.testing.assert_array_equal(out.values, vals)
@@ -162,14 +175,14 @@ class TestEnhance:
         x = np.full(64, 0.5)
         x[5:9] = LEVEL
         with pytest.raises(ConfigError, match="origin|segment at 0"):
-            enhance(SampleSeries(x, 100.0), cfg, noise_fn=lambda s: s.values)
+            enhance(SampleSeries(x, 100.0), cfg, noise_fn=identity_expert)
 
     def test_missing_noise_expert_is_config_error(self):
         cfg = gate_config(segment_len=32)
         x = np.full(70, 0.5)
         x[40:60] = 0.0
         with pytest.raises(ConfigError, match="32"):
-            enhance(SampleSeries(x, 100.0), cfg, peak_fn=lambda s: s.values)
+            enhance(SampleSeries(x, 100.0), cfg, peak_fn=identity_expert)
 
     def test_length_preserved_for_partial_tail_segment(self):
         cfg = gate_config()
@@ -185,7 +198,7 @@ class TestEnhance:
         x = np.full(64, 0.5)
         x[5:9] = LEVEL
         with pytest.raises(ContractError, match="shape"):
-            enhance(SampleSeries(x, 100.0), cfg, peak_fn=lambda s: np.zeros(3))
+            enhance(SampleSeries(x, 100.0), cfg, peak_fn=lambda segs: np.zeros(3))
 
 
 class TestScalarWalkEquivalence:
@@ -197,7 +210,7 @@ class TestScalarWalkEquivalence:
         p_hat = np.full(64, 7.0)
         n_hat = -np.arange(64, dtype=np.float64)
         out = enhance(
-            SampleSeries(x, 100.0), cfg, peak_fn=lambda s: p_hat, noise_fn=lambda s: n_hat
+            SampleSeries(x, 100.0), cfg, peak_fn=const_expert(p_hat), noise_fn=const_expert(n_hat)
         )
         np.testing.assert_array_equal(out.values, scalar_walk(x, cfg, p_hat, n_hat))
 
@@ -211,7 +224,7 @@ class TestScalarWalkEquivalence:
         p_hat = np.full(64, 7.0)
         n_hat = -np.arange(64, dtype=np.float64)
         out = enhance(
-            SampleSeries(x, 100.0), cfg, peak_fn=lambda s: p_hat, noise_fn=lambda s: n_hat
+            SampleSeries(x, 100.0), cfg, peak_fn=const_expert(p_hat), noise_fn=const_expert(n_hat)
         )
         np.testing.assert_array_equal(out.values, scalar_walk(x, cfg, p_hat, n_hat))
 
@@ -221,6 +234,86 @@ class TestScalarWalkEquivalence:
         x = np.full(64, 0.5)
         x[0:12] = 0.0
         n_hat = -np.arange(64, dtype=np.float64)
-        out = enhance(SampleSeries(x, 100.0), cfg, noise_fn=lambda s: n_hat)
+        out = enhance(SampleSeries(x, 100.0), cfg, noise_fn=const_expert(n_hat))
         np.testing.assert_array_equal(out.values, scalar_walk(x, cfg, None, n_hat))
         np.testing.assert_array_equal(out.values[8:12], x[8:12])
+
+
+# ---------------------------------------------------------------------------
+# Batched experts: one call per chunk of routed windows, same bits as one
+# window at a time.
+
+SMALL_BB = bb.BackboneConfig(patch_len=4, embed_dim=8, enc_layers=1, dec_layers=1, heads=2, mlp_ratio=2)
+WINDOW = 32
+KINDS = ("peak", "noise", "both", "pass")
+
+
+def batch_window(rng, kind):
+    """A 32-sample window that routes as ``kind`` under ``gate_config``."""
+    x = rng.uniform(0.3, 0.9, WINDOW) * rng.choice([-1.0, 1.0], WINDOW)
+    if kind in ("peak", "both"):
+        # rail runs of 3-12 samples hide 1-4 of the 8 patches
+        at = int(rng.integers(0, 12))
+        x[at : at + int(rng.integers(3, 13))] = LEVEL * rng.choice([-1.0, 1.0])
+    if kind in ("noise", "both"):
+        at = int(rng.integers(24, 26))
+        x[at - 8 : at] = rng.uniform(-0.05, 0.05, 8)
+    return x
+
+
+class SpyExpert:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = []  # origin indices of the windows in each call
+
+    def __call__(self, segs):
+        self.calls.append([seg.origin_index for seg in segs])
+        return self.fn(segs)
+
+
+def small_experts(seed=0):
+    rng = np.random.default_rng(seed)
+    clip = ClipSpec(LEVEL)
+    ore_cfg = ore.OreConfig(clip=clip, backbone=SMALL_BB)
+    de_cfg = de.DeConfig(clip=clip, backbone=SMALL_BB)
+    peak = ore.make_peak_fn(bb.init_params(SMALL_BB, rng), ore_cfg)
+    noise = de.make_noise_fn(de.build_de_params(de_cfg, rng), de_cfg)
+    return peak, noise
+
+
+class TestBatchedExperts:
+    def test_stream_equals_window_by_window_and_chunks_calls(self):
+        cfg = gate_config(segment_len=WINDOW)
+        rng = np.random.default_rng(11)
+        kinds = [KINDS[i % 4] for i in range(2 * EXPERT_CHUNK + 24)]
+        x = np.concatenate([batch_window(rng, k) for k in kinds])
+        routes = [route(x[w * WINDOW : (w + 1) * WINDOW], cfg) for w in range(len(kinds))]
+        assert [("both" if d.peak and d.noise else "peak" if d.peak else "noise" if d.noise else "pass")
+                for d in routes] == kinds
+        peak_windows = [w * WINDOW for w, d in enumerate(routes) if d.peak]
+        noise_windows = [w * WINDOW for w, d in enumerate(routes) if d.noise]
+        assert len(peak_windows) > EXPERT_CHUNK and len(noise_windows) > EXPERT_CHUNK
+        masks = [bb.mask_from_flags(saturated_mask(x[w : w + WINDOW], cfg.clip), 4) for w in peak_windows]
+        assert len({len(m.hidden) for m in masks}) >= 2  # more than one visible-patch group
+
+        peak, noise = small_experts()
+        peak_spy, noise_spy = SpyExpert(peak), SpyExpert(noise)
+        whole = enhance(SampleSeries(x, 100.0), cfg, peak_fn=peak_spy, noise_fn=noise_spy).values
+        for spy, windows in ((peak_spy, peak_windows), (noise_spy, noise_windows)):
+            want = [windows[i : i + EXPERT_CHUNK] for i in range(0, len(windows), EXPERT_CHUNK)]
+            assert spy.calls == want
+
+        per_window = np.concatenate([
+            enhance(SampleSeries(x[w * WINDOW : (w + 1) * WINDOW], 100.0), cfg, peak_fn=peak, noise_fn=noise).values
+            for w in range(len(kinds))
+        ])
+        np.testing.assert_array_equal(whole.view(np.int64), per_window.view(np.int64))
+        assert (whole.view(np.int64) != x.view(np.int64)).any()
+
+    def test_all_rail_window_raises_mask_error(self):
+        cfg = gate_config(segment_len=WINDOW)
+        rng = np.random.default_rng(12)
+        x = np.concatenate([batch_window(rng, "peak"), np.full(WINDOW, LEVEL), batch_window(rng, "noise")])
+        peak, noise = small_experts()
+        with pytest.raises(MaskError):
+            enhance(SampleSeries(x, 100.0), cfg, peak_fn=peak, noise_fn=noise)

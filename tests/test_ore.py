@@ -216,7 +216,7 @@ class TestReconstruct:
         cfg = tiny_config()
         params, _ = train_ore(peaky_segments(np.random.default_rng(2), 8), cfg, epochs=1, seed=1)
         seg = Segment(np.linspace(-0.5, 0.5, 32), 0, 32)
-        out = reconstruct(seg, params, cfg)
+        out = reconstruct([seg], params, cfg)[0]
         np.testing.assert_array_equal(out.values, seg.values)
 
     def test_only_saturated_samples_change(self):
@@ -227,7 +227,7 @@ class TestReconstruct:
         railed = clip(clean, cfg.clip)
         sat = np.abs(railed) >= cfg.clip.level * (1 - 1e-6)
         assert sat.any()
-        out = reconstruct(Segment(railed.copy(), 0, 32), params, cfg)
+        out = reconstruct([Segment(railed.copy(), 0, 32)], params, cfg)[0]
         np.testing.assert_array_equal(out.values[~sat], railed[~sat])
         assert not np.array_equal(out.values[sat], railed[sat])
 
@@ -237,7 +237,7 @@ class TestReconstruct:
         vals = np.zeros(32)
         vals[:6] = 0.3
         seg = Segment(vals, 0, true_len=6)
-        out = reconstruct(seg, params, cfg)
+        out = reconstruct([seg], params, cfg)[0]
         np.testing.assert_array_equal(out.values, vals)
 
 
@@ -253,7 +253,7 @@ class TestCheckpointGlue:
         assert cfg2.backbone == cfg.backbone
         seg = Segment(clip(peaky_segments(rng, 1)[0], cfg.clip), 0, 32)
         np.testing.assert_array_equal(
-            reconstruct(seg, params, cfg).values, reconstruct(seg, params2, cfg2).values
+            reconstruct([seg], params, cfg)[0].values, reconstruct([seg], params2, cfg2)[0].values
         )
 
     def test_wrong_kind_rejected(self, tmp_path):
