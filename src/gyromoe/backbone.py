@@ -83,15 +83,34 @@ def config_to_meta(config: BackboneConfig) -> dict:
     return meta
 
 
+def _meta_int(meta: dict, key: str) -> int:
+    """The integer stored as float metadata under ``key``; a non-finite or
+    fractional value is a :class:`ConfigError`."""
+    val = meta[key]
+    if not float(val).is_integer():
+        raise ConfigError(f"checkpoint metadata '{key}' = {val} is not an integer")
+    return int(val)
+
+
+def meta_choice(meta: dict, key: str, choices: tuple) -> str:
+    """The entry of ``choices`` whose index is stored under ``key``."""
+    i = _meta_int(meta, key)
+    if not 0 <= i < len(choices):
+        raise ConfigError(f"checkpoint metadata '{key}' = {i} is no index into {choices}")
+    return choices[i]
+
+
 def config_from_meta(meta: dict) -> BackboneConfig:
     kwargs = {}
     try:
         for f in fields(BackboneConfig):
             if f.name == "gd_placement":
-                kwargs[f.name] = GD_PLACEMENTS[int(meta[f.name])]
+                kwargs[f.name] = meta_choice(meta, f.name, GD_PLACEMENTS)
+            elif isinstance(f.default, int):
+                kwargs[f.name] = _meta_int(meta, f.name)
             else:
-                kwargs[f.name] = type(f.default)(meta[f.name])
-    except (KeyError, IndexError) as exc:
+                kwargs[f.name] = float(meta[f.name])
+    except KeyError as exc:
         raise ConfigError(f"checkpoint metadata incomplete: {exc}") from None
     return BackboneConfig(**kwargs)
 
@@ -169,14 +188,8 @@ class ModelParams:
         return list(self.store.values())
 
     def n_scalars(self) -> int:
-        """Total trainable scalar count, counting shared buffers once."""
-        seen = set()
-        total = 0
-        for p in self.store.values():
-            if id(p) not in seen:
-                seen.add(id(p))
-                total += p.tensor.data.size
-        return total
+        """Total trainable scalar count."""
+        return sum(p.tensor.data.size for p in self.store.values())
 
     def clamp_sigma(self):
         cfg = self.config
@@ -304,56 +317,31 @@ def pe_table(n_positions: int, dim: int) -> np.ndarray:
 # Gaussian-decay attention.
 
 
-def gd_bias(n_tokens: int, sigma: float, positions=None) -> np.ndarray:
-    """Additive logit penalty ``-(pos_i - pos_j)^2 / (2 sigma^2)``."""
-    if sigma <= 0.0:
-        raise ContractError(f"sigma must be positive, got {sigma}")
-    if positions is None:
-        positions = np.arange(n_tokens, dtype=np.float64)
-    else:
-        positions = np.asarray(positions, dtype=np.float64)
-        if positions.shape != (n_tokens,):
-            raise DimensionError(
-                f"positions shape {positions.shape} does not match n_tokens {n_tokens}"
-            )
-    d = positions[:, None] - positions[None, :]
-    return -(d * d) / (2.0 * sigma * sigma)
-
-
-def gd_attention(q, k, v, sigma: float | None, positions=None) -> np.ndarray:
-    """Single-head attention with the distance penalty applied to logits.
-
-    ``sigma=None`` disables the penalty entirely; large sigma approaches the
-    same limit smoothly. Inputs are [n, d_k] / [n, d_k] / [n, d_v].
-    """
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise DimensionError("gd_attention needs 2-D q, k, v")
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
-        raise DimensionError(
-            f"gd_attention shapes q{q.shape} k{k.shape} v{v.shape} are incompatible"
-        )
-    logits = q @ k.T / math.sqrt(q.shape[1])
-    if sigma is not None:
-        logits = logits + gd_bias(q.shape[0], sigma, positions)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    w /= w.sum(axis=1, keepdims=True)
-    return w @ v
-
-
-def _gd_bias_tensor(ctx: DiffContext, sigma_param: Param, positions: np.ndarray) -> Tensor:
-    # differentiable in sigma: B = (-0.5 / sigma^2) * d^2, one [n, n] per batch
-    # row, shaped [B, 1, n, n] to broadcast over heads
+def gd_bias(ctx: DiffContext, sigma, positions: np.ndarray) -> Tensor:
+    """Additive logit penalty ``-(pos_i - pos_j)^2 / (2 sigma^2)`` for
+    patch-grid positions ``[B, n]``, shaped ``[B, 1, n, n]`` to broadcast
+    over heads; differentiable in ``sigma``."""
     pos = np.asarray(positions, dtype=np.float64)
     d = pos[:, None, :, None] - pos[:, None, None, :]
     d2 = dm.constant(d * d)
-    s2 = dm.square(ctx, sigma_param)
+    s2 = dm.square(ctx, sigma)
     inv = dm.reciprocal(ctx, s2)
     coef = dm.scale(ctx, inv, -0.5)
     return dm.scalar_mul(ctx, coef, d2)
+
+
+def gd_attention(ctx: DiffContext, q, k_t, v, bias) -> Tensor:
+    """Per-head attention ``softmax(q k_t / sqrt(d_k) + bias) v``.
+
+    Takes queries ``[B, heads, n, d_k]``, transposed keys
+    ``[B, heads, d_k, n]`` and values ``[B, heads, n, d_k]``; ``bias`` is a
+    :func:`gd_bias` term or None for plain dot-product attention, which a
+    large sigma approaches smoothly.
+    """
+    logits = dm.scale(ctx, dm.matmul(ctx, q, k_t), 1.0 / math.sqrt(dm.value(q).shape[-1]))
+    if bias is not None:
+        logits = dm.add(ctx, logits, bias)
+    return dm.matmul(ctx, dm.row_softmax(ctx, logits), v)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +370,7 @@ def _attention_sublayer(ctx, params, prefix, config, x, bias_term):
     q = dm.gather(ctx, rows, np.arange(0, heads), axis=1)
     k_t = dm.gather(ctx, cols, np.arange(heads, 2 * heads), axis=1)
     v = dm.gather(ctx, rows, np.arange(2 * heads, 3 * heads), axis=1)
-    logits = dm.scale(ctx, dm.matmul(ctx, q, k_t), 1.0 / math.sqrt(d_k))  # [B, heads, n, n]
-    if bias_term is not None:
-        logits = dm.add(ctx, logits, bias_term)
-    attn = dm.row_softmax(ctx, logits)
-    per_head = dm.matmul(ctx, attn, v)  # [B, heads, n, d_k]
+    per_head = gd_attention(ctx, q, k_t, v, bias_term)  # [B, heads, n, d_k]
     merged_t = dm.reshape(ctx, dm.transpose(ctx, per_head), (B, d, n))
     out = _linear(ctx, dm.transpose(ctx, merged_t), params, a + "wo", a + "bo")
     return dm.add(ctx, x, out)
@@ -403,7 +387,7 @@ def _mlp_sublayer(ctx, params, prefix, x):
 def _run_blocks(ctx, params, config, x, prefix, n_layers, positions, use_gd):
     bias_term = None
     if use_gd:
-        bias_term = _gd_bias_tensor(ctx, params["gd_sigma"], positions)
+        bias_term = gd_bias(ctx, params["gd_sigma"], positions)
     for i in range(n_layers):
         x = _attention_sublayer(ctx, params, f"{prefix}{i}", config, x, bias_term)
         x = _mlp_sublayer(ctx, params, f"{prefix}{i}", x)

@@ -115,6 +115,8 @@ def load_checkpoint(path) -> tuple[dict, dict]:
     meta = {}
     for name, arr in raw.items():
         if name.startswith("meta."):
+            if arr.shape != ():
+                raise CheckpointError(f"metadata entry '{name}' has shape {arr.shape}, not a scalar")
             meta[name[5:]] = float(arr)
         else:
             arrays[name] = arr

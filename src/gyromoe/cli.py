@@ -62,6 +62,10 @@ _SECTION_KEYS = {
 }
 _TOP_KEYS = ("clip_level", "sample_rate", "segment_len", *_SECTION_KEYS)
 
+# sample rate, in Hz, of the synthetic streams and training corpora when the
+# config gives none
+_DEFAULT_SAMPLE_RATE = 100.0
+
 
 def _setup_logging():
     name = os.environ.get("GYROMOE_LOG", "warning").lower()
@@ -116,6 +120,20 @@ def _backbone_config(cfg: dict) -> BackboneConfig:
     return BackboneConfig(**_section(cfg, "backbone"))
 
 
+def _present(section: dict, casts: dict) -> dict:
+    """Cast the keys of ``section`` named in ``casts``; absent keys are left
+    out, so the dataclass default applies."""
+    return {key: cast(section[key]) for key, cast in casts.items() if key in section}
+
+
+def _segment_len(cfg: dict) -> int:
+    return int(cfg.get("segment_len", gate_mod.GateConfig.segment_len))
+
+
+def _sample_rate(cfg: dict) -> float:
+    return float(cfg.get("sample_rate", _DEFAULT_SAMPLE_RATE))
+
+
 def _require_seed(args) -> int:
     if args.seed is None:
         raise ConfigError("this command needs --seed")
@@ -137,7 +155,7 @@ def cmd_synth(args) -> int:
     section = _section(cfg, "synth")
     synth_cfg = SynthConfig(
         duration_s=float(section.get("duration_s", 60.0)),
-        sample_rate=float(cfg.get("sample_rate", 100.0)),
+        sample_rate=_sample_rate(cfg),
         white_noise_sigma=float(section.get("white_noise_sigma", 0.0)),
         drift_rate=float(section.get("drift_rate", 0.0)),
         peak_events=[tuple(ev) for ev in section.get("peak_events", [])],
@@ -170,13 +188,12 @@ def cmd_train_ore(args) -> int:
         raise ConfigError("train-ore needs --out <checkpoint path>")
     section = _section(cfg, "train_ore")
     spec = _clip_spec(cfg)
-    seg_len = int(cfg.get("segment_len", 256))
-    fs = float(cfg.get("sample_rate", 100.0))
+    seg_len = _segment_len(cfg)
+    fs = _sample_rate(cfg)
     ore_cfg = ore_mod.OreConfig(
         clip=spec,
         backbone=_backbone_config(cfg),
-        learn_rate=float(section.get("learn_rate", 1e-3)),
-        batch_size=int(section.get("batch_size", 32)),
+        **_present(section, {"learn_rate": float, "batch_size": int}),
     )
     data_rng = np.random.default_rng([seed, 0])
     rail = spec.level
@@ -212,14 +229,12 @@ def cmd_train_de(args) -> int:
         raise ConfigError("train-de needs --out <checkpoint path>")
     section = _section(cfg, "train_de")
     spec = _clip_spec(cfg)
-    seg_len = int(cfg.get("segment_len", 256))
-    fs = float(cfg.get("sample_rate", 100.0))
+    seg_len = _segment_len(cfg)
+    fs = _sample_rate(cfg)
     de_cfg = DeConfig(
         clip=spec,
         backbone=_backbone_config(cfg),
-        weight_share=str(section.get("weight_share", "both")),
-        learn_rate=float(section.get("learn_rate", 1e-3)),
-        batch_size=int(section.get("batch_size", 32)),
+        **_present(section, {"weight_share": str, "learn_rate": float, "batch_size": int}),
     )
     data_rng = np.random.default_rng([seed, 0])
     noise_segments = synth_noise_segments(
@@ -253,9 +268,8 @@ def _gate_config(cfg: dict, spec: ClipSpec) -> gate_mod.GateConfig:
     section = _section(cfg, "gate")
     return gate_mod.GateConfig(
         clip=spec,
-        segment_len=int(cfg.get("segment_len", 256)),
-        peak_run=int(section.get("peak_run", 3)),
-        quiet_run=int(section.get("quiet_run", 32)),
+        segment_len=_segment_len(cfg),
+        **_present(section, {"peak_run": int, "quiet_run": int}),
         quiet_threshold=(
             float(section["quiet_threshold"])
             if section.get("quiet_threshold") is not None
@@ -320,7 +334,7 @@ def cmd_bench(args) -> int:
         enhanced,
         truth,
         spec,
-        segment_len=int(cfg.get("segment_len", 256)),
+        segment_len=_segment_len(cfg),
         static_region=static_region,
     )
     _write_text(args.out, rep.to_json())

@@ -65,65 +65,21 @@ class DeConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-class DeParams:
-    """Two branch parameter stores with configurable overlap."""
+class DeParams(bb.ModelParams):
+    """Both branches' buffers in one store keyed by checkpoint name: a buffer
+    the branches share under its backbone name, a branch's own buffer as
+    ``a.<name>`` / ``b.<name>``. ``branch_a`` and ``branch_b`` view the same
+    buffers keyed by backbone name, for the forward passes."""
 
-    def __init__(self, branch_a: bb.ModelParams, branch_b: bb.ModelParams, weight_share: str):
+    def __init__(self, store: dict, config: bb.BackboneConfig, branch_a: bb.ModelParams,
+                 branch_b: bb.ModelParams):
+        super().__init__(store, config)
         self.branch_a = branch_a
         self.branch_b = branch_b
-        self.weight_share = weight_share
-
-    def all_params(self):
-        seen = set()
-        out = []
-        for p in list(self.branch_a.store.values()) + list(self.branch_b.store.values()):
-            if id(p) not in seen:
-                seen.add(id(p))
-                out.append(p)
-        return out
-
-    def n_scalars(self) -> int:
-        return sum(p.tensor.data.size for p in self.all_params())
 
     def clamp_sigma(self):
         self.branch_a.clamp_sigma()
         self.branch_b.clamp_sigma()
-
-    def to_arrays(self) -> dict:
-        """Canonical name -> array map: shared buffers once, others prefixed."""
-        out = {}
-        for name, pa in self.branch_a.store.items():
-            pb = self.branch_b.store[name]
-            if pa is pb:
-                out[name] = pa.tensor.data.copy()
-            else:
-                out[f"a.{name}"] = pa.tensor.data.copy()
-                out[f"b.{name}"] = pb.tensor.data.copy()
-        return out
-
-    def load_arrays(self, arrays: dict):
-        for name, pa in self.branch_a.store.items():
-            pb = self.branch_b.store[name]
-            if pa is pb:
-                src = arrays.get(name)
-                if src is None:
-                    raise ConfigError(f"checkpoint missing shared parameter '{name}'")
-                _copy_into(pa, src, name)
-            else:
-                src_a, src_b = arrays.get(f"a.{name}"), arrays.get(f"b.{name}")
-                if src_a is None or src_b is None:
-                    raise ConfigError(f"checkpoint missing branch parameter '{name}'")
-                _copy_into(pa, src_a, f"a.{name}")
-                _copy_into(pb, src_b, f"b.{name}")
-
-
-def _copy_into(param: Param, arr, name: str):
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.shape != param.tensor.data.shape:
-        raise DimensionError(
-            f"parameter '{name}' shape {arr.shape} does not match expected {param.tensor.data.shape}"
-        )
-    param.tensor.data[...] = arr
 
 
 def _share_predicate(mode: str):
@@ -137,21 +93,24 @@ def _share_predicate(mode: str):
 
 
 def build_de_params(config: DeConfig, rng: np.random.Generator) -> DeParams:
-    """Initialize both branches, aliasing buffers selected by weight_share."""
+    """Initialize both branches, sharing the buffers weight_share selects.
+
+    Draws run in spec order, each unshared B buffer right after its A twin.
+    The store holds every A-side entry in spec order, then the B-only ones;
+    that order is the order Adam visits the buffers in.
+    """
+    cfg = config.backbone
     shared = _share_predicate(config.weight_share)
-    store_a, store_b = {}, {}
-    for name, shape, kind in bb.param_spec(config.backbone):
-        p = Param(bb.init_param_array(kind, shape, rng, config.backbone))
-        store_a[name] = p
+    store, b_only, view_a, view_b = {}, {}, {}, {}
+    for name, shape, kind in bb.param_spec(cfg):
+        p = Param(bb.init_param_array(kind, shape, rng, cfg))
         if shared(name):
-            store_b[name] = p
+            store[name] = view_a[name] = view_b[name] = p
         else:
-            store_b[name] = Param(bb.init_param_array(kind, shape, rng, config.backbone))
-    return DeParams(
-        bb.ModelParams(store_a, config.backbone),
-        bb.ModelParams(store_b, config.backbone),
-        config.weight_share,
-    )
+            store[f"a.{name}"] = view_a[name] = p
+            b_only[f"b.{name}"] = view_b[name] = Param(bb.init_param_array(kind, shape, rng, cfg))
+    store.update(b_only)
+    return DeParams(store, cfg, bb.ModelParams(view_a, cfg), bb.ModelParams(view_b, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +388,8 @@ def save_de(path, de_params: DeParams, config: DeConfig) -> None:
 def load_de(path) -> tuple[DeParams, DeConfig]:
     arrays, backbone_cfg, clip_spec, meta = load_expert(path, _KIND_DE, "noise-expert")
     try:
-        share = SHARE_MODES[int(meta["weight_share"])]
-    except (KeyError, IndexError):
+        share = bb.meta_choice(meta, "weight_share", SHARE_MODES)
+    except KeyError:
         raise ConfigError("checkpoint metadata is missing the weight-share mode") from None
     config = DeConfig(clip=clip_spec, backbone=backbone_cfg, weight_share=share)
     de_params = build_de_params(config, np.random.default_rng(0))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .signal import CLIP_EPS, ClipSpec, SampleSeries, Segment, saturated_mask, segment, stitch
+from .signal import CLIP_EPS, ClipSpec, SampleSeries, Segment, saturated_mask, segment, stitch, true_runs
 
 log = logging.getLogger("gyromoe.gate")
 
@@ -70,17 +70,6 @@ class RouteDecision:
     quiet_ranges: list = field(default_factory=list)
 
 
-def _runs(mask: np.ndarray) -> list:
-    """Maximal True runs as half-open (start, stop) pairs."""
-    if mask.size == 0:
-        return []
-    padded = np.concatenate(([False], mask, [False]))
-    edges = np.diff(padded.astype(np.int8))
-    starts = np.nonzero(edges == 1)[0]
-    stops = np.nonzero(edges == -1)[0]
-    return list(zip(starts.tolist(), stops.tolist()))
-
-
 def route(values: np.ndarray, config: GateConfig) -> RouteDecision:
     """Routing flags and the runs that produced them, for one window."""
     x = np.asarray(values, dtype=np.float64)
@@ -88,9 +77,9 @@ def route(values: np.ndarray, config: GateConfig) -> RouteDecision:
         raise ContractError("route needs a nonempty 1-D window")
     sat = saturated_mask(x, config.clip, config.clip_eps)
     quiet = np.abs(x) < config.quiet_tau
-    clipped_ranges = _runs(sat)
+    clipped_ranges = true_runs(sat)
     peak = any(e - s >= config.peak_run for s, e in clipped_ranges)
-    quiet_ranges = [(s, e) for s, e in _runs(quiet) if e - s >= config.quiet_run]
+    quiet_ranges = [(s, e) for s, e in true_runs(quiet) if e - s >= config.quiet_run]
     return RouteDecision(peak, bool(quiet_ranges), clipped_ranges, quiet_ranges)
 
 
@@ -101,7 +90,7 @@ def _quiet_blocks(quiet: np.ndarray, sat: np.ndarray | None, q: int) -> np.ndarr
     single steps in the walk and so can shift block starts), or None.
     """
     covered = np.zeros(quiet.size, dtype=bool)
-    for s, e in _runs(quiet):
+    for s, e in true_runs(quiet):
         if e - s < q:
             continue
         if sat is None or not sat[s:e].any():

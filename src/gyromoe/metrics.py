@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .signal import CLIP_EPS, ClipSpec, SampleSeries, saturated_mask
+from .signal import CLIP_EPS, ClipSpec, SampleSeries, saturated_mask, true_runs
 
 _BI_FACTOR = math.sqrt(2.0 * math.log(2.0) / math.pi)
 
@@ -196,21 +196,11 @@ def fit_slope_region(curve: AllanCurve, target_slope: float, tol: float = 0.15):
     slopes[0] = (ls[1] - ls[0]) / (lt[1] - lt[0])
     slopes[-1] = (ls[-1] - ls[-2]) / (lt[-1] - lt[-2])
     ok = np.abs(slopes - target_slope) <= tol
-    best_start, best_len = 0, 0
-    i = 0
-    while i < k:
-        if ok[i]:
-            j = i
-            while j < k and ok[j]:
-                j += 1
-            if j - i > best_len:
-                best_start, best_len = i, j - i
-            i = j
-        else:
-            i += 1
-    if best_len < 2:
+    # max keeps the first of equally long runs
+    start, stop = max(true_runs(ok), key=lambda run: run[1] - run[0], default=(0, 0))
+    if stop - start < 2:
         return None
-    sl = slice(best_start, best_start + best_len)
+    sl = slice(start, stop)
     a, b = np.polyfit(lt[sl], ls[sl], 1)
     return float(math.exp(b))
 
@@ -302,12 +292,7 @@ def poly_extrapolate_peaks(
     sat = saturated_mask(x, clip, CLIP_EPS)
     replaced = []
     skipped = []
-    # maximal saturated runs
-    padded = np.concatenate(([False], sat, [False]))
-    edges = np.diff(padded.astype(np.int8))
-    starts = np.nonzero(edges == 1)[0]
-    stops = np.nonzero(edges == -1)[0]
-    for s, e in zip(starts.tolist(), stops.tolist()):
+    for s, e in true_runs(sat):
         left = np.arange(s - flank, s)
         right = np.arange(e, e + flank)
         support = np.concatenate((left, right))

@@ -133,6 +133,16 @@ def saturated_mask(values: np.ndarray, spec: ClipSpec, eps: float = CLIP_EPS) ->
     return np.abs(arr) >= spec.rail_threshold(eps)
 
 
+def true_runs(mask: np.ndarray) -> list:
+    """Maximal True runs of a 1-D boolean mask as half-open (start, stop)
+    pairs, left to right."""
+    padded = np.concatenate(([False], mask, [False]))
+    edges = np.diff(padded.astype(np.int8))
+    starts = np.nonzero(edges == 1)[0]
+    stops = np.nonzero(edges == -1)[0]
+    return list(zip(starts.tolist(), stops.tolist()))
+
+
 def segment(series: SampleSeries, seg_len: int, stride: int) -> list[Segment]:
     """Cut ``series`` into fixed-length windows.
 

@@ -16,7 +16,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 import gyromoe.diffmath as dm
-from gyromoe.backbone import BackboneConfig, gd_attention, init_params
+from gyromoe.backbone import BackboneConfig, gd_attention, gd_bias, init_params
 from gyromoe.cli import main
 from gyromoe.denoise import (
     AugmentConfig,
@@ -195,7 +195,10 @@ def test_c02_gd_attention_limit(capsys):
         w = np.exp(logits - logits.max(axis=1, keepdims=True))
         w /= w.sum(axis=1, keepdims=True)
         plain = w @ v
-        biased = gd_attention(q, k, v, 1e6)
+        # the model's attention on one batch row and one head
+        ctx = dm.DiffContext(record=False)
+        bias = gd_bias(ctx, 1e6, np.arange(6)[None])
+        biased = gd_attention(ctx, q[None, None], k.T[None, None], v[None, None], bias).data[0, 0]
         worst = max(worst, float(np.abs(biased - plain).max()))
     announce(capsys, "C02", worst <= 1e-9, f"max_abs_diff={worst:.2e} over 20 draws")
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -109,25 +111,38 @@ class TestPositionalEncoding:
         np.testing.assert_allclose(t[0], [0.0, 1.0, 0.0, 1.0], atol=1e-15)
 
 
+def bias_values(n_tokens, sigma, positions=None):
+    """The ``[n, n]`` penalty of one row of positions (default 0..n-1)."""
+    if positions is None:
+        positions = np.arange(n_tokens)
+    return gd_bias(DiffContext(record=False), sigma, np.asarray(positions)[None]).data[0, 0]
+
+
+def single_head(q, k, v, bias):
+    """:func:`gd_attention` on one head's ``[n, d]`` operands."""
+    ctx = DiffContext(record=False)
+    return gd_attention(ctx, q[None, None], k.T[None, None], v[None, None], bias).data[0, 0]
+
+
 class TestGaussianBias:
     def test_unit_distance_unit_sigma(self):
-        b = gd_bias(2, 1.0)
+        b = bias_values(2, 1.0)
         assert b[0, 1] == pytest.approx(-0.5)
         assert b[0, 0] == 0.0
 
     def test_worked_value(self):
         # distance 3, sigma 2 -> -9/8
-        b = gd_bias(4, 2.0)
+        b = bias_values(4, 2.0)
         assert b[0, 3] == pytest.approx(-9 / 8)
 
     def test_symmetry_and_decay(self):
-        b = gd_bias(6, 3.0)
+        b = bias_values(6, 3.0)
         np.testing.assert_array_equal(b, b.T)
         row = b[0]
         assert np.all(np.diff(row) < 0)
 
     def test_explicit_positions(self):
-        b = gd_bias(2, 1.0, positions=np.array([0.0, 3.0]))
+        b = bias_values(2, 1.0, positions=np.array([0.0, 3.0]))
         assert b[0, 1] == pytest.approx(-4.5)
 
 
@@ -137,8 +152,9 @@ class TestGaussianAttention:
         rng = np.random.default_rng(seed)
         n, d = 6, 4
         q, k, v = (rng.normal(size=(n, d)) for _ in range(3))
-        biased = gd_attention(q, k, v, sigma=1e6)
-        plain = gd_attention(q, k, v, sigma=None)
+        ctx = DiffContext(record=False)
+        biased = single_head(q, k, v, gd_bias(ctx, 1e6, np.arange(n)[None]))
+        plain = single_head(q, k, v, None)
         # oracle: softmax(q k^T / sqrt(d)) v
         logits = q @ k.T / np.sqrt(d)
         w = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -151,13 +167,14 @@ class TestGaussianAttention:
         n, d = 12, 4
         q, k = rng.normal(size=(n, d)), rng.normal(size=(n, d))
         v = np.eye(n, d)
-        out = gd_attention(q, k, v, sigma=0.5)
+        out = single_head(q, k, v, gd_bias(DiffContext(record=False), 0.5, np.arange(n)[None]))
         # attention weight at distance 10 is ~exp(-200) of the diagonal
-        logits = q @ k.T / np.sqrt(d) + gd_bias(n, 0.5)
+        logits = q @ k.T / np.sqrt(d) + bias_values(n, 0.5)
         w = np.exp(logits - logits.max(axis=1, keepdims=True))
         w /= w.sum(axis=1, keepdims=True)
         assert w[0, 10] < 1e-6
         assert out.shape == (n, d)
+        np.testing.assert_allclose(out, w @ v, atol=1e-12)
 
 
 class TestParamStore:
@@ -258,6 +275,23 @@ class TestForward:
         backward(loss, ctx)
         assert params["gd_sigma"].grad.data.shape == ()
         assert np.abs(params["embed.w"].grad.data).sum() > 0
+
+    def test_bias_reaches_both_stacks(self):
+        cfg = BackboneConfig(patch_len=4, embed_dim=8, heads=2, gd_placement="both")
+        params = init_params(cfg, np.random.default_rng(11))
+        x = np.random.default_rng(12).normal(size=(2, 16))
+        masks = [MaskSet(frozenset({1}), 4), MaskSet(frozenset({3}), 4)]
+
+        def run(placement, sigma):
+            params["gd_sigma"].tensor.data[...] = sigma
+            return forward_values(params, dataclasses.replace(cfg, gd_placement=placement), x, masks)
+
+        # a huge sigma vanishes from both stacks ...
+        np.testing.assert_allclose(run("both", 1e6), run("none", 1e6), rtol=0, atol=1e-9)
+        # ... and a narrow one changes the output of each
+        narrow = run("both", 0.5)
+        for one_stack in ("encoder", "decoder"):
+            assert np.abs(narrow - run(one_stack, 0.5)).max() > 1e-6
 
     @pytest.mark.parametrize("placement", ["none", "encoder", "decoder", "both"])
     def test_all_placements_run(self, placement):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from gyromoe.checkpoint import (
     save_checkpoint,
 )
 from gyromoe.denoise import SHARE_MODES, DeConfig, build_de_params, load_de, save_de
-from gyromoe.errors import CheckpointError
+from gyromoe.errors import CheckpointError, ConfigError
 from gyromoe.ore import OreConfig, load_ore, save_ore
 from gyromoe.signal import ClipSpec
 
@@ -157,3 +158,31 @@ class TestExpertCodec:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CheckpointError):
             load_ore(path)
+
+    @pytest.mark.parametrize(
+        "expert, key, value, error",
+        [
+            ("ore", "patch_len", np.array([2.0, 2.0]), CheckpointError),
+            ("ore", "patch_len", math.nan, ConfigError),
+            ("ore", "patch_len", 2.7, ConfigError),
+            ("ore", "heads", math.inf, ConfigError),
+            ("ore", "gd_placement", -1.0, ConfigError),
+            ("de", "weight_share", math.nan, ConfigError),
+            ("de", "weight_share", -1.0, ConfigError),
+        ],
+        ids=["non-scalar", "nan-int", "fractional-int", "inf-int", "negative-placement",
+             "nan-share", "negative-share"],
+    )
+    def test_corrupt_metadata_is_a_named_error(self, tmp_path, expert, key, value, error):
+        path = tmp_path / f"{expert}.ckpt"
+        if expert == "ore":
+            save_ore(path, init_params(ODD_BACKBONE, np.random.default_rng(4)),
+                     OreConfig(clip=ClipSpec(1.0), backbone=ODD_BACKBONE))
+        else:
+            cfg = DeConfig(clip=ClipSpec(1.0), backbone=ODD_BACKBONE)
+            save_de(path, build_de_params(cfg, np.random.default_rng(4)), cfg)
+        arrays = load_arrays(path)
+        arrays[f"meta.{key}"] = np.asarray(value)
+        save_arrays(path, arrays)
+        with pytest.raises(error):
+            (load_ore if expert == "ore" else load_de)(path)

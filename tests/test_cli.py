@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gyromoe.backbone import BackboneConfig, init_params
+from gyromoe.checkpoint import load_arrays, save_arrays
 from gyromoe.cli import main
 from gyromoe.denoise import DeConfig, build_de_params, save_de
 from gyromoe.ore import OreConfig, save_ore
@@ -232,6 +233,15 @@ class TestEnhanceStartupChecks:
         ckpt = untrained_checkpoints(tmp_path, clip_level=300.0)
         assert self.run(tmp_path, cfg, {flag: ckpt[flag]}) == 2
         assert "clip_level" in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_metadata(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        path = untrained_checkpoints(tmp_path)["--ore-ckpt"]
+        arrays = load_arrays(path)
+        arrays["meta.gd_placement"] = np.asarray(-1.0)
+        save_arrays(path, arrays)
+        assert self.run(tmp_path, cfg, {"--ore-ckpt": path}) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestBench:

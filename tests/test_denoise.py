@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gyromoe.backbone import BackboneConfig, init_params
+from gyromoe.backbone import BackboneConfig, init_params, is_encoder_param, param_spec
 from gyromoe.denoise import (
+    SHARE_MODES,
     AugmentConfig,
     DeConfig,
     augment_segment,
@@ -225,6 +226,25 @@ class TestWeightSharing:
         dp = build_de_params(tiny_config(weight_share="encoder"), np.random.default_rng(10))
         assert dp.branch_a["embed.w"] is dp.branch_b["embed.w"]
         assert dp.branch_a["head.w"] is not dp.branch_b["head.w"]
+
+    @pytest.mark.parametrize("mode", SHARE_MODES)
+    def test_parameter_order_and_names(self, mode):
+        # Adam sums the gradient norm in all_params() order, so trained
+        # checkpoint bytes depend on it: every branch-A buffer in spec
+        # order, then the branch-B buffers A does not share
+        dp = build_de_params(tiny_config(weight_share=mode), np.random.default_rng(21))
+        names = [name for name, _, _ in param_spec(TINY_BB)]
+        shared = {
+            "both": names,
+            "none": [],
+            "encoder": [n for n in names if is_encoder_param(n)],
+            "decoder": [n for n in names if not is_encoder_param(n)],
+        }[mode]
+        assert all((dp.branch_a[n] is dp.branch_b[n]) == (n in shared) for n in names)
+        want = [dp.branch_a[n] for n in names] + [dp.branch_b[n] for n in names if n not in shared]
+        assert [id(p) for p in dp.all_params()] == [id(p) for p in want]
+        own = [f"{side}.{n}" for n in names if n not in shared for side in "ab"]
+        assert set(dp.to_arrays()) == set(shared) | set(own)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
