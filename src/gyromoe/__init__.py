@@ -14,7 +14,6 @@ from .denoise import (
     AugmentConfig,
     DeConfig,
     cross_masks,
-    denoise,
     load_de,
     make_noise_fn,
     save_de,
@@ -88,7 +87,6 @@ __all__ = [
     "bias_instability",
     "corr_loss",
     "cross_masks",
-    "denoise",
     "enhance",
     "gd_attention",
     "gd_bias",

@@ -197,6 +197,13 @@ class ModelParams:
             arr = self.store["gd_sigma"].tensor.data
             np.clip(arr, cfg.sigma_min, cfg.sigma_max, out=arr)
 
+    def sigmas(self) -> dict:
+        """Learned attention widths by store name; empty without GD attention."""
+        return {
+            name: float(p.tensor.data) for name, p in self.store.items()
+            if name.rpartition(".")[2] == "gd_sigma"
+        }
+
     def to_arrays(self) -> dict:
         return {name: p.tensor.data.copy() for name, p in self.store.items()}
 

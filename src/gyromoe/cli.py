@@ -20,8 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-# direct imports: the package exports a `denoise` function that shadows
-# the submodule attribute, so `from . import denoise` would misresolve
 from .denoise import AugmentConfig, DeConfig, load_de, make_noise_fn, save_de, train_de
 from . import gate as gate_mod
 from . import metrics as me
@@ -294,6 +292,18 @@ def _check_expert(expert: str, expert_cfg, gate_cfg: gate_mod.GateConfig, min_pa
         )
 
 
+def _check_sample_rate(cfg: dict, series: SampleSeries):
+    """Reject a stream whose CSV-derived rate differs from the config's
+    ``sample_rate``, within the uniformity tolerance ``load_csv`` allows."""
+    if "sample_rate" not in cfg:
+        return
+    want = _sample_rate(cfg)
+    if abs(series.sample_rate - want) > 1e-6 * want:
+        raise ConfigError(
+            f"input stream is sampled at {series.sample_rate!r} Hz, config sample_rate is {want!r} Hz"
+        )
+
+
 def cmd_enhance(args) -> int:
     cfg = _load_config(args.config)
     if args.out is None:
@@ -311,6 +321,7 @@ def cmd_enhance(args) -> int:
         _check_expert("noise-expert", de_cfg, gate_cfg, min_patches=2)
         noise_fn = make_noise_fn(de_params, de_cfg)
     series = load_csv(args.input)
+    _check_sample_rate(cfg, series)
     enhanced = gate_mod.enhance(series, gate_cfg, peak_fn=peak_fn, noise_fn=noise_fn)
     save_csv(enhanced, args.out)
     print(f"enhanced {len(series)} samples into {args.out}")

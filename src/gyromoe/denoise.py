@@ -273,14 +273,15 @@ def dual_forward(
 
 
 def branch_loss(target, pred, mask: bb.MaskSet, patch_len: int, ctx: DiffContext | None = None) -> Tensor:
-    """Mean squared error at the samples the branch had hidden."""
+    """Mean squared error at the samples the branch had hidden, for one
+    segment ``[L]`` or over a batch ``[B, L]``."""
     ctx = ctx if ctx is not None else (pred._ctx if isinstance(pred, Tensor) else DiffContext())
     tv = np.asarray(dm.value(target), dtype=np.float64)
     ph = pred if isinstance(pred, (Tensor, Param)) else dm.constant(pred)
     idx = bb.mask_sample_indices(mask, patch_len)
     if idx.size == 0:
         raise ContractError("branch mask hides no patches")
-    diff = dm.sub(ctx, dm.constant(tv[idx]), dm.gather(ctx, ph, idx))
+    diff = dm.sub(ctx, dm.constant(tv[..., idx]), dm.gather(ctx, ph, idx, axis=tv.ndim - 1))
     return dm.mean(ctx, dm.square(ctx, diff))
 
 
@@ -328,17 +329,17 @@ def train_de(
     mask_a, mask_b = cross_masks(seg_len // P)
     level = config.clip.level
 
-    def item_loss(ctx, i, rng):
-        series = SampleSeries(segs[i], sample_rate)
-        x_mix, x_clean, _ = augment_segment(series, aug, rng)
-        pred_a, pred_b = dual_forward(ctx, de_params, config, (x_mix / level)[None], mask_a, mask_b)
-        flat = (seg_len,)
-        return de_pair_loss(
-            x_clean / level, dm.reshape(ctx, pred_a, flat), dm.reshape(ctx, pred_b, flat),
-            mask_a, mask_b, P, ctx=ctx,
-        )
+    def chunk_loss(ctx, chunk, rng):
+        # augmentation draws stay in minibatch order; one forward per branch over the chunk
+        mixes, cleans = [], []
+        for i in chunk:
+            x_mix, x_clean, _ = augment_segment(SampleSeries(segs[i], sample_rate), aug, rng)
+            mixes.append(x_mix)
+            cleans.append(x_clean)
+        pred_a, pred_b = dual_forward(ctx, de_params, config, np.stack(mixes) / level, mask_a, mask_b)
+        return de_pair_loss(np.stack(cleans) / level, pred_a, pred_b, mask_a, mask_b, P, ctx=ctx)
 
-    trace = fit(de_params, config, len(segs), item_loss, epochs, rng, "de")
+    trace = fit(de_params, config, len(segs), chunk_loss, epochs, rng, "de")
     return de_params, trace
 
 

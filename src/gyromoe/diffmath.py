@@ -33,16 +33,21 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Tensor:
-    """Immutable-by-convention float64 array wrapper carrying its tape."""
+    """Immutable-by-convention float64 array wrapper.
 
-    __slots__ = ("data", "_ctx")
+    A tensor produced by a recording context carries that context and its
+    slot on the tape; constants and tape-free outputs have no slot.
+    """
 
-    def __init__(self, data, _ctx=None):
+    __slots__ = ("data", "_ctx", "_slot")
+
+    def __init__(self, data, _ctx=None, _slot=None):
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise ContractError("tensor values must be finite")
         self.data = arr
         self._ctx = _ctx
+        self._slot = _slot
 
     @property
     def shape(self):
@@ -87,23 +92,42 @@ class Param:
 class DiffContext:
     """One forward pass. Create a fresh context per pass.
 
-    With ``record=True`` every primitive appends a tape node for
-    :func:`backward`; with ``record=False`` nothing is kept, and the
-    context only tags its outputs. Outputs are finite-checked either way.
+    With ``record=True`` every primitive that reads a Param, or a tensor
+    recorded on this context, appends a tape node ``(keys, vjp)`` for
+    :func:`backward`. A key names one input: the Param itself, the slot of
+    a tensor recorded here, or None for an input that takes no gradient.
+    Nodes hold no Tensor: a ``vjp(g, keys)`` closure keeps only the arrays
+    and shapes its gradients need and returns one gradient (or None) per
+    key, so activations nothing needs for backward are freed during the
+    forward pass. With ``record=False`` nothing is kept. Outputs are
+    finite-checked either way.
     """
 
-    __slots__ = ("nodes", "record")
+    __slots__ = ("nodes", "record", "replayed")
 
     def __init__(self, record: bool = True):
         self.nodes = []
         self.record = record
+        self.replayed = False
+
+    def _key(self, x):
+        if isinstance(x, Param):
+            return x
+        if isinstance(x, Tensor) and x._ctx is self:
+            return x._slot
+        return None
 
     def _record(self, out_data, vjp, *objs):
-        out = Tensor(out_data, _ctx=self)
-        if self.record:
-            # only Tensor/Param inputs participate in backprop
-            inputs = tuple(o for o in objs if isinstance(o, (Tensor, Param)))
-            self.nodes.append((out, inputs, vjp))
+        if not self.record:
+            return Tensor(out_data, self)
+        if self.replayed:
+            raise ContractError("backward already replayed this context; start a fresh one")
+        keys = tuple([self._key(o) for o in objs])
+        if keys.count(None) == len(keys):
+            # nothing upstream takes a gradient: the output is a constant
+            return Tensor(out_data, self)
+        out = Tensor(out_data, self, len(self.nodes))
+        self.nodes.append((keys, vjp))
         return out
 
     def __len__(self):
@@ -130,10 +154,10 @@ def backward(output: Tensor, ctx: DiffContext | None = None) -> None:
     ``output`` must be a scalar produced by the context being replayed.
     Gradients accumulate into ``param.grad`` (no implicit zeroing).
 
-    Replaying consumes the tape. Its nodes and the tensors they hold form
-    reference cycles with the context, which only the cycle collector
-    would free; emptying the tape frees them as soon as the caller drops
-    the output. A second backward on the same context is an error.
+    Replaying consumes the tape: each node is popped as it is walked, so
+    the arrays its vjp kept are freed as soon as its gradients are out. A
+    second backward on the same context, or recording on it afterwards,
+    is an error.
     """
     if not isinstance(output, Tensor):
         raise ContractError("backward expects a Tensor output")
@@ -145,25 +169,30 @@ def backward(output: Tensor, ctx: DiffContext | None = None) -> None:
         raise ContractError("backward needs a context that records a tape")
     if output.shape != ():
         raise ContractError(f"backward needs a scalar output, got shape {output.shape}")
-    if not ctx.nodes:
+    if ctx.replayed:
         raise ContractError("the tape is empty: backward already replayed it")
+    ctx.replayed = True
     nodes, ctx.nodes = ctx.nodes, []
-    grads: dict[int, np.ndarray] = {id(output): np.ones((), dtype=np.float64)}
-    for out, inputs, vjp in reversed(nodes):
-        g = grads.pop(id(out), None)
+    if output._slot is None:
+        return  # no Param reaches the output
+    # nodes after the output cannot reach it
+    del nodes[output._slot + 1 :]
+    grads = [None] * len(nodes)  # grads[slot]: gradient w.r.t. that node's output
+    grads[-1] = np.ones((), dtype=np.float64)
+    while nodes:
+        keys, vjp = nodes.pop()
+        g = grads.pop()
         if g is None:
             continue
-        for inp, gi in zip(inputs, vjp(g)):
-            if gi is None:
+        for key, gi in zip(keys, vjp(g, keys)):
+            if gi is None or key is None:
                 continue
-            if isinstance(inp, Param):
-                inp.grad.data += gi
+            if isinstance(key, Param):
+                key.grad.data += gi
+            elif grads[key] is None:
+                grads[key] = gi
             else:
-                key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + gi
-                else:
-                    grads[key] = gi
+                grads[key] = grads[key] + gi
 
 
 # ---------------------------------------------------------------------------
@@ -195,21 +224,20 @@ def matmul(ctx: DiffContext, a, b) -> Tensor:
         or (av.ndim > 2 and bv.ndim > 2 and av.shape[:-2] != bv.shape[:-2])
     ):
         raise DimensionError(f"matmul shapes {av.shape} and {bv.shape} are incompatible")
-    out = np.matmul(av, bv)
 
-    def vjp(g):
-        grads = []
-        if isinstance(a, (Tensor, Param)):
-            grads.append(_unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape))
-        if isinstance(b, (Tensor, Param)):
+    def vjp(g, keys):
+        ga = gb = None
+        if keys[0] is not None:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
+        if keys[1] is not None:
             if bv.ndim == 2:
                 # a shared right operand: one product over all stacked rows
-                grads.append(av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+                gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
-                grads.append(_unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape))
-        return grads
+                gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
+        return ga, gb
 
-    return ctx._record(out, vjp, a, b)
+    return ctx._record(np.matmul(av, bv), vjp, a, b)
 
 
 def _check_broadcast(av, bv, opname):
@@ -225,14 +253,10 @@ def add(ctx: DiffContext, a, b) -> Tensor:
     """Elementwise sum; ``b`` may broadcast against ``a`` (e.g. a row bias)."""
     av, bv = value(a), value(b)
     _check_broadcast(av, bv, "add")
+    b_shape = bv.shape
 
-    def vjp(g):
-        grads = []
-        if isinstance(a, (Tensor, Param)):
-            grads.append(g)
-        if isinstance(b, (Tensor, Param)):
-            grads.append(_unbroadcast(g, bv.shape))
-        return grads
+    def vjp(g, keys):
+        return g, (_unbroadcast(g, b_shape) if keys[1] is not None else None)
 
     return ctx._record(av + bv, vjp, a, b)
 
@@ -241,14 +265,10 @@ def sub(ctx: DiffContext, a, b) -> Tensor:
     """Elementwise difference; same shape rules as :func:`add`."""
     av, bv = value(a), value(b)
     _check_broadcast(av, bv, "sub")
+    b_shape = bv.shape
 
-    def vjp(g):
-        grads = []
-        if isinstance(a, (Tensor, Param)):
-            grads.append(g)
-        if isinstance(b, (Tensor, Param)):
-            grads.append(-_unbroadcast(g, bv.shape))
-        return grads
+    def vjp(g, keys):
+        return g, (-_unbroadcast(g, b_shape) if keys[1] is not None else None)
 
     return ctx._record(av - bv, vjp, a, b)
 
@@ -259,13 +279,11 @@ def mul(ctx: DiffContext, a, b) -> Tensor:
     if av.shape != bv.shape:
         raise DimensionError(f"mul shapes {av.shape} and {bv.shape} are incompatible")
 
-    def vjp(g):
-        grads = []
-        if isinstance(a, (Tensor, Param)):
-            grads.append(g * bv)
-        if isinstance(b, (Tensor, Param)):
-            grads.append(g * av)
-        return grads
+    def vjp(g, keys):
+        return (
+            g * bv if keys[0] is not None else None,
+            g * av if keys[1] is not None else None,
+        )
 
     return ctx._record(av * bv, vjp, a, b)
 
@@ -275,8 +293,8 @@ def scale(ctx: DiffContext, a, c: float) -> Tensor:
     av = value(a)
     c = float(c)
 
-    def vjp(g):
-        return (c * g,) if isinstance(a, (Tensor, Param)) else ()
+    def vjp(g, keys):
+        return (c * g,)
 
     return ctx._record(c * av, vjp, a)
 
@@ -287,13 +305,11 @@ def scalar_mul(ctx: DiffContext, s, a) -> Tensor:
     if sv.shape != ():
         raise DimensionError(f"scalar_mul needs a ()-shaped scalar, got {sv.shape}")
 
-    def vjp(g):
-        grads = []
-        if isinstance(s, (Tensor, Param)):
-            grads.append(np.asarray((g * av).sum()))
-        if isinstance(a, (Tensor, Param)):
-            grads.append(sv * g)
-        return grads
+    def vjp(g, keys):
+        return (
+            np.asarray((g * av).sum()) if keys[0] is not None else None,
+            sv * g if keys[1] is not None else None,
+        )
 
     return ctx._record(sv * av, vjp, s, a)
 
@@ -307,9 +323,7 @@ def row_softmax(ctx: DiffContext, a) -> Tensor:
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
 
-    def vjp(g):
-        if not isinstance(a, (Tensor, Param)):
-            return ()
+    def vjp(g, keys):
         inner = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - inner),)
 
@@ -330,57 +344,49 @@ def layer_norm(ctx: DiffContext, x, gain, bias, eps: float = 1e-5) -> Tensor:
     var = xv.var(axis=-1, keepdims=True)
     std = np.sqrt(var + eps)
     xhat = (xv - mu) / std
-    out = xhat * gv + bv
 
-    def vjp(g):
-        grads = []
-        if isinstance(x, (Tensor, Param)):
+    def vjp(g, keys):
+        gx = gg = gb = None
+        if keys[0] is not None:
             h = g * gv
             term = h - h.mean(axis=-1, keepdims=True) - xhat * (h * xhat).mean(axis=-1, keepdims=True)
-            grads.append(term / std)
-        if isinstance(gain, (Tensor, Param)):
-            grads.append((g * xhat).reshape(-1, d).sum(axis=0))
-        if isinstance(bias, (Tensor, Param)):
-            grads.append(g.reshape(-1, d).sum(axis=0))
-        return grads
+            gx = term / std
+        if keys[1] is not None:
+            gg = (g * xhat).reshape(-1, d).sum(axis=0)
+        if keys[2] is not None:
+            gb = g.reshape(-1, d).sum(axis=0)
+        return gx, gg, gb
 
-    return ctx._record(out, vjp, x, gain, bias)
+    return ctx._record(xhat * gv + bv, vjp, x, gain, bias)
 
 
 def gelu(ctx: DiffContext, x) -> Tensor:
     """Exact Gaussian-error linear unit."""
     xv = value(x)
     cdf = 0.5 * (1.0 + sp_special.erf(xv * _INV_SQRT2))
-    out = xv * cdf
 
-    def vjp(g):
-        if not isinstance(x, (Tensor, Param)):
-            return ()
+    def vjp(g, keys):
         pdf = np.exp(-0.5 * xv * xv) * _INV_SQRT_2PI
         return (g * (cdf + xv * pdf),)
 
-    return ctx._record(out, vjp, x)
+    return ctx._record(xv * cdf, vjp, x)
 
 
 def sigmoid(ctx: DiffContext, x) -> Tensor:
     """Logistic map, numerically stable at large magnitudes."""
-    xv = value(x)
-    out = sp_special.expit(xv)
+    out = sp_special.expit(value(x))
 
-    def vjp(g):
-        if not isinstance(x, (Tensor, Param)):
-            return ()
+    def vjp(g, keys):
         return (g * out * (1.0 - out),)
 
     return ctx._record(out, vjp, x)
 
 
 def exp(ctx: DiffContext, x) -> Tensor:
-    xv = value(x)
-    out = np.exp(xv)
+    out = np.exp(value(x))
 
-    def vjp(g):
-        return (g * out,) if isinstance(x, (Tensor, Param)) else ()
+    def vjp(g, keys):
+        return (g * out,)
 
     return ctx._record(out, vjp, x)
 
@@ -390,12 +396,11 @@ def log(ctx: DiffContext, x) -> Tensor:
     xv = value(x)
     if (xv <= 0.0).any():
         raise ContractError("log domain error: inputs must be strictly positive")
-    out = np.log(xv)
 
-    def vjp(g):
-        return (g / xv,) if isinstance(x, (Tensor, Param)) else ()
+    def vjp(g, keys):
+        return (g / xv,)
 
-    return ctx._record(out, vjp, x)
+    return ctx._record(np.log(xv), vjp, x)
 
 
 def reciprocal(ctx: DiffContext, x) -> Tensor:
@@ -405,8 +410,8 @@ def reciprocal(ctx: DiffContext, x) -> Tensor:
         raise ContractError("reciprocal domain error: zero entry")
     out = 1.0 / xv
 
-    def vjp(g):
-        return (-g * out * out,) if isinstance(x, (Tensor, Param)) else ()
+    def vjp(g, keys):
+        return (-g * out * out,)
 
     return ctx._record(out, vjp, x)
 
@@ -414,8 +419,8 @@ def reciprocal(ctx: DiffContext, x) -> Tensor:
 def square(ctx: DiffContext, x) -> Tensor:
     xv = value(x)
 
-    def vjp(g):
-        return (2.0 * xv * g,) if isinstance(x, (Tensor, Param)) else ()
+    def vjp(g, keys):
+        return (2.0 * xv * g,)
 
     return ctx._record(xv * xv, vjp, x)
 
@@ -425,14 +430,12 @@ def mean(ctx: DiffContext, x) -> Tensor:
     xv = value(x)
     if xv.size == 0:
         raise ContractError("mean of an empty tensor")
-    out = np.asarray(xv.mean())
+    shape, n = xv.shape, xv.size
 
-    def vjp(g):
-        if not isinstance(x, (Tensor, Param)):
-            return ()
-        return (np.full_like(xv, float(g) / xv.size),)
+    def vjp(g, keys):
+        return (np.full(shape, float(g) / n),)
 
-    return ctx._record(out, vjp, x)
+    return ctx._record(np.asarray(xv.mean()), vjp, x)
 
 
 def _index_at(idx: np.ndarray, axis: int):
@@ -476,16 +479,14 @@ def gather(ctx: DiffContext, x, idx, axis: int = 0) -> Tensor:
     xv = value(x)
     idx = _check_indices(xv, idx, axis, "gather")
     at = _index_at(idx, axis)
-    out = xv[at]
+    shape = xv.shape
 
-    def vjp(g):
-        if not isinstance(x, (Tensor, Param)):
-            return ()
-        dx = np.zeros_like(xv)
+    def vjp(g, keys):
+        dx = np.zeros(shape)
         np.add.at(dx, at, g)
         return (dx,)
 
-    return ctx._record(out, vjp, x)
+    return ctx._record(xv[at], vjp, x)
 
 
 def scatter(ctx: DiffContext, x, idx, size: int, axis: int = 0) -> Tensor:
@@ -506,9 +507,7 @@ def scatter(ctx: DiffContext, x, idx, size: int, axis: int = 0) -> Tensor:
     at = _index_at(idx, axis)
     np.add.at(out, at, xv)
 
-    def vjp(g):
-        if not isinstance(x, (Tensor, Param)):
-            return ()
+    def vjp(g, keys):
         return (g[at],)
 
     return ctx._record(out, vjp, x)
@@ -521,13 +520,14 @@ def concat(ctx: DiffContext, parts, axis: int = 0) -> Tensor:
         raise ContractError("concat needs at least one part")
     vals = [value(p) for p in parts]
     out = np.concatenate(vals, axis=axis)
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
 
-    def vjp(g):
+    def vjp(g, keys):
         grads = []
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if isinstance(p, (Tensor, Param)):
+        for key, lo, hi in zip(keys, offsets[:-1], offsets[1:]):
+            if key is None:
+                grads.append(None)
+            else:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(int(lo), int(hi))
                 grads.append(g[tuple(sl)])
@@ -542,10 +542,10 @@ def transpose(ctx: DiffContext, x) -> Tensor:
     if xv.ndim < 2:
         raise DimensionError(f"transpose needs at least 2 axes, got {xv.shape}")
 
-    def vjp(g):
+    def vjp(g, keys):
         # contiguous, so later reductions over g (bias gradients) sum rows in
         # the same order whatever layout the gradient arrived in
-        return (np.ascontiguousarray(np.swapaxes(g, -1, -2)),) if isinstance(x, (Tensor, Param)) else ()
+        return (np.ascontiguousarray(np.swapaxes(g, -1, -2)),)
 
     return ctx._record(np.ascontiguousarray(np.swapaxes(xv, -1, -2)), vjp, x)
 
@@ -555,9 +555,10 @@ def reshape(ctx: DiffContext, x, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != xv.size:
         raise DimensionError(f"cannot reshape {xv.shape} to {shape}")
+    in_shape = xv.shape
 
-    def vjp(g):
-        return (g.reshape(xv.shape),) if isinstance(x, (Tensor, Param)) else ()
+    def vjp(g, keys):
+        return (g.reshape(in_shape),)
 
     return ctx._record(xv.reshape(shape), vjp, x)
 
@@ -598,9 +599,9 @@ def grad_check(f, inputs, eps: float = 1e-5, tol: float = 1e-4) -> GradCheckRepo
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            f_plus = float(f(DiffContext(), *params).data)
+            f_plus = float(f(DiffContext(record=False), *params).data)
             flat[i] = orig - eps
-            f_minus = float(f(DiffContext(), *params).data)
+            f_minus = float(f(DiffContext(record=False), *params).data)
             flat[i] = orig
             fd = (f_plus - f_minus) / (2.0 * eps)
             a = gflat[i]

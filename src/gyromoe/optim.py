@@ -3,9 +3,10 @@ both experts share."""
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,6 +15,10 @@ from .diffmath import DiffContext, Param
 from .errors import ConfigError
 
 log = logging.getLogger("gyromoe.optim")
+
+# most items one training tape records: a longer tape runs fewer, larger
+# numpy calls but keeps more activations alive until its backward
+TRAIN_CHUNK = 8
 
 
 class Adam:
@@ -69,12 +74,17 @@ class Adam:
             sq += float((g * g).sum())
         return math.sqrt(sq)
 
+    def clip_scale(self, norm: float) -> float:
+        """Factor the gradients of global norm ``norm`` are scaled by; below 1
+        exactly when clipping fires."""
+        if self.clip_norm is not None and norm > self.clip_norm:
+            return self.clip_norm / norm
+        return 1.0
+
     def step(self) -> float:
         """Apply one update; returns the pre-clip global gradient norm."""
         norm = self.global_grad_norm()
-        scale = 1.0
-        if self.clip_norm is not None and norm > self.clip_norm:
-            scale = self.clip_norm / norm
+        scale = self.clip_scale(norm)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
@@ -93,19 +103,48 @@ class Adam:
 
 @dataclass
 class TrainTrace:
+    """Per-step and per-epoch account of one training run.
+
+    ``grad_norms`` holds each step's pre-clip global gradient norm,
+    ``clipped`` whether clipping fired, and ``gd_sigma`` the learned
+    attention widths after the step's clamp, by parameter name.
+    """
+
     step_losses: list
     epoch_means: list
     skipped_segments: int = 0
+    grad_norms: list = field(default_factory=list)
+    clipped: list = field(default_factory=list)
+    gd_sigma: list = field(default_factory=list)
 
 
-def fit(params, config, n_items: int, item_loss, epochs: int, rng: np.random.Generator, name: str) -> TrainTrace:
+def train_chunks(batch, keys=None) -> list:
+    """Cut a minibatch into the chunks that each get one tape.
+
+    The items are stable-sorted by ``keys[i]`` (all equal when ``keys`` is
+    None, which keeps the batch order), and each run of one key is cut into
+    chunks of at most :data:`TRAIN_CHUNK` items.
+    """
+    key = (lambda i: keys[i]) if keys is not None else (lambda i: 0)
+    chunks = []
+    for _, run in itertools.groupby(sorted(batch, key=key), key=key):
+        run = list(run)
+        chunks += [run[s : s + TRAIN_CHUNK] for s in range(0, len(run), TRAIN_CHUNK)]
+    return chunks
+
+
+def fit(params, config, n_items: int, chunk_loss, epochs: int, rng: np.random.Generator, name: str,
+        keys=None) -> TrainTrace:
     """Minibatch Adam over ``n_items`` training items.
 
-    ``params`` offers ``all_params()`` and ``clamp_sigma()``; ``config``
-    supplies ``learn_rate``, ``grad_clip`` and ``batch_size``. Each epoch
-    visits the items in a fresh ``rng`` permutation. ``item_loss(ctx, i, rng)``
-    records item ``i``'s scalar loss on the tape ``ctx``; the batch gradient
-    is the mean over its items. Returns the per-step and per-epoch mean losses.
+    ``params`` offers ``all_params()``, ``clamp_sigma()`` and ``sigmas()``;
+    ``config`` supplies ``learn_rate``, ``grad_clip`` and ``batch_size``.
+    Each epoch visits the items in a fresh ``rng`` permutation. A minibatch
+    is cut by :func:`train_chunks` (``keys`` holds one sort key per item),
+    and ``chunk_loss(ctx, chunk, rng)`` records the mean loss of the item
+    indices ``chunk`` on the tape ``ctx``. Each chunk's loss is
+    backpropagated weighted by its share of the minibatch, so the gradient
+    is the minibatch mean. Returns the run's :class:`TrainTrace`.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
@@ -118,16 +157,19 @@ def fit(params, config, n_items: int, item_loss, epochs: int, rng: np.random.Gen
         for start in range(0, n_items, B):
             batch = order[start : start + B]
             opt.zero_grad()
-            batch_losses = []
-            for i in batch:
+            step_loss = 0.0
+            for chunk in train_chunks(batch, keys):
                 ctx = DiffContext()
-                loss = item_loss(ctx, i, rng)
-                dm.backward(dm.scale(ctx, loss, 1.0 / batch.size), ctx)
-                batch_losses.append(float(loss.data))
-            opt.step()
+                loss = chunk_loss(ctx, chunk, rng)
+                share = len(chunk) / len(batch)
+                dm.backward(dm.scale(ctx, loss, share), ctx)
+                step_loss += float(loss.data) * share
+            norm = opt.step()
             params.clamp_sigma()
-            step_loss = float(np.mean(batch_losses))
             trace.step_losses.append(step_loss)
+            trace.grad_norms.append(norm)
+            trace.clipped.append(opt.clip_scale(norm) < 1.0)
+            trace.gd_sigma.append(params.sigmas())
             epoch_losses.append(step_loss)
         epoch_mean = float(np.mean(epoch_losses))
         trace.epoch_means.append(epoch_mean)

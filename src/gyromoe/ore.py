@@ -213,12 +213,21 @@ def train_ore(
         )
     log.info("ore training: %d usable segments, %d skipped", len(prepared), skipped)
 
-    def item_loss(ctx, i, rng):
-        x_in, x_tgt, mask, midx = prepared[i]
-        pred = bb.forward(ctx, params, config.backbone, x_in[None], [mask])
-        return ore_total_loss(x_tgt, dm.reshape(ctx, pred, x_tgt.shape), midx, config, ctx=ctx)
+    def chunk_loss(ctx, chunk, rng):
+        # one forward over the chunk's segments, which share a visible-patch count
+        items = [prepared[i] for i in chunk]
+        x_in = np.stack([item[0] for item in items])
+        pred = bb.forward(ctx, params, config.backbone, x_in, [item[2] for item in items])
+        total = None
+        for r, (_, x_tgt, _, midx) in enumerate(items):
+            row = dm.reshape(ctx, dm.gather(ctx, pred, np.array([r]), axis=0), x_tgt.shape)
+            loss = ore_total_loss(x_tgt, row, midx, config, ctx=ctx)
+            total = loss if total is None else dm.add(ctx, total, loss)
+        return dm.scale(ctx, total, 1.0 / len(items))
 
-    trace = fit(params, config, len(prepared), item_loss, epochs, rng, "ore")
+    # (patch count, visible-patch count): segments of one key stack unpadded
+    keys = [(mask.n_patches, mask.n_patches - len(mask.hidden)) for _, _, mask, _ in prepared]
+    trace = fit(params, config, len(prepared), chunk_loss, epochs, rng, "ore", keys)
     trace.skipped_segments = skipped
     return params, trace
 

@@ -234,6 +234,25 @@ class TestEnhanceStartupChecks:
         assert self.run(tmp_path, cfg, {flag: ckpt[flag]}) == 2
         assert "clip_level" in capsys.readouterr().err
 
+    def test_stream_rate_must_match_the_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)  # sample_rate 100
+        src = tmp_path / "in.csv"
+        save_csv(SampleSeries(np.full(64, 200.0), 50.0), src)
+        out = tmp_path / "out.csv"
+        code = main(["enhance", "--config", cfg, "--input", str(src), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert "sample_rate" in capsys.readouterr().err
+
+    def test_stream_rate_is_free_without_a_config_rate(self, tmp_path):
+        cfg = json.loads(open(write_config(tmp_path)).read())
+        del cfg["sample_rate"]
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        src = tmp_path / "in.csv"
+        save_csv(SampleSeries(np.full(64, 200.0), 50.0), src)
+        out = tmp_path / "out.csv"
+        argv = ["enhance", "--config", str(tmp_path / "config.json"), "--input", str(src), "--out", str(out)]
+        assert main(argv) == 0 and out.exists()
+
     def test_corrupt_checkpoint_metadata(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         path = untrained_checkpoints(tmp_path)["--ore-ckpt"]

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import gyromoe.diffmath as dm
 from gyromoe.backbone import BackboneConfig, init_params, is_encoder_param, param_spec
 from gyromoe.denoise import (
     SHARE_MODES,
@@ -10,7 +13,9 @@ from gyromoe.denoise import (
     branch_loss,
     build_de_params,
     cross_masks,
+    de_pair_loss,
     denoise,
+    dual_forward,
     fuse,
     inject_weak_signal,
     load_de,
@@ -21,6 +26,7 @@ from gyromoe.denoise import (
 )
 from gyromoe.diffmath import DiffContext, grad_check
 from gyromoe.errors import ConfigError, ContractError
+from gyromoe.optim import Adam
 from gyromoe.signal import (
     ClipSpec,
     SampleSeries,
@@ -307,6 +313,58 @@ class TestTraining:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
             train_de([], 100.0, AugmentConfig([np.ones(2)]), tiny_config(), 1, 0)
+
+
+class TestChunkedTapes:
+    @pytest.mark.parametrize("mode", ["both", "none"])
+    def test_gradient_equals_sum_of_per_segment_tapes(self, monkeypatch, mode):
+        rng = np.random.default_rng(21)
+        segs = noise_corpus(rng, 20)
+        aug = AugmentConfig(snippet_pool(rng), corruption_gain=2.0)
+        cfg = tiny_config(batch_size=len(segs), weight_share=mode)
+        seen = []
+        step = Adam.step
+
+        def keep(self):
+            seen.append([p.grad.data.copy() for p in self.params])
+            return step(self)
+
+        monkeypatch.setattr(Adam, "step", keep)
+        train_de(segs, 100.0, aug, cfg, epochs=1, seed=6)
+        # reference: one B=1 tape per segment in minibatch order, each weighted 1/B,
+        # drawing the augmentation from the same generator
+        run_rng = np.random.default_rng(6)
+        params = build_de_params(cfg, run_rng)
+        mask_a, mask_b = cross_masks(8)
+        for i in run_rng.permutation(len(segs)):
+            x_mix, x_clean, _ = augment_segment(SampleSeries(segs[i], 100.0), aug, run_rng)
+            ctx = DiffContext()
+            pred_a, pred_b = dual_forward(ctx, params, cfg, x_mix[None], mask_a, mask_b)
+            flat = (x_mix.size,)
+            loss = de_pair_loss(x_clean, dm.reshape(ctx, pred_a, flat), dm.reshape(ctx, pred_b, flat),
+                                mask_a, mask_b, 4, ctx=ctx)
+            dm.backward(dm.scale(ctx, loss, 1.0 / len(segs)), ctx)
+        want = [p.grad.data for p in params.all_params()]
+        # relative to the largest entry of all: a buffer whose exact gradient
+        # is zero (a key bias, which softmax ignores) holds rounding noise only
+        scale = max(np.abs(w).max() for w in want)
+        assert len(seen[0]) == len(want)
+        assert max(np.abs(g - w).max() for g, w in zip(seen[0], want)) <= 1e-12 * scale
+
+    def test_batched_branch_loss_is_the_mean_of_row_losses(self):
+        rng = np.random.default_rng(22)
+        target, pred = rng.normal(size=(3, 16)), rng.normal(size=(3, 16))
+        mask_a, _ = cross_masks(4)
+        batched = float(branch_loss(target, pred, mask_a, 4, ctx=DiffContext()).data)
+        rows = [float(branch_loss(t, p, mask_a, 4, ctx=DiffContext()).data) for t, p in zip(target, pred)]
+        assert batched == pytest.approx(np.mean(rows), rel=1e-14)
+
+
+def test_package_attribute_is_the_submodule():
+    from gyromoe import denoise as de
+
+    assert de is sys.modules["gyromoe.denoise"]
+    assert de.train_de is train_de and de.denoise is denoise
 
 
 class TestDenoiseInference:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gyromoe.diffmath as dm
+from gyromoe import backbone as bb
 from gyromoe.diffmath import DiffContext, Param, Tensor
 from gyromoe.errors import ContractError, DimensionError
 
@@ -271,6 +272,38 @@ class TestTape:
         # outputs are still finite-checked
         with np.errstate(over="ignore"), pytest.raises(ContractError):
             dm.scale(ctx, dm.constant(np.array([1e308])), 10.0)
+
+    def test_nodes_hold_no_tensor(self):
+        cfg = bb.BackboneConfig(patch_len=4, embed_dim=8, enc_layers=1, dec_layers=1, heads=2)
+        params = bb.init_params(cfg, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(3, 16))
+        masks = [bb.MaskSet({1}, 4), bb.MaskSet({0}, 4), bb.MaskSet({3}, 4)]
+        ctx = DiffContext()
+        pred = bb.forward(ctx, params, cfg, x, masks)
+        dm.mean(ctx, dm.square(ctx, dm.sub(ctx, pred, dm.constant(x))))
+
+        def holds_tensor(obj):
+            if isinstance(obj, (Tensor, Param)):
+                return True
+            if isinstance(obj, (tuple, list)):
+                return any(holds_tensor(o) for o in obj)
+            return False
+
+        assert len(ctx) > 50
+        for keys, vjp in ctx.nodes:
+            assert all(k is None or isinstance(k, (int, Param)) for k in keys)
+            assert not any(holds_tensor(c.cell_contents) for c in vjp.__closure__ or ())
+
+    def test_backward_pops_nodes_and_skips_constant_only_ops(self):
+        p = Param(np.array([1.0, 2.0]))
+        ctx = DiffContext()
+        c = dm.square(ctx, dm.constant(np.array([3.0, 4.0])))  # no Param upstream
+        out = dm.mean(ctx, dm.mul(ctx, p, c))
+        assert len(ctx) == 2 and c._slot is None
+        dm.backward(out, ctx)
+        np.testing.assert_allclose(p.grad.data, [4.5, 8.0])
+        with pytest.raises(ContractError):
+            dm.square(ctx, p)  # the context is spent
 
     def test_shape_error_names_both_shapes(self):
         ctx = DiffContext()

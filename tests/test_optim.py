@@ -4,7 +4,7 @@ import pytest
 import gyromoe.diffmath as dm
 from gyromoe.diffmath import DiffContext, Param
 from gyromoe.errors import ConfigError
-from gyromoe.optim import Adam
+from gyromoe.optim import TRAIN_CHUNK, Adam, train_chunks
 
 
 def quadratic_step(p):
@@ -82,3 +82,30 @@ class TestAdam:
             Adam([])
         with pytest.raises(ConfigError):
             Adam([np.ones(2)])
+
+
+class TestTrainChunks:
+    def test_stable_sort_by_key_then_cut(self):
+        keys = [3, 1, 3, 2, 1] * 6
+        batch = np.random.default_rng(0).permutation(len(keys))
+        chunks = train_chunks(batch, keys)
+        flat = [i for c in chunks for i in c]
+        assert sorted(flat) == sorted(batch)
+        assert flat == sorted(batch, key=lambda i: keys[i])  # stable
+        assert all(len({keys[i] for i in c}) == 1 and 1 <= len(c) <= TRAIN_CHUNK for c in chunks)
+        # one run of a key is cut into as few chunks as the cap allows
+        for k in set(keys):
+            n = keys.count(k)
+            assert sum(keys[c[0]] == k for c in chunks) == -(-n // TRAIN_CHUNK)
+
+    def test_without_keys_batch_order_is_kept(self):
+        batch = np.array([5, 2, 9, 0, 7, 1, 3, 8, 4, 6, 11, 10])
+        chunks = train_chunks(batch)
+        assert [i for c in chunks for i in c] == list(batch)
+        n = len(batch)
+        assert [len(c) for c in chunks] == [min(TRAIN_CHUNK, n - s) for s in range(0, n, TRAIN_CHUNK)]
+
+    def test_clip_scale_fires_only_above_the_limit(self):
+        opt = Adam([Param(np.ones(2))], clip_norm=2.0)
+        assert opt.clip_scale(2.0) == 1.0 and opt.clip_scale(4.0) == 0.5
+        assert Adam([Param(np.ones(2))], clip_norm=None).clip_scale(1e9) == 1.0

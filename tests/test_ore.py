@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import gyromoe.backbone as bb
 import gyromoe.diffmath as dm
+from gyromoe import ore
 from gyromoe.backbone import BackboneConfig, mask_from_flags, mask_sample_indices
 from gyromoe.diffmath import DiffContext
 from gyromoe.errors import ConfigError, ContractError
+from gyromoe.optim import TRAIN_CHUNK, Adam
 from gyromoe.ore import (
     OreConfig,
     corr_loss,
@@ -209,6 +212,81 @@ class TestTraining:
     def test_all_quiet_corpus_rejected(self):
         with pytest.raises(ConfigError):
             train_ore([np.zeros(32)], tiny_config(), epochs=1, seed=0)
+
+
+def first_step_grads(monkeypatch):
+    """Patch Adam.step to keep a copy of every gradient it is handed."""
+    seen = []
+    step = Adam.step
+
+    def keep(self):
+        seen.append([p.grad.data.copy() for p in self.params])
+        return step(self)
+
+    monkeypatch.setattr(Adam, "step", keep)
+    return seen
+
+
+def assert_grads_close(got, want, rel=1e-12):
+    """Every gradient entry within ``rel`` of the largest entry of all. The
+    scale is global: a buffer whose exact gradient is zero (a key bias,
+    which softmax ignores) holds rounding noise only."""
+    assert len(got) == len(want)
+    scale = max(np.abs(w).max() for w in want)
+    worst = max(np.abs(g - w).max() for g, w in zip(got, want))
+    assert worst <= rel * scale, (worst, scale)
+
+
+class TestChunkedTapes:
+    """fit records one tape per chunk of equal-visible-count segments."""
+
+    def corpus(self):
+        segs = peaky_segments(np.random.default_rng(3), 20)
+        cfg = tiny_config(batch_size=len(segs))
+        prepared = [ore._prepare_segment(s, cfg) for s in segs]
+        return segs, cfg, prepared
+
+    def test_gradient_equals_sum_of_per_segment_tapes(self, monkeypatch):
+        segs, cfg, prepared = self.corpus()
+        visible = {m.n_patches - len(m.hidden) for _, _, m, _ in prepared}
+        assert len(visible) >= 3 and None not in prepared
+        seen = first_step_grads(monkeypatch)
+        train_ore(segs, cfg, epochs=1, seed=9)
+        # reference: one B=1 tape per segment, each weighted 1/B
+        params = bb.init_params(cfg.backbone, np.random.default_rng(9))
+        for x_in, x_tgt, mask, midx in prepared:
+            ctx = DiffContext()
+            pred = bb.forward(ctx, params, cfg.backbone, x_in[None], [mask])
+            loss = ore_total_loss(x_tgt, dm.reshape(ctx, pred, x_tgt.shape), midx, cfg, ctx=ctx)
+            dm.backward(dm.scale(ctx, loss, 1.0 / len(prepared)), ctx)
+        assert_grads_close(seen[0], [p.grad.data for p in params.all_params()])
+
+    def test_each_chunk_holds_one_visible_count(self, monkeypatch):
+        segs, cfg, _ = self.corpus()
+        calls = []
+        forward = bb.forward
+
+        def spy(ctx, params, config, values, masks):
+            calls.append([m.n_patches - len(m.hidden) for m in masks])
+            return forward(ctx, params, config, values, masks)
+
+        monkeypatch.setattr(bb, "forward", spy)
+        train_ore(segs, cfg, epochs=2, seed=9)
+        assert sum(len(c) for c in calls) == 2 * len(segs)
+        assert all(len(set(c)) == 1 and len(c) <= TRAIN_CHUNK for c in calls)
+        assert max(len(c) for c in calls) > 1
+
+    def test_trace_keeps_norms_clips_and_sigma(self):
+        segs = peaky_segments(np.random.default_rng(4), 12)
+        cfg = tiny_config(batch_size=4, grad_clip=0.05)
+        _, trace = train_ore(segs, cfg, epochs=2, seed=1)
+        steps = len(trace.step_losses)
+        assert steps == 6
+        assert len(trace.grad_norms) == len(trace.clipped) == len(trace.gd_sigma) == steps
+        assert trace.clipped == [n > 0.05 for n in trace.grad_norms]
+        bbc = cfg.backbone
+        assert all(set(s) == {"gd_sigma"} for s in trace.gd_sigma)
+        assert all(bbc.sigma_min <= s["gd_sigma"] <= bbc.sigma_max for s in trace.gd_sigma)
 
 
 class TestReconstruct:
