@@ -6,12 +6,12 @@ hidden from the encoder. The decoder sees encoder latents re-expanded to
 the full grid, with a learned mask token standing in at hidden positions,
 and predicts every patch.
 
-The pass is batch-first: it takes a ``[B, L]`` batch of segments with one
-mask per row, and every row must leave the same number of patches
-visible, so the encoder sees one ``[B, n_visible, d]`` tensor with no
-padding. Rows never mix, so a row's output does not depend on its
-batch-mates. Training records the pass on a tape; inference runs the same
-pass on a context that records none (:func:`forward_values`).
+The pass is batch-first over a ``[B, L]`` batch. One mask shared by every
+row drops the hidden tokens before the encoder; one mask per row keeps
+every row on the full grid, and a key-padding bias hides each row's hidden
+tokens from encoder attention. Rows never mix, so a row's output does not
+depend on its batch-mates. Training records the pass on a tape; inference
+runs the same pass on a context that records none (:func:`forward_values`).
 
 Attention logits can carry an additive distance penalty
 ``B[i, j] = -(pos_i - pos_j)^2 / (2 sigma^2)`` with a single learnable
@@ -32,6 +32,7 @@ from .diffmath import DiffContext, Param, Tensor
 from .errors import ConfigError, ContractError, DimensionError, MaskError
 
 GD_PLACEMENTS = ("none", "encoder", "decoder", "both")
+KEY_PAD = -1e30  # logit bias on a hidden key: finite, and its exp is exactly 0
 
 
 @dataclass
@@ -161,10 +162,12 @@ def mask_sample_indices(mask: MaskSet, patch_len: int) -> np.ndarray:
 @dataclass
 class TokenSequence:
     """Token batch ``[B, n, d]`` plus the patch-grid positions ``[B, n]``
-    each token came from."""
+    each token came from; ``hidden`` (``[B, n]`` flags, or None) marks the
+    tokens attention must not read."""
 
     tokens: Tensor
     positions: np.ndarray
+    hidden: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +345,8 @@ def gd_attention(ctx: DiffContext, q, k_t, v, bias) -> Tensor:
 
     Takes queries ``[B, heads, n, d_k]``, transposed keys
     ``[B, heads, d_k, n]`` and values ``[B, heads, n, d_k]``; ``bias`` is a
-    :func:`gd_bias` term or None for plain dot-product attention, which a
-    large sigma approaches smoothly.
+    :func:`gd_bias` term, key padding, their sum, or None for plain
+    dot-product attention, which a large sigma approaches smoothly.
     """
     logits = dm.scale(ctx, dm.matmul(ctx, q, k_t), 1.0 / math.sqrt(dm.value(q).shape[-1]))
     if bias is not None:
@@ -391,10 +394,14 @@ def _mlp_sublayer(ctx, params, prefix, x):
     return dm.add(ctx, x, h)
 
 
-def _run_blocks(ctx, params, config, x, prefix, n_layers, positions, use_gd):
+def _run_blocks(ctx, params, config, seq, prefix, n_layers, use_gd):
     bias_term = None
     if use_gd:
-        bias_term = gd_bias(ctx, params["gd_sigma"], positions)
+        bias_term = gd_bias(ctx, params["gd_sigma"], seq.positions)
+    if seq.hidden is not None:
+        pad = dm.constant(np.where(seq.hidden, KEY_PAD, 0.0)[:, None, None, :])
+        bias_term = pad if bias_term is None else dm.add(ctx, bias_term, pad)
+    x = seq.tokens
     for i in range(n_layers):
         x = _attention_sublayer(ctx, params, f"{prefix}{i}", config, x, bias_term)
         x = _mlp_sublayer(ctx, params, f"{prefix}{i}", x)
@@ -421,33 +428,34 @@ def embed(ctx: DiffContext, params: ModelParams, config: BackboneConfig, values)
 
 
 def apply_mask(ctx: DiffContext, seq: TokenSequence, masks) -> TokenSequence:
-    """Drop each row's hidden-position tokens.
+    """Keep each row's hidden-position tokens out of the encoder.
 
-    Raises :class:`MaskError` if a row keeps nothing visible, and
-    :class:`ContractError` if rows keep different numbers of tokens.
+    ``masks`` is one :class:`MaskSet` for the whole batch, whose hidden
+    tokens are dropped, or a sequence of one per row, whose hidden tokens
+    stay on the grid flagged in ``hidden``. Raises :class:`MaskError` if a
+    row keeps nothing visible.
     """
     B, n = seq.positions.shape
-    if len(masks) != B:
-        raise DimensionError(f"{len(masks)} masks for a batch of {B} segments")
-    for m in masks:
+    shared = isinstance(masks, MaskSet)
+    rows = [masks] if shared else masks
+    if not shared and len(rows) != B:
+        raise DimensionError(f"{len(rows)} masks for a batch of {B} segments")
+    for m in rows:
         if m.n_patches != n:
             raise DimensionError(f"mask covers {m.n_patches} patches but sequence has {n}")
-    visible = [m.visible_sorted() for m in masks]
-    if any(v.size == 0 for v in visible):
-        raise MaskError("mask hides every patch; encoder needs at least one visible token")
-    if len({v.size for v in visible}) > 1:
-        raise ContractError(
-            "one batch needs one visible-patch count; group segments by it, got "
-            f"{sorted({v.size for v in visible})}"
-        )
-    vis = np.stack(visible)
-    return TokenSequence(dm.gather(ctx, seq.tokens, vis, axis=1), vis)
+        if len(m.hidden) == n:
+            raise MaskError("mask hides every patch; encoder needs at least one visible token")
+    if shared:
+        vis = np.broadcast_to(masks.visible_sorted(), (B, n - len(masks.hidden)))
+        return TokenSequence(dm.gather(ctx, seq.tokens, vis, axis=1), vis)
+    hidden = np.array([[i in m.hidden for i in range(n)] for m in rows])
+    return TokenSequence(seq.tokens, seq.positions, hidden)
 
 
 def encode(ctx: DiffContext, params: ModelParams, config: BackboneConfig, seq: TokenSequence) -> TokenSequence:
     use_gd = config.gd_placement in ("encoder", "both")
-    x = _run_blocks(ctx, params, config, seq.tokens, "enc", config.enc_layers, seq.positions, use_gd)
-    return TokenSequence(x, seq.positions)
+    x = _run_blocks(ctx, params, config, seq, "enc", config.enc_layers, use_gd)
+    return TokenSequence(x, seq.positions, seq.hidden)
 
 
 def pad_with_mask_tokens(
@@ -458,23 +466,30 @@ def pad_with_mask_tokens(
     masks,
 ) -> TokenSequence:
     """Re-expand latents to the full grid, mask token at hidden slots."""
-    B = len(masks)
-    n_total = masks[0].n_patches
-    full = dm.scatter(ctx, latent.tokens, latent.positions, n_total, axis=1)
-    hidden = np.stack([m.hidden_sorted() for m in masks])
-    if hidden.shape[1]:
-        ones = dm.constant(np.ones((B, hidden.shape[1], 1)))
-        tiled = dm.matmul(ctx, ones, params["mask_token"])
-        full = dm.add(ctx, full, dm.scatter(ctx, tiled, hidden, n_total, axis=1))
+    B, d = latent.positions.shape[0], config.embed_dim
+    if isinstance(masks, MaskSet):
+        n_total = masks.n_patches
+        full = dm.scatter(ctx, latent.tokens, latent.positions, n_total, axis=1)
+        hidden = np.broadcast_to(masks.hidden_sorted(), (B, len(masks.hidden)))
+        if hidden.shape[1]:
+            ones = dm.constant(np.ones((B, hidden.shape[1], 1)))
+            tiled = dm.matmul(ctx, ones, params["mask_token"])
+            full = dm.add(ctx, full, dm.scatter(ctx, tiled, hidden, n_total, axis=1))
+    else:
+        # per-row blend: keep the latent at visible slots, the mask token at hidden ones
+        n_total = latent.positions.shape[1]
+        hide = latent.hidden[..., None].astype(np.float64)  # [B, n, 1]
+        kept = dm.mul(ctx, latent.tokens, dm.constant(np.broadcast_to(1.0 - hide, (B, n_total, d))))
+        full = dm.add(ctx, kept, dm.matmul(ctx, dm.constant(hide), params["mask_token"]))
     # fresh position codes for the decoder stack
-    full = dm.add(ctx, full, dm.constant(pe_table(n_total, config.embed_dim)))
+    full = dm.add(ctx, full, dm.constant(pe_table(n_total, d)))
     return TokenSequence(full, _grid(B, n_total))
 
 
 def decode(ctx: DiffContext, params: ModelParams, config: BackboneConfig, seq: TokenSequence) -> Tensor:
     """Decoder blocks, final norm, and per-patch linear prediction head."""
     use_gd = config.gd_placement in ("decoder", "both")
-    x = _run_blocks(ctx, params, config, seq.tokens, "dec", config.dec_layers, seq.positions, use_gd)
+    x = _run_blocks(ctx, params, config, seq, "dec", config.dec_layers, use_gd)
     x = dm.layer_norm(ctx, x, params["dec_norm.g"], params["dec_norm.b"])
     return _linear(ctx, x, params, "head.w", "head.b")
 
@@ -486,8 +501,8 @@ def forward(
     values,
     masks,
 ) -> Tensor:
-    """Full masked-autoencoder pass over a ``[B, L]`` batch with one mask
-    per row; returns the ``[B, L]`` prediction."""
+    """Full masked-autoencoder pass over a ``[B, L]`` batch with a shared or
+    per-row mask (see :func:`apply_mask`); returns the ``[B, L]`` prediction."""
     vals = dm.value(values)
     seq = embed(ctx, params, config, vals)
     visible = apply_mask(ctx, seq, masks)

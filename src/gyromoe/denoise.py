@@ -265,17 +265,16 @@ def dual_forward(
     mask_a: bb.MaskSet,
     mask_b: bb.MaskSet,
 ) -> tuple[Tensor, Tensor]:
-    """Both branches over a ``[B, L]`` batch; each row gets the same mask."""
-    B = dm.value(values_norm).shape[0]
-    pred_a = bb.forward(ctx, de_params.branch_a, config.backbone, values_norm, [mask_a] * B)
-    pred_b = bb.forward(ctx, de_params.branch_b, config.backbone, values_norm, [mask_b] * B)
+    """Both branches over a ``[B, L]`` batch; each branch's mask is shared by every row."""
+    pred_a = bb.forward(ctx, de_params.branch_a, config.backbone, values_norm, mask_a)
+    pred_b = bb.forward(ctx, de_params.branch_b, config.backbone, values_norm, mask_b)
     return pred_a, pred_b
 
 
 def branch_loss(target, pred, mask: bb.MaskSet, patch_len: int, ctx: DiffContext | None = None) -> Tensor:
     """Mean squared error at the samples the branch had hidden, for one
     segment ``[L]`` or over a batch ``[B, L]``."""
-    ctx = ctx if ctx is not None else (pred._ctx if isinstance(pred, Tensor) else DiffContext())
+    ctx = dm.resolve_ctx(ctx, pred)
     tv = np.asarray(dm.value(target), dtype=np.float64)
     ph = pred if isinstance(pred, (Tensor, Param)) else dm.constant(pred)
     idx = bb.mask_sample_indices(mask, patch_len)
@@ -295,9 +294,7 @@ def de_pair_loss(
     ctx: DiffContext | None = None,
 ) -> Tensor:
     """Sum of the two branch losses on complementary masks."""
-    if ctx is None and isinstance(pred_a, Tensor):
-        ctx = pred_a._ctx
-    ctx = ctx if ctx is not None else DiffContext()
+    ctx = dm.resolve_ctx(ctx, pred_a, pred_b)
     la = branch_loss(target, pred_a, mask_a, patch_len, ctx=ctx)
     lb = branch_loss(target, pred_b, mask_b, patch_len, ctx=ctx)
     return dm.add(ctx, la, lb)

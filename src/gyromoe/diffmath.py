@@ -148,6 +148,17 @@ def constant(x) -> Tensor:
     return Tensor(x)
 
 
+def resolve_ctx(ctx, *tensors) -> DiffContext:
+    """``ctx`` if given, else the context the first of ``tensors`` recorded
+    on, else a fresh one (for losses called on constants or raw arrays)."""
+    if ctx is not None:
+        return ctx
+    for t in tensors:
+        if isinstance(t, Tensor) and t._ctx is not None:
+            return t._ctx
+    return DiffContext()
+
+
 def backward(output: Tensor, ctx: DiffContext | None = None) -> None:
     """Backpropagate d(output)/d(param) into every Param on the tape.
 

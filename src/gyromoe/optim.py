@@ -3,7 +3,6 @@ both experts share."""
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -118,30 +117,15 @@ class TrainTrace:
     gd_sigma: list = field(default_factory=list)
 
 
-def train_chunks(batch, keys=None) -> list:
-    """Cut a minibatch into the chunks that each get one tape.
-
-    The items are stable-sorted by ``keys[i]`` (all equal when ``keys`` is
-    None, which keeps the batch order), and each run of one key is cut into
-    chunks of at most :data:`TRAIN_CHUNK` items.
-    """
-    key = (lambda i: keys[i]) if keys is not None else (lambda i: 0)
-    chunks = []
-    for _, run in itertools.groupby(sorted(batch, key=key), key=key):
-        run = list(run)
-        chunks += [run[s : s + TRAIN_CHUNK] for s in range(0, len(run), TRAIN_CHUNK)]
-    return chunks
-
-
-def fit(params, config, n_items: int, chunk_loss, epochs: int, rng: np.random.Generator, name: str,
-        keys=None) -> TrainTrace:
+def fit(params, config, n_items: int, chunk_loss, epochs: int, rng: np.random.Generator,
+        name: str) -> TrainTrace:
     """Minibatch Adam over ``n_items`` training items.
 
     ``params`` offers ``all_params()``, ``clamp_sigma()`` and ``sigmas()``;
     ``config`` supplies ``learn_rate``, ``grad_clip`` and ``batch_size``.
     Each epoch visits the items in a fresh ``rng`` permutation. A minibatch
-    is cut by :func:`train_chunks` (``keys`` holds one sort key per item),
-    and ``chunk_loss(ctx, chunk, rng)`` records the mean loss of the item
+    is cut in order into chunks of at most :data:`TRAIN_CHUNK` items, and
+    ``chunk_loss(ctx, chunk, rng)`` records the mean loss of the item
     indices ``chunk`` on the tape ``ctx``. Each chunk's loss is
     backpropagated weighted by its share of the minibatch, so the gradient
     is the minibatch mean. Returns the run's :class:`TrainTrace`.
@@ -158,7 +142,8 @@ def fit(params, config, n_items: int, chunk_loss, epochs: int, rng: np.random.Ge
             batch = order[start : start + B]
             opt.zero_grad()
             step_loss = 0.0
-            for chunk in train_chunks(batch, keys):
+            for s in range(0, len(batch), TRAIN_CHUNK):
+                chunk = batch[s : s + TRAIN_CHUNK]
                 ctx = DiffContext()
                 loss = chunk_loss(ctx, chunk, rng)
                 share = len(chunk) / len(batch)

@@ -47,15 +47,6 @@ class OreConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def _resolve_ctx(ctx, *tensors):
-    if ctx is not None:
-        return ctx
-    for t in tensors:
-        if isinstance(t, Tensor) and t._ctx is not None:
-            return t._ctx
-    return DiffContext()
-
-
 def corr_loss(x, x_hat, mask_samples, lambda_sign: float = 1.0, ctx: DiffContext | None = None) -> Tensor:
     """First-difference matching plus a value pin at trend reversals.
 
@@ -65,7 +56,7 @@ def corr_loss(x, x_hat, mask_samples, lambda_sign: float = 1.0, ctx: DiffContext
     sign of the first difference flips), weighted by ``lambda_sign``.
     """
     xv = np.asarray(dm.value(x), dtype=np.float64)
-    ctx = _resolve_ctx(ctx, x_hat)
+    ctx = dm.resolve_ctx(ctx, x_hat)
     xh = x_hat if isinstance(x_hat, (Tensor, Param)) else dm.constant(x_hat)
     xh_shape = dm.value(xh).shape
     if xv.ndim != 1 or xh_shape != xv.shape:
@@ -111,7 +102,7 @@ def pinn_loss(x_hat, mask_samples, kappa: float = 1.0, ctx: DiffContext | None =
     """
     if kappa <= 0.0:
         raise ConfigError(f"kappa must be positive, got {kappa}")
-    ctx = _resolve_ctx(ctx, x_hat)
+    ctx = dm.resolve_ctx(ctx, x_hat)
     xh = x_hat if isinstance(x_hat, (Tensor, Param)) else dm.constant(x_hat)
     xh_data = dm.value(xh)
     if xh_data.ndim != 1:
@@ -142,7 +133,7 @@ def pinn_loss(x_hat, mask_samples, kappa: float = 1.0, ctx: DiffContext | None =
 
 def ore_total_loss(x, x_hat, mask_samples, config: OreConfig, ctx: DiffContext | None = None) -> Tensor:
     """Masked L2 plus weighted correlation and energy-barrier terms."""
-    ctx = _resolve_ctx(ctx, x_hat)
+    ctx = dm.resolve_ctx(ctx, x_hat)
     xv = np.asarray(dm.value(x), dtype=np.float64)
     xh = x_hat if isinstance(x_hat, (Tensor, Param)) else dm.constant(x_hat)
     m = np.unique(np.asarray(mask_samples, dtype=np.int64))
@@ -214,7 +205,7 @@ def train_ore(
     log.info("ore training: %d usable segments, %d skipped", len(prepared), skipped)
 
     def chunk_loss(ctx, chunk, rng):
-        # one forward over the chunk's segments, which share a visible-patch count
+        # one forward over the chunk's segments, each row with its own mask
         items = [prepared[i] for i in chunk]
         x_in = np.stack([item[0] for item in items])
         pred = bb.forward(ctx, params, config.backbone, x_in, [item[2] for item in items])
@@ -225,9 +216,7 @@ def train_ore(
             total = loss if total is None else dm.add(ctx, total, loss)
         return dm.scale(ctx, total, 1.0 / len(items))
 
-    # (patch count, visible-patch count): segments of one key stack unpadded
-    keys = [(mask.n_patches, mask.n_patches - len(mask.hidden)) for _, _, mask, _ in prepared]
-    trace = fit(params, config, len(prepared), chunk_loss, epochs, rng, "ore", keys)
+    trace = fit(params, config, len(prepared), chunk_loss, epochs, rng, "ore")
     trace.skipped_segments = skipped
     return params, trace
 
@@ -235,28 +224,28 @@ def train_ore(
 def reconstruct(segs, params: bb.ModelParams, config: OreConfig) -> list:
     """Replace the saturated samples of each window with model predictions.
 
-    Takes and returns a list of Segments. Samples off the rail pass through
-    untouched; a window with no rail contact comes back as an identical
-    copy. Windows run through the backbone grouped by patch count and
-    visible-patch count, never padded, so a window's output does not depend
-    on the other windows in the list. A window that saturates every patch
-    raises :class:`MaskError`.
+    Takes and returns a list of equal-length Segments. Samples off the rail
+    pass through untouched; a window with no rail contact comes back as an
+    identical copy. The railed windows run through the backbone as one
+    batch, each on the full patch grid with its own mask, so a window's
+    output does not depend on the other windows in the list. A window that
+    saturates every patch raises :class:`MaskError`.
     """
+    if len({seg.values.size for seg in segs}) > 1:
+        raise ContractError("reconstruct needs windows of one length")
     P = config.backbone.patch_len
     level = config.clip.level
     out = [Segment(seg.values.copy(), seg.origin_index, seg.true_len) for seg in segs]
-    groups = {}  # (n_patches, n_visible) -> [(window index, rail flags, mask)]
+    railed = []  # (window index, rail flags, mask)
     for i, seg in enumerate(out):
         flags = saturated_mask(seg.values, config.clip)
         flags[seg.true_len :] = False
         if flags.any():
-            mask = bb.mask_from_flags(flags, P)
-            key = (mask.n_patches, mask.n_patches - len(mask.hidden))
-            groups.setdefault(key, []).append((i, flags, mask))
-    for group in groups.values():
-        x = np.stack([out[i].values for i, _, _ in group]) / level
-        pred = bb.forward_values(params, config.backbone, x, [mask for _, _, mask in group])
-        for (i, flags, _), row in zip(group, pred):
+            railed.append((i, flags, bb.mask_from_flags(flags, P)))
+    if railed:
+        x = np.stack([out[i].values for i, _, _ in railed]) / level
+        pred = bb.forward_values(params, config.backbone, x, [mask for _, _, mask in railed])
+        for (i, flags, _), row in zip(railed, pred):
             out[i].values[flags] = row[flags] * level
     return out
 

@@ -19,7 +19,7 @@ from gyromoe.backbone import (
     pe_table,
 )
 from gyromoe.diffmath import DiffContext, backward, mean, square, sub, constant
-from gyromoe.errors import ConfigError, ContractError, DimensionError, MaskError
+from gyromoe.errors import ConfigError, DimensionError, MaskError
 from gyromoe.optim import Adam
 
 SMALL = BackboneConfig(
@@ -76,20 +76,31 @@ class TestMaskSet:
         params = small_params()
         ctx = DiffContext()
         seq = embed(ctx, params, SMALL, np.zeros((1, 16)))
+        all_hidden = MaskSet(hidden=frozenset(range(4)), n_patches=4)
         with pytest.raises(MaskError):
-            apply_mask(ctx, seq, [MaskSet(hidden=frozenset(range(4)), n_patches=4)])
+            apply_mask(ctx, seq, [all_hidden])
+        with pytest.raises(MaskError):
+            apply_mask(ctx, seq, all_hidden)
+        # one all-hidden row fails a batch whose other rows keep patches visible
+        mixed = embed(ctx, params, SMALL, np.zeros((3, 16)))
+        with pytest.raises(MaskError):
+            apply_mask(ctx, mixed, [MaskSet(frozenset({0}), 4), all_hidden, MaskSet(frozenset(), 4)])
 
-    def test_batch_rows_need_one_visible_count(self):
+    def test_rows_with_different_visible_counts_match_single_rows(self):
         params = small_params()
         ctx = DiffContext()
         seq = embed(ctx, params, SMALL, np.zeros((2, 16)))
-        with pytest.raises(ContractError):
-            apply_mask(ctx, seq, [MaskSet(frozenset({0}), 4), MaskSet(frozenset({0, 1}), 4)])
         with pytest.raises(DimensionError):
             apply_mask(ctx, seq, [MaskSet(frozenset({0}), 4)])
-        kept = apply_mask(ctx, seq, [MaskSet(frozenset({0}), 4), MaskSet(frozenset({3}), 4)])
-        np.testing.assert_array_equal(kept.positions, [[1, 2, 3], [0, 1, 2]])
-        np.testing.assert_array_equal(kept.tokens.data[1], seq.tokens.data[1, :3])
+        masks = [MaskSet(frozenset({0}), 4), MaskSet(frozenset(), 4),
+                 MaskSet(frozenset({0, 2, 3}), 4), MaskSet(frozenset({1, 2}), 4)]
+        x = np.random.default_rng(3).normal(size=(len(masks), 16))
+        for cfg in (SMALL, dataclasses.replace(SMALL, gd_placement="both")):
+            params = small_params(4, cfg)
+            batched = forward_values(params, cfg, x, masks)
+            for row, mask, got in zip(x, masks, batched):
+                alone = forward_values(params, cfg, row[None], [mask])[0]
+                np.testing.assert_array_equal(got.view(np.int64), alone.view(np.int64))
 
     def test_empty_mask_keeps_all_tokens(self):
         params = small_params()
@@ -262,6 +273,18 @@ class TestForward:
         x2[8:12] = 99.0
         y2 = forward_values(params, SMALL, x2[None], [mask])
         np.testing.assert_array_equal(y1, y2)
+        # the same for a mask shared by the whole batch ...
+        shared = [forward_values(params, SMALL, np.stack([v, x]), mask) for v in (x, x2)]
+        np.testing.assert_array_equal(shared[0], shared[1])
+        # ... and for per-row masks with the Gaussian bias in the encoder too
+        cfg = dataclasses.replace(SMALL, gd_placement="both")
+        both = small_params(5, cfg)
+        masks = [mask, MaskSet(frozenset({0, 3}), 4)]
+        x3 = np.stack([x, x])
+        x4 = np.stack([x2, x])
+        x4[1, :4] = -7.5
+        x4[1, 12:] = 1e3
+        np.testing.assert_array_equal(forward_values(both, cfg, x3, masks), forward_values(both, cfg, x4, masks))
 
     def test_gradient_reaches_sigma_and_encoder(self):
         params = small_params(8)

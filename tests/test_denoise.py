@@ -265,6 +265,9 @@ class TestBranchLoss:
         loss = branch_loss(target, pred, mask_a, 4, ctx=DiffContext())
         idx = np.concatenate([np.arange(4, 8), np.arange(12, 16)])
         assert float(loss.data) == pytest.approx(np.mean((target[idx] - pred[idx]) ** 2), rel=1e-12)
+        # a constant prediction with no context given gets a fresh one
+        const = branch_loss(np.arange(16.0), dm.constant(np.zeros(16)), mask_a, 4)
+        assert float(const.data) == pytest.approx(np.mean(idx.astype(float) ** 2), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gradient_wrt_prediction(self, seed):

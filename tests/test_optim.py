@@ -1,10 +1,12 @@
+import types
+
 import numpy as np
 import pytest
 
 import gyromoe.diffmath as dm
 from gyromoe.diffmath import DiffContext, Param
 from gyromoe.errors import ConfigError
-from gyromoe.optim import TRAIN_CHUNK, Adam, train_chunks
+from gyromoe.optim import TRAIN_CHUNK, Adam, fit
 
 
 def quadratic_step(p):
@@ -85,25 +87,27 @@ class TestAdam:
 
 
 class TestTrainChunks:
-    def test_stable_sort_by_key_then_cut(self):
-        keys = [3, 1, 3, 2, 1] * 6
-        batch = np.random.default_rng(0).permutation(len(keys))
-        chunks = train_chunks(batch, keys)
-        flat = [i for c in chunks for i in c]
-        assert sorted(flat) == sorted(batch)
-        assert flat == sorted(batch, key=lambda i: keys[i])  # stable
-        assert all(len({keys[i] for i in c}) == 1 and 1 <= len(c) <= TRAIN_CHUNK for c in chunks)
-        # one run of a key is cut into as few chunks as the cap allows
-        for k in set(keys):
-            n = keys.count(k)
-            assert sum(keys[c[0]] == k for c in chunks) == -(-n // TRAIN_CHUNK)
+    def test_fit_cuts_each_minibatch_in_order(self):
+        p = Param(np.ones(2))
+        store = types.SimpleNamespace(all_params=lambda: [p], clamp_sigma=lambda: None, sigmas=lambda: {})
+        config = types.SimpleNamespace(learn_rate=1e-3, grad_clip=1.0, batch_size=12)
+        chunks = []
 
-    def test_without_keys_batch_order_is_kept(self):
-        batch = np.array([5, 2, 9, 0, 7, 1, 3, 8, 4, 6, 11, 10])
-        chunks = train_chunks(batch)
-        assert [i for c in chunks for i in c] == list(batch)
-        n = len(batch)
-        assert [len(c) for c in chunks] == [min(TRAIN_CHUNK, n - s) for s in range(0, n, TRAIN_CHUNK)]
+        def chunk_loss(ctx, chunk, rng):
+            chunks.append([int(i) for i in chunk])
+            return dm.mean(ctx, dm.square(ctx, p))
+
+        n = 20
+        fit(store, config, n, chunk_loss, 2, np.random.default_rng(0), "spy")
+        rng = np.random.default_rng(0)
+        want = []
+        for _ in range(2):
+            order = list(rng.permutation(n))
+            for start in range(0, n, 12):
+                batch = order[start : start + 12]
+                want += [batch[s : s + TRAIN_CHUNK] for s in range(0, len(batch), TRAIN_CHUNK)]
+        assert chunks == want
+        assert max(len(c) for c in chunks) == TRAIN_CHUNK < config.batch_size
 
     def test_clip_scale_fires_only_above_the_limit(self):
         opt = Adam([Param(np.ones(2))], clip_norm=2.0)

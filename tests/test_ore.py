@@ -238,7 +238,8 @@ def assert_grads_close(got, want, rel=1e-12):
 
 
 class TestChunkedTapes:
-    """fit records one tape per chunk of equal-visible-count segments."""
+    """fit records one tape per chunk of the minibatch, whose rows may hide
+    different numbers of patches."""
 
     def corpus(self):
         segs = peaky_segments(np.random.default_rng(3), 20)
@@ -261,20 +262,27 @@ class TestChunkedTapes:
             dm.backward(dm.scale(ctx, loss, 1.0 / len(prepared)), ctx)
         assert_grads_close(seen[0], [p.grad.data for p in params.all_params()])
 
-    def test_each_chunk_holds_one_visible_count(self, monkeypatch):
-        segs, cfg, _ = self.corpus()
+    def test_chunks_are_the_minibatch_cut_in_order(self, monkeypatch):
+        segs, cfg, prepared = self.corpus()
         calls = []
         forward = bb.forward
 
         def spy(ctx, params, config, values, masks):
-            calls.append([m.n_patches - len(m.hidden) for m in masks])
+            calls.append(([row.tobytes() for row in values], [len(m.hidden) for m in masks]))
             return forward(ctx, params, config, values, masks)
 
         monkeypatch.setattr(bb, "forward", spy)
         train_ore(segs, cfg, epochs=2, seed=9)
-        assert sum(len(c) for c in calls) == 2 * len(segs)
-        assert all(len(set(c)) == 1 and len(c) <= TRAIN_CHUNK for c in calls)
-        assert max(len(c) for c in calls) > 1
+        # the same draws train_ore makes: parameters first, then one permutation per epoch
+        rng = np.random.default_rng(9)
+        bb.init_params(cfg.backbone, rng)
+        orders = [rng.permutation(len(prepared)) for _ in range(2)]
+        assert cfg.batch_size == len(prepared)
+        want = [order[s : s + TRAIN_CHUNK] for order in orders for s in range(0, len(order), TRAIN_CHUNK)]
+        index = {x_in.tobytes(): i for i, (x_in, _, _, _) in enumerate(prepared)}
+        assert [[index[row] for row in rows] for rows, _ in calls] == [list(c) for c in want]
+        assert all(len(rows) <= TRAIN_CHUNK for rows, _ in calls)
+        assert any(len(set(hidden)) > 1 for _, hidden in calls)
 
     def test_trace_keeps_norms_clips_and_sigma(self):
         segs = peaky_segments(np.random.default_rng(4), 12)
@@ -296,6 +304,9 @@ class TestReconstruct:
         seg = Segment(np.linspace(-0.5, 0.5, 32), 0, 32)
         out = reconstruct([seg], params, cfg)[0]
         np.testing.assert_array_equal(out.values, seg.values)
+        # the windows of one call form one batch, so they share one length
+        with pytest.raises(ContractError):
+            reconstruct([seg, Segment(np.zeros(16), 0, 16)], params, cfg)
 
     def test_only_saturated_samples_change(self):
         cfg = tiny_config()
