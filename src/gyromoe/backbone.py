@@ -195,9 +195,10 @@ class ModelParams:
         return sum(p.tensor.data.size for p in self.store.values())
 
     def clamp_sigma(self):
+        """Clip every learned attention width that :meth:`sigmas` names."""
         cfg = self.config
-        if "gd_sigma" in self.store:
-            arr = self.store["gd_sigma"].tensor.data
+        for name in self.sigmas():
+            arr = self.store[name].tensor.data
             np.clip(arr, cfg.sigma_min, cfg.sigma_max, out=arr)
 
     def sigmas(self) -> dict:

@@ -3,7 +3,8 @@
 Subcommands: ``synth`` (generate a synthetic stream), ``train-ore`` and
 ``train-de`` (desk-scale expert training), ``enhance`` (gate + experts over
 a CSV stream), ``bench`` (metric report), and ``allan`` (deviation curve).
-Configuration is one JSON file shared by all commands; ``--seed`` makes
+Configuration is one JSON file shared by all commands; a command checks
+every key and the type of every value in it at startup. ``--seed`` makes
 every data-dependent step reproducible, and the ``GYROMOE_LOG`` environment
 variable (debug/info/warning/error) controls verbosity.
 """
@@ -43,22 +44,48 @@ log = logging.getLogger("gyromoe.cli")
 
 _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING, "error": logging.ERROR}
 
-# the keys each config section accepts; anything else is rejected as a typo
-_SECTION_KEYS = {
-    "backbone": tuple(f.name for f in dataclasses.fields(BackboneConfig)),
-    "synth": ("duration_s", "white_noise_sigma", "drift_rate", "peak_events"),
-    "train_ore": (
-        "n_segments", "epochs", "batch_size", "learn_rate",
-        "amp_lo_x", "amp_hi_x", "width_lo_s", "width_hi_s", "noise_sigma",
-    ),
-    "train_de": (
-        "n_segments", "epochs", "batch_size", "learn_rate", "noise_sigma",
-        "beta", "corruption_gain", "n_snippets", "weight_share",
-    ),
-    "gate": ("peak_run", "quiet_run", "quiet_threshold"),
-    "bench": ("static_region",),
+
+def _integer(value) -> int:
+    """``value`` as an int; a fractional number is rejected, not truncated."""
+    if not float(value).is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(float(value))
+
+
+def _int_pair(value) -> tuple:
+    lo, hi = value
+    return _integer(lo), _integer(hi)
+
+
+# the keys the config accepts, each with the cast that reads its value or,
+# for a section, the keys that section accepts; any other key is a typo
+_CONFIG_KEYS = {
+    "clip_level": float,
+    "sample_rate": float,
+    "segment_len": _integer,
+    "backbone": {
+        f.name: _integer if isinstance(f.default, int) else type(f.default)
+        for f in dataclasses.fields(BackboneConfig)
+    },
+    "synth": {
+        "duration_s": float, "white_noise_sigma": float, "drift_rate": float,
+        "peak_events": lambda events: [tuple(map(float, event)) for event in events],
+    },
+    "train_ore": {
+        "n_segments": _integer, "epochs": _integer, "batch_size": _integer, "learn_rate": float,
+        "amp_lo_x": float, "amp_hi_x": float, "width_lo_s": float, "width_hi_s": float, "noise_sigma": float,
+    },
+    "train_de": {
+        "n_segments": _integer, "epochs": _integer, "batch_size": _integer, "learn_rate": float,
+        "noise_sigma": float, "beta": float, "corruption_gain": float, "n_snippets": _integer,
+        "weight_share": str,
+    },
+    "gate": {
+        "peak_run": _integer, "quiet_run": _integer,
+        "quiet_threshold": lambda tau: None if tau is None else float(tau),
+    },
+    "bench": {"static_region": _int_pair},
 }
-_TOP_KEYS = ("clip_level", "sample_rate", "segment_len", *_SECTION_KEYS)
 
 # sample rate, in Hz, of the synthetic streams and training corpora when the
 # config gives none
@@ -88,48 +115,52 @@ def _load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(cfg, _TOP_KEYS, "config")
-    return cfg
+    return _read(cfg, _CONFIG_KEYS, None)
 
 
-def _reject_unknown(mapping: dict, allowed, where: str):
-    unknown = set(mapping) - set(allowed)
+def _read(mapping, casts: dict, section: str | None) -> dict:
+    """Every value of ``mapping`` cast by its key's entry in ``casts``, a
+    section read by its own table; the one way a config value is read. An
+    absent key stays absent, so the dataclass default applies. An unknown
+    key or a value its cast rejects raises ConfigError naming ``section.key``."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"config {section or 'root'} must be a JSON object")
+    unknown = set(mapping) - set(casts)
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {section or 'config'} keys: {sorted(unknown)}")
+    out = {}
+    for key, value in mapping.items():
+        cast = casts[key]
+        try:
+            out[key] = _read(value, cast, key) if isinstance(cast, dict) else cast(value)
+        except (TypeError, ValueError) as exc:
+            name = key if section is None else f"{section}.{key}"
+            raise ConfigError(f"config value {name} = {value!r} is invalid: {exc}") from None
+    return out
 
 
-def _section(cfg: dict, name: str) -> dict:
-    section = cfg.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section '{name}' must be a JSON object")
-    _reject_unknown(section, _SECTION_KEYS[name], name)
-    return section
+def _present(values: dict, *keys) -> dict:
+    """The entries of ``values`` under ``keys``; absent keys are left out,
+    so the dataclass default applies."""
+    return {key: values[key] for key in keys if key in values}
 
 
 def _clip_spec(cfg: dict) -> ClipSpec:
     if "clip_level" not in cfg:
         raise ConfigError("config is missing 'clip_level'")
-    return ClipSpec(float(cfg["clip_level"]))
+    return ClipSpec(cfg["clip_level"])
 
 
 def _backbone_config(cfg: dict) -> BackboneConfig:
-    return BackboneConfig(**_section(cfg, "backbone"))
-
-
-def _present(section: dict, casts: dict) -> dict:
-    """Cast the keys of ``section`` named in ``casts``; absent keys are left
-    out, so the dataclass default applies."""
-    return {key: cast(section[key]) for key, cast in casts.items() if key in section}
+    return BackboneConfig(**cfg.get("backbone", {}))
 
 
 def _segment_len(cfg: dict) -> int:
-    return int(cfg.get("segment_len", gate_mod.GateConfig.segment_len))
+    return cfg.get("segment_len", gate_mod.GateConfig.segment_len)
 
 
 def _sample_rate(cfg: dict) -> float:
-    return float(cfg.get("sample_rate", _DEFAULT_SAMPLE_RATE))
+    return cfg.get("sample_rate", _DEFAULT_SAMPLE_RATE)
 
 
 def _require_seed(args) -> int:
@@ -150,20 +181,16 @@ def _write_text(path, text: str):
 def cmd_synth(args) -> int:
     cfg = _load_config(args.config)
     spec = _clip_spec(cfg)
-    section = _section(cfg, "synth")
     synth_cfg = SynthConfig(
-        duration_s=float(section.get("duration_s", 60.0)),
+        **{"duration_s": 60.0, **cfg.get("synth", {})},
         sample_rate=_sample_rate(cfg),
-        white_noise_sigma=float(section.get("white_noise_sigma", 0.0)),
-        drift_rate=float(section.get("drift_rate", 0.0)),
-        peak_events=[tuple(ev) for ev in section.get("peak_events", [])],
         rng_seed=_require_seed(args),
     )
     if args.out is None:
         raise ConfigError("synth needs --out <directory>")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    series, _ = synth_motion(synth_cfg)
+    series = synth_motion(synth_cfg)
     clipped = SampleSeries(clip(series.values, spec), series.sample_rate)
     save_csv(series, out_dir / "clean.csv")
     save_csv(clipped, out_dir / "clipped.csv")
@@ -184,34 +211,28 @@ def cmd_train_ore(args) -> int:
     seed = _require_seed(args)
     if args.out is None:
         raise ConfigError("train-ore needs --out <checkpoint path>")
-    section = _section(cfg, "train_ore")
+    section = cfg.get("train_ore", {})
     spec = _clip_spec(cfg)
     seg_len = _segment_len(cfg)
     fs = _sample_rate(cfg)
     ore_cfg = ore_mod.OreConfig(
         clip=spec,
         backbone=_backbone_config(cfg),
-        **_present(section, {"learn_rate": float, "batch_size": int}),
+        **_present(section, "learn_rate", "batch_size"),
     )
     data_rng = np.random.default_rng([seed, 0])
     rail = spec.level
     segments = synth_peak_segments(
         data_rng,
-        n_segments=int(section.get("n_segments", 400)),
+        n_segments=section.get("n_segments", 400),
         seg_len=seg_len,
         sample_rate=fs,
-        amp_range=(
-            float(section.get("amp_lo_x", 1.25)) * rail,
-            float(section.get("amp_hi_x", 2.0)) * rail,
-        ),
-        width_range=(
-            float(section.get("width_lo_s", 0.15)),
-            float(section.get("width_hi_s", 0.45)),
-        ),
-        noise_sigma=float(section.get("noise_sigma", 0.01)) * rail,
+        amp_range=(section.get("amp_lo_x", 1.25) * rail, section.get("amp_hi_x", 2.0) * rail),
+        width_range=(section.get("width_lo_s", 0.15), section.get("width_hi_s", 0.45)),
+        noise_sigma=section.get("noise_sigma", 0.01) * rail,
     )
     params, trace = ore_mod.train_ore(
-        segments, ore_cfg, epochs=int(section.get("epochs", 4)), seed=[seed, 1]
+        segments, ore_cfg, epochs=section.get("epochs", 4), seed=[seed, 1]
     )
     ore_mod.save_ore(args.out, params, ore_cfg)
     if args.trace is not None:
@@ -225,55 +246,37 @@ def cmd_train_de(args) -> int:
     seed = _require_seed(args)
     if args.out is None:
         raise ConfigError("train-de needs --out <checkpoint path>")
-    section = _section(cfg, "train_de")
+    section = cfg.get("train_de", {})
     spec = _clip_spec(cfg)
     seg_len = _segment_len(cfg)
     fs = _sample_rate(cfg)
     de_cfg = DeConfig(
         clip=spec,
         backbone=_backbone_config(cfg),
-        **_present(section, {"weight_share": str, "learn_rate": float, "batch_size": int}),
+        **_present(section, "weight_share", "learn_rate", "batch_size"),
     )
     data_rng = np.random.default_rng([seed, 0])
     noise_segments = synth_noise_segments(
         data_rng,
-        n_segments=int(section.get("n_segments", 300)),
+        n_segments=section.get("n_segments", 300),
         seg_len=seg_len,
-        sigma=float(section.get("noise_sigma", 2.0)),
+        sigma=section.get("noise_sigma", 2.0),
     )
     pool = make_snippet_pool(
         data_rng,
-        n_snippets=int(section.get("n_snippets", 32)),
+        n_snippets=section.get("n_snippets", 32),
         len_range=(seg_len // 4, max(seg_len // 4, (3 * seg_len) // 4)),
         sample_rate=fs,
     )
-    aug = AugmentConfig(
-        snippet_pool=pool,
-        beta=float(section.get("beta", 8.0)),
-        corruption_gain=float(section.get("corruption_gain", 1.0)),
-    )
+    aug = AugmentConfig(snippet_pool=pool, **_present(section, "beta", "corruption_gain"))
     de_params, trace = train_de(
-        noise_segments, fs, aug, de_cfg, epochs=int(section.get("epochs", 4)), seed=[seed, 1]
+        noise_segments, fs, aug, de_cfg, epochs=section.get("epochs", 4), seed=[seed, 1]
     )
     save_de(args.out, de_params, de_cfg)
     if args.trace is not None:
         _write_text(args.trace, _trace_csv(trace.step_losses))
     print(f"trained noise expert on {len(noise_segments)} segments, checkpoint at {args.out}")
     return 0
-
-
-def _gate_config(cfg: dict, spec: ClipSpec) -> gate_mod.GateConfig:
-    section = _section(cfg, "gate")
-    return gate_mod.GateConfig(
-        clip=spec,
-        segment_len=_segment_len(cfg),
-        **_present(section, {"peak_run": int, "quiet_run": int}),
-        quiet_threshold=(
-            float(section["quiet_threshold"])
-            if section.get("quiet_threshold") is not None
-            else None
-        ),
-    )
 
 
 def _check_expert(expert: str, expert_cfg, gate_cfg: gate_mod.GateConfig, min_patches: int):
@@ -309,7 +312,7 @@ def cmd_enhance(args) -> int:
     if args.out is None:
         raise ConfigError("enhance needs --out <csv path>")
     spec = _clip_spec(cfg)
-    gate_cfg = _gate_config(cfg, spec)
+    gate_cfg = gate_mod.GateConfig(clip=spec, segment_len=_segment_len(cfg), **cfg.get("gate", {}))
     peak_fn = None
     noise_fn = None
     if args.ore_ckpt is not None:
@@ -333,13 +336,10 @@ def cmd_bench(args) -> int:
     if args.out is None:
         raise ConfigError("bench needs --out <json path>")
     spec = _clip_spec(cfg)
+    static_region = cfg.get("bench", {}).get("static_region")
     raw = load_csv(args.raw)
     enhanced = load_csv(args.enhanced)
     truth = load_csv(args.truth)
-    section = _section(cfg, "bench")
-    static_region = section.get("static_region")
-    if static_region is not None:
-        static_region = (int(static_region[0]), int(static_region[1]))
     rep = me.report(
         raw,
         enhanced,

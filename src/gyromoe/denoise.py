@@ -77,10 +77,6 @@ class DeParams(bb.ModelParams):
         self.branch_a = branch_a
         self.branch_b = branch_b
 
-    def clamp_sigma(self):
-        self.branch_a.clamp_sigma()
-        self.branch_b.clamp_sigma()
-
 
 def _share_predicate(mode: str):
     if mode == "both":
@@ -171,13 +167,14 @@ def inject_weak_signal(
     snippet: np.ndarray,
     beta: float,
     rng: np.random.Generator,
-    floor: float | None = None,
+    floor: float,
 ) -> InjectionResult:
     """Add a scaled snippet at a random offset inside a noise record.
 
     The scale is ``alpha = beta * sqrt(floor) / max|snippet|``, tying the
-    injected amplitude to the measured noise floor. Returns both the mixed
-    signal and the identical clean copy; corruption is applied separately.
+    injected amplitude to the measured noise floor (see :func:`noise_floor`).
+    Returns both the mixed signal and the identical clean copy; corruption
+    is applied separately.
     """
     s = np.asarray(snippet, dtype=np.float64)
     n = len(noise)
@@ -188,8 +185,6 @@ def inject_weak_signal(
     peak = float(np.abs(s).max())
     if peak <= 0.0:
         raise ContractError("snippet is identically zero")
-    if floor is None:
-        floor = noise_floor(psd(noise))
     if floor < 0.0:
         raise ContractError(f"noise floor must be >= 0, got {floor}")
     alpha = beta * math.sqrt(floor) / peak

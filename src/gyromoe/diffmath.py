@@ -31,6 +31,9 @@ from .errors import ContractError, DimensionError
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# variance floor inside layer_norm's square root
+LAYER_NORM_EPS = 1e-5
+
 
 class Tensor:
     """Immutable-by-convention float64 array wrapper.
@@ -341,7 +344,7 @@ def row_softmax(ctx: DiffContext, a) -> Tensor:
     return ctx._record(out, vjp, a)
 
 
-def layer_norm(ctx: DiffContext, x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(ctx: DiffContext, x, gain, bias) -> Tensor:
     """Normalization over the last axis with learned gain and bias."""
     xv, gv, bv = value(x), value(gain), value(bias)
     if xv.ndim < 2:
@@ -353,7 +356,7 @@ def layer_norm(ctx: DiffContext, x, gain, bias, eps: float = 1e-5) -> Tensor:
         )
     mu = xv.mean(axis=-1, keepdims=True)
     var = xv.var(axis=-1, keepdims=True)
-    std = np.sqrt(var + eps)
+    std = np.sqrt(var + LAYER_NORM_EPS)
     xhat = (xv - mu) / std
 
     def vjp(g, keys):

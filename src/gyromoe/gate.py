@@ -1,7 +1,9 @@
 """Segment gate: route windows to the range or noise expert and splice.
 
 Routing is rule-based per fixed-length segment. The peak route fires when
-at least ``peak_run`` consecutive samples sit on the clip rail; the noise
+at least ``peak_run`` consecutive samples sit on the clip rail by
+``signal.saturated_mask``, the one rail rule, whose samples are the ones the
+peak expert hides and replaces; the noise
 route fires when some run of ``quiet_run`` consecutive samples stays below
 the quiet threshold. Splicing walks the segment left to right: a saturated
 sample takes the peak expert's value and advances by one; a fully quiet
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .signal import CLIP_EPS, ClipSpec, SampleSeries, Segment, saturated_mask, segment, stitch, true_runs
+from .signal import ClipSpec, SampleSeries, Segment, saturated_mask, segment, stitch, true_runs
 
 log = logging.getLogger("gyromoe.gate")
 
@@ -39,7 +41,6 @@ class GateConfig:
     peak_run: int = 3
     quiet_run: int = 32
     quiet_threshold: float | None = None  # None -> 0.1 * clip level
-    clip_eps: float = CLIP_EPS
 
     def __post_init__(self):
         if self.segment_len < 1:
@@ -52,8 +53,6 @@ class GateConfig:
             raise ConfigError(
                 f"quiet_threshold must be positive, got {self.quiet_threshold}"
             )
-        if not 0.0 <= self.clip_eps < 1.0:
-            raise ConfigError(f"clip_eps must lie in [0, 1), got {self.clip_eps}")
 
     @property
     def quiet_tau(self) -> float:
@@ -75,7 +74,7 @@ def route(values: np.ndarray, config: GateConfig) -> RouteDecision:
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ContractError("route needs a nonempty 1-D window")
-    sat = saturated_mask(x, config.clip, config.clip_eps)
+    sat = saturated_mask(x, config.clip)
     quiet = np.abs(x) < config.quiet_tau
     clipped_ranges = true_runs(sat)
     peak = any(e - s >= config.peak_run for s, e in clipped_ranges)
@@ -83,16 +82,15 @@ def route(values: np.ndarray, config: GateConfig) -> RouteDecision:
     return RouteDecision(peak, bool(quiet_ranges), clipped_ranges, quiet_ranges)
 
 
-def _quiet_blocks(quiet: np.ndarray, sat: np.ndarray | None, q: int) -> np.ndarray:
-    """Samples consumed as noise-expert blocks by the left-to-right walk.
+def _quiet_blocks(quiet_ranges: list, n: int, sat: np.ndarray | None, q: int) -> np.ndarray:
+    """Samples of an ``n``-sample window consumed as noise-expert blocks by
+    the left-to-right walk over the quiet runs of at least ``q`` samples.
 
     ``sat`` is the rail mask when the peak route fired (rail samples take
     single steps in the walk and so can shift block starts), or None.
     """
-    covered = np.zeros(quiet.size, dtype=bool)
-    for s, e in true_runs(quiet):
-        if e - s < q:
-            continue
+    covered = np.zeros(n, dtype=bool)
+    for s, e in quiet_ranges:
         if sat is None or not sat[s:e].any():
             k = (e - s) // q
             covered[s : s + k * q] = True
@@ -117,10 +115,9 @@ def _splice(
     n_hat: np.ndarray | None,
 ) -> np.ndarray:
     y = x.copy()
-    sat = saturated_mask(x, config.clip, config.clip_eps)
+    sat = saturated_mask(x, config.clip) if decision.peak else None
     if decision.noise:
-        quiet = np.abs(x) < config.quiet_tau
-        covered = _quiet_blocks(quiet, sat if decision.peak else None, config.quiet_run)
+        covered = _quiet_blocks(decision.quiet_ranges, x.size, sat, config.quiet_run)
         y[covered] = n_hat[: x.size][covered]
     else:
         covered = np.zeros(x.size, dtype=bool)

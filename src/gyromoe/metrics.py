@@ -17,9 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .signal import CLIP_EPS, ClipSpec, SampleSeries, saturated_mask, true_runs
+from .signal import ClipSpec, SampleSeries, saturated_mask, true_runs
 
 _BI_FACTOR = math.sqrt(2.0 * math.log(2.0) / math.pi)
+
+# how far a local log-log slope may stray from the target and join a fit region
+SLOPE_TOL = 0.15
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +179,12 @@ def allan_deviation(series: SampleSeries, cluster_sizes=None) -> AllanCurve:
     return AllanCurve(np.asarray(taus), np.asarray(devs), skipped)
 
 
-def fit_slope_region(curve: AllanCurve, target_slope: float, tol: float = 0.15):
+def fit_slope_region(curve: AllanCurve, target_slope: float):
     """Intercept sigma(tau=1 s) of the longest log-log stretch near a slope.
 
     Local slopes come from centered differences of log(dev) against
-    log(tau); points within ``tol`` of the target form candidate runs and
-    the longest contiguous run (at least 2 points) is fitted by least
+    log(tau); points within ``SLOPE_TOL`` of the target form candidate runs
+    and the longest contiguous run (at least 2 points) is fitted by least
     squares and extrapolated to tau = 1 s. Returns None when no such
     region exists.
     """
@@ -195,7 +198,7 @@ def fit_slope_region(curve: AllanCurve, target_slope: float, tol: float = 0.15):
     slopes[1:-1] = (ls[2:] - ls[:-2]) / (lt[2:] - lt[:-2])
     slopes[0] = (ls[1] - ls[0]) / (lt[1] - lt[0])
     slopes[-1] = (ls[-1] - ls[-2]) / (lt[-1] - lt[-2])
-    ok = np.abs(slopes - target_slope) <= tol
+    ok = np.abs(slopes - target_slope) <= SLOPE_TOL
     # max keeps the first of equally long runs
     start, stop = max(true_runs(ok), key=lambda run: run[1] - run[0], default=(0, 0))
     if stop - start < 2:
@@ -289,7 +292,7 @@ def poly_extrapolate_peaks(
         raise ConfigError(f"flank {flank} must be at least order + 1 = {order + 1}")
     x = series.values.copy()
     n = x.size
-    sat = saturated_mask(x, clip, CLIP_EPS)
+    sat = saturated_mask(x, clip)
     replaced = []
     skipped = []
     for s, e in true_runs(sat):
@@ -364,7 +367,6 @@ def report(
     clip: ClipSpec,
     segment_len: int = 256,
     static_region: tuple | None = None,
-    cluster_sizes=None,
 ) -> MetricReport:
     """Full metric sweep of an enhanced stream against truth and raw input.
 
@@ -400,8 +402,8 @@ def report(
         if (~noise_mask).any():
             rep.snr_db = snr(enhanced.values[~noise_mask], enhanced.values[noise_mask])
         fs = enhanced.sample_rate
-        curve_enh = allan_deviation(SampleSeries(enhanced.values[lo:hi], fs), cluster_sizes)
-        curve_raw = allan_deviation(SampleSeries(raw.values[lo:hi], fs), cluster_sizes)
+        curve_enh = allan_deviation(SampleSeries(enhanced.values[lo:hi], fs))
+        curve_raw = allan_deviation(SampleSeries(raw.values[lo:hi], fs))
         rep.qn_dps = quantization_noise(curve_enh)
         rep.arw_dsqrth = angle_random_walk(curve_enh)
         rep.bi_dph = bias_instability(curve_enh)

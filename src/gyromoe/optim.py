@@ -1,5 +1,6 @@
 """Adam optimizer with global gradient-norm clipping, and the training loop
-both experts share."""
+both experts share. Adam's ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``
+are module constants at Kingma & Ba's defaults (arXiv 1412.6980)."""
 
 from __future__ import annotations
 
@@ -19,6 +20,11 @@ log = logging.getLogger("gyromoe.optim")
 # numpy calls but keeps more activations alive until its backward
 TRAIN_CHUNK = 8
 
+# Adam's moment decay rates and the guard added to the second-moment root
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class Adam:
     """Standard Adam with bias correction.
@@ -31,15 +37,10 @@ class Adam:
         self,
         params,
         lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         clip_norm: float | None = 1.0,
     ):
         if lr <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigError(f"betas must lie in [0, 1), got ({beta1}, {beta2})")
         if clip_norm is not None and clip_norm <= 0.0:
             raise ConfigError(f"clip_norm must be positive or None, got {clip_norm}")
         seen = set()
@@ -54,9 +55,6 @@ class Adam:
             raise ConfigError("Adam needs at least one parameter")
         self.params = unique
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
         self._m = [np.zeros_like(p.tensor.data) for p in unique]
@@ -85,7 +83,7 @@ class Adam:
         norm = self.global_grad_norm()
         scale = self.clip_scale(norm)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for p, m, v in zip(self.params, self._m, self._v):
@@ -96,7 +94,7 @@ class Adam:
             v += (1.0 - b2) * (g * g)
             m_hat = m / bc1
             v_hat = v / bc2
-            p.tensor.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.tensor.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         return norm
 
 

@@ -1,7 +1,9 @@
 """Sample carriers, CSV ingestion, segmentation, spectra, and synthetic motion.
 
 Angular rate is carried in deg/s throughout; time bases are uniform. All
-arrays are float64.
+arrays are float64. ``saturated_mask`` with the tolerance ``CLIP_EPS`` is
+the one rule for which samples sit on the clip rail; ``synth_motion``
+returns a clean series.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from .errors import ContractError, CsvFormatError, CsvParseError
 
 CSV_HEADER = "t,omega"
 
-# relative tolerance used when deciding a sample sits on the clip rail
+# relative tolerance of the one rail rule, saturated_mask: a sample whose
+# magnitude reaches level * (1 - CLIP_EPS) sits on the clip rail
 CLIP_EPS = 1e-6
 
 
@@ -98,10 +101,6 @@ class ClipSpec:
         if not math.isfinite(self.level) or self.level <= 0.0:
             raise ContractError(f"clip level must be positive, got {self.level}")
 
-    def rail_threshold(self, eps: float = CLIP_EPS) -> float:
-        """Magnitude at or above which a sample counts as saturated."""
-        return self.level * (1.0 - eps)
-
 
 @dataclass
 class SpectralDensity:
@@ -127,10 +126,11 @@ def clip(values: np.ndarray, spec: ClipSpec) -> np.ndarray:
     return np.clip(arr, -spec.level, spec.level)
 
 
-def saturated_mask(values: np.ndarray, spec: ClipSpec, eps: float = CLIP_EPS) -> np.ndarray:
-    """Boolean mask of samples sitting on (or numerically at) the rail."""
+def saturated_mask(values: np.ndarray, spec: ClipSpec) -> np.ndarray:
+    """Boolean mask of samples sitting on (or numerically at) the rail; the
+    gate, the peak expert and the polynomial baseline share this one rule."""
     arr = np.asarray(values, dtype=np.float64)
-    return np.abs(arr) >= spec.rail_threshold(eps)
+    return np.abs(arr) >= spec.level * (1.0 - CLIP_EPS)
 
 
 def true_runs(mask: np.ndarray) -> list:
@@ -298,17 +298,6 @@ class SynthConfig:
                 raise ContractError(f"peak width must be positive, got {ev[2]}")
 
 
-class TruthPeaks:
-    """Lazy over-range index lookup against the clean (unclipped) signal."""
-
-    def __init__(self, clean: np.ndarray):
-        self.clean = np.asarray(clean, dtype=np.float64)
-
-    def over_range(self, spec: ClipSpec) -> np.ndarray:
-        """Indices where the clean signal strictly exceeds the rail."""
-        return np.nonzero(np.abs(self.clean) > spec.level)[0]
-
-
 def _burst(n: int, fs: float, center_s: float, amp: float, width_s: float) -> np.ndarray:
     # center snapped to the grid so one sample sits exactly at the apex
     c = round(center_s * fs)
@@ -318,11 +307,11 @@ def _burst(n: int, fs: float, center_s: float, amp: float, width_s: float) -> np
     return amp * envelope * carrier
 
 
-def synth_motion(config: SynthConfig) -> tuple[SampleSeries, TruthPeaks]:
+def synth_motion(config: SynthConfig) -> SampleSeries:
     """Generate drift + burst + white-noise motion.
 
-    Returns the clean (unclipped) series and a :class:`TruthPeaks` handle
-    for querying over-range sample indices at any clip level.
+    Returns the clean (unclipped) series; ``metrics.peak_indices`` finds its
+    over-range samples at any clip level.
     """
     fs = config.sample_rate
     n = int(round(config.duration_s * fs))
@@ -335,7 +324,7 @@ def synth_motion(config: SynthConfig) -> tuple[SampleSeries, TruthPeaks]:
     if config.white_noise_sigma > 0.0:
         rng = np.random.default_rng(config.rng_seed)
         v = v + rng.normal(0.0, config.white_noise_sigma, n)
-    return SampleSeries(v, fs), TruthPeaks(v)
+    return SampleSeries(v, fs)
 
 
 # ---------------------------------------------------------------------------

@@ -363,7 +363,7 @@ def test_c07_desk_scale_denoising(capsys):
 
 def _scalar_walk(x, config, p_hat, n_hat):
     decision = route(x, config)
-    sat = saturated_mask(x, config.clip, config.clip_eps)
+    sat = saturated_mask(x, config.clip)
     quiet = np.abs(x) < config.quiet_tau
     q = config.quiet_run
     y = x.copy()

@@ -87,7 +87,14 @@ class TestSynth:
 class TestConfigKeys:
     @pytest.mark.parametrize(
         "extra, bad",
-        [({"train_ore": {"epoch": 1}}, "epoch"), ({"segment_length": 32}, "segment_length")],
+        [
+            ({"train_ore": {"epoch": 1}}, "epoch"),
+            ({"segment_length": 32}, "segment_length"),
+            # a value of the wrong type is named, not raised as a traceback
+            ({"train_ore": {"epochs": "four"}}, "train_ore.epochs"),
+            ({"clip_level": "high"}, "clip_level"),
+            ({"backbone": {"embed_dim": "wide"}}, "backbone.embed_dim"),
+        ],
     )
     def test_unknown_key_rejected(self, tmp_path, capsys, extra, bad):
         cfg = write_config(tmp_path, **extra)

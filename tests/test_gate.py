@@ -23,7 +23,7 @@ def gate_config(**kw):
 def scalar_walk(x, config, p_hat, n_hat):
     """Literal left-to-right splice walk used as the batching oracle."""
     decision = route(x, config)
-    sat = saturated_mask(x, config.clip, config.clip_eps)
+    sat = saturated_mask(x, config.clip)
     quiet = np.abs(x) < config.quiet_tau
     q = config.quiet_run
     y = x.copy()

@@ -77,8 +77,6 @@ class TestAdam:
         with pytest.raises(ConfigError):
             Adam([p], lr=0.0)
         with pytest.raises(ConfigError):
-            Adam([p], beta1=1.0)
-        with pytest.raises(ConfigError):
             Adam([p], clip_norm=0.0)
         with pytest.raises(ConfigError):
             Adam([])

@@ -10,6 +10,7 @@ from gyromoe import ore
 from gyromoe.backbone import BackboneConfig, mask_from_flags, mask_sample_indices
 from gyromoe.diffmath import DiffContext
 from gyromoe.errors import ConfigError, ContractError
+from gyromoe.gate import GateConfig, route
 from gyromoe.optim import TRAIN_CHUNK, Adam
 from gyromoe.ore import (
     OreConfig,
@@ -21,7 +22,7 @@ from gyromoe.ore import (
     save_ore,
     train_ore,
 )
-from gyromoe.signal import ClipSpec, Segment, clip
+from gyromoe.signal import CLIP_EPS, ClipSpec, Segment, clip
 
 TINY_BB = BackboneConfig(
     patch_len=4, embed_dim=8, enc_layers=1, dec_layers=1, heads=2, mlp_ratio=2
@@ -312,13 +313,20 @@ class TestReconstruct:
         cfg = tiny_config()
         rng = np.random.default_rng(3)
         params, _ = train_ore(peaky_segments(rng, 8), cfg, epochs=1, seed=2)
-        clean = peaky_segments(rng, 1)[0]
-        railed = clip(clean, cfg.clip)
-        sat = np.abs(railed) >= cfg.clip.level * (1 - 1e-6)
-        assert sat.any()
+        level = cfg.clip.level
+        railed = clip(peaky_segments(rng, 1)[0], cfg.clip)
+        # off the rail run: one sample just inside the rail tolerance, one just outside it
+        railed[1] = level * (1 - CLIP_EPS / 2)
+        railed[30] = level * (1 - 2 * CLIP_EPS)
+        # the expert must change exactly the samples the gate counts as on the rail
+        decision = route(railed, GateConfig(clip=cfg.clip, segment_len=32))
+        on_rail = np.zeros(railed.size, dtype=bool)
+        for s, e in decision.clipped_ranges:
+            on_rail[s:e] = True
+        assert decision.peak and on_rail[1] and not on_rail[30]
         out = reconstruct([Segment(railed.copy(), 0, 32)], params, cfg)[0]
-        np.testing.assert_array_equal(out.values[~sat], railed[~sat])
-        assert not np.array_equal(out.values[sat], railed[sat])
+        changed = out.values.view(np.int64) != railed.view(np.int64)
+        np.testing.assert_array_equal(changed, on_rail)
 
     def test_padding_is_not_treated_as_saturated(self):
         cfg = tiny_config()
