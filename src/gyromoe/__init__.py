@@ -56,7 +56,7 @@ from .ore import (
     save_ore,
     train_ore,
 )
-from .signal import ClipSpec, SampleSeries, Segment, SynthConfig, load_csv, save_csv, synth_motion
+from .signal import ClipSpec, SampleSeries, SynthConfig, load_csv, save_csv, synth_motion
 
 __version__ = "0.1.0"
 
@@ -80,7 +80,6 @@ __all__ = [
     "OreConfig",
     "RouteDecision",
     "SampleSeries",
-    "Segment",
     "SynthConfig",
     "allan_deviation",
     "angle_random_walk",

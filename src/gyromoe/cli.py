@@ -419,7 +419,7 @@ def main(argv=None) -> int:
         _setup_logging()
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except GyroMoeError as exc:
+    except (GyroMoeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from .checkpoint import load_expert, save_expert
 from .diffmath import DiffContext, Param, Tensor
 from .errors import ConfigError, ContractError, DimensionError
 from .optim import TrainTrace, fit
-from .signal import ClipSpec, SampleSeries, Segment, SpectralDensity, psd
+from .signal import ClipSpec, SampleSeries, SpectralDensity, psd
 
 SHARE_MODES = ("none", "encoder", "decoder", "both")
 
@@ -335,36 +335,28 @@ def train_de(
     return de_params, trace
 
 
-def denoise(segs, de_params: DeParams, config: DeConfig) -> list:
-    """Run both branches on a list of equal-length Segments and fuse each
-    window's hidden-side outputs; returns the denoised Segments.
+def denoise(windows, de_params: DeParams, config: DeConfig) -> np.ndarray:
+    """Run both branches on a ``[k, L]`` array, one window per row, and
+    fuse each window's hidden-side outputs into a new ``[k, L]`` array.
 
-    The cross masks are the same for every window, so the whole list runs
+    The cross masks are the same for every window, so the whole array runs
     as one batch.
     """
-    if not segs:
-        return []
+    x = np.asarray(windows, dtype=np.float64)
     P = config.backbone.patch_len
-    L = segs[0].values.size
-    if any(seg.values.size != L for seg in segs):
-        raise ContractError("denoise needs windows of one length")
-    if L % P != 0:
-        raise ContractError(f"segment length {L} does not tile into patches of {P}")
-    mask_a, mask_b = cross_masks(L // P)
+    if x.ndim != 2 or x.shape[1] % P != 0:
+        raise DimensionError(f"denoise needs [k, L] windows with L a multiple of {P}, got {x.shape}")
+    if not len(x):
+        return x.copy()
+    mask_a, mask_b = cross_masks(x.shape[1] // P)
     level = config.clip.level
-    x = np.stack([seg.values for seg in segs]) / level
-    pred_a, pred_b = dual_forward(DiffContext(record=False), de_params, config, x, mask_a, mask_b)
-    fused = fuse(pred_a.data, pred_b.data, mask_a, mask_b, P) * level
-    return [Segment(row, seg.origin_index, seg.true_len) for row, seg in zip(fused, segs)]
+    pred_a, pred_b = dual_forward(DiffContext(record=False), de_params, config, x / level, mask_a, mask_b)
+    return fuse(pred_a.data, pred_b.data, mask_a, mask_b, P) * level
 
 
 def make_noise_fn(de_params: DeParams, config: DeConfig):
-    """Adapter giving the gate a windows -> ``[k, L]`` prediction callable."""
-
-    def noise_fn(segs) -> np.ndarray:
-        return np.stack([seg.values for seg in denoise(segs, de_params, config)])
-
-    return noise_fn
+    """Adapter giving the gate a ``[k, L]`` -> ``[k, L]`` prediction callable."""
+    return lambda windows: denoise(windows, de_params, config)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
-"""Segment gate: route windows to the range or noise expert and splice.
+"""Window gate: route windows to the range or noise expert and splice.
 
-Routing is rule-based per fixed-length segment. The peak route fires when
-at least ``peak_run`` consecutive samples sit on the clip rail by
+``signal.segment`` cuts the stream into a ``[n, L]`` array, one fixed-length
+window per row, and routing is rule-based per window. The peak route fires
+when at least ``peak_run`` consecutive samples sit on the clip rail by
 ``signal.saturated_mask``, the one rail rule, whose samples are the ones the
-peak expert hides and replaces; the noise
-route fires when some run of ``quiet_run`` consecutive samples stays below
-the quiet threshold. Splicing walks the segment left to right: a saturated
-sample takes the peak expert's value and advances by one; a fully quiet
-window of ``quiet_run`` samples takes the noise expert's values as a block
-and advances by the block length; everything else passes through.
+peak expert hides and replaces; the noise route fires when some run of
+``quiet_run`` consecutive samples stays below the quiet threshold. Splicing
+walks the window left to right: a saturated sample takes the peak expert's
+value and advances by one; a fully quiet block of ``quiet_run`` samples
+takes the noise expert's values and advances by the block length;
+everything else passes through.
 
-The implementation batches that walk (vectorized rail replacement plus
-run-length block placement) but is sample-for-sample identical to the
-scalar procedure above. Experts are batched too: every window is routed
-first, then each expert is called once per chunk of up to
-``EXPERT_CHUNK`` windows its route fired on.
+The implementation vectorizes the rail replacement and walks only the
+quiet runs, but is sample-for-sample identical to the scalar procedure
+above. Experts are batched too: every window is routed first, then each
+expert is called once per chunk of up to ``EXPERT_CHUNK`` windows its route
+fired on.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .signal import ClipSpec, SampleSeries, Segment, saturated_mask, segment, stitch, true_runs
+from .signal import ClipSpec, SampleSeries, saturated_mask, segment, stitch, true_runs
 
 log = logging.getLogger("gyromoe.gate")
 
@@ -91,19 +92,13 @@ def _quiet_blocks(quiet_ranges: list, n: int, sat: np.ndarray | None, q: int) ->
     """
     covered = np.zeros(n, dtype=bool)
     for s, e in quiet_ranges:
-        if sat is None or not sat[s:e].any():
-            k = (e - s) // q
-            covered[s : s + k * q] = True
-        else:
-            t = s
-            while t < e:
-                if sat[t]:
-                    t += 1
-                elif t + q <= e:
-                    covered[t : t + q] = True
-                    t += q
-                else:
-                    t += 1
+        t = s
+        while t < e:
+            if (sat is None or not sat[t]) and t + q <= e:
+                covered[t : t + q] = True
+                t += q
+            else:
+                t += 1
     return covered
 
 
@@ -127,15 +122,15 @@ def _splice(
     return y
 
 
-def _expert_outputs(fn, segs: list, name: str) -> list:
-    """``fn`` over ``segs`` in chunks of EXPERT_CHUNK windows; one row per window."""
+def _expert_outputs(fn, windows: np.ndarray, name: str) -> list:
+    """``fn`` over the rows of ``windows`` in chunks of EXPERT_CHUNK; one
+    output row per window."""
     rows = []
-    for start in range(0, len(segs), EXPERT_CHUNK):
-        chunk = segs[start : start + EXPERT_CHUNK]
+    for start in range(0, len(windows), EXPERT_CHUNK):
+        chunk = windows[start : start + EXPERT_CHUNK]
         out = np.asarray(fn(chunk), dtype=np.float64)
-        want = (len(chunk), chunk[0].values.size)
-        if out.shape != want:
-            raise ContractError(f"{name} expert returned shape {out.shape}, expected {want}")
+        if out.shape != chunk.shape:
+            raise ContractError(f"{name} expert returned shape {out.shape}, expected {chunk.shape}")
         rows.extend(out)
     return rows
 
@@ -148,39 +143,42 @@ def enhance(
 ) -> SampleSeries:
     """Route every window of ``series`` and splice expert outputs in.
 
-    ``peak_fn`` / ``noise_fn`` map a list of k Segments to a ``[k, L]``
-    array of full-length predictions, one row per window. An expert is only
+    ``peak_fn`` / ``noise_fn`` map a ``[k, L]`` array of windows, one per
+    row, to a ``[k, L]`` array of full-length predictions. An expert is only
     consulted on windows where its route fires, once per chunk of up to
     ``EXPERT_CHUNK`` such windows; if a route fires and its expert is
     missing, that is a configuration error, raised before any expert runs.
-    Windows where nothing fires pass through untouched.
+    Windows where nothing fires pass through untouched. Only a window's
+    real samples are routed and spliced; the zero padding that ``segment``
+    adds past the end of the stream is not.
     """
-    segs = segment(series, config.segment_len, config.segment_len)
+    n = len(series)
+    L = config.segment_len
+    windows = segment(series, L)
+    out = windows.copy()
+    # window w holds min(L, n - w * L) real samples; the rest is zero padding
+    real = [windows[w, : min(L, n - w * L)] for w in range(len(windows))]
     decisions = []
-    for seg in segs:
-        decision = route(seg.true_values(), config)
+    for w, x in enumerate(real):
+        decision = route(x, config)
         if decision.peak and peak_fn is None:
             raise ConfigError(
-                f"peak route fired on segment at {seg.origin_index} but no peak expert is loaded"
+                f"peak route fired on segment at {w * L} but no peak expert is loaded"
             )
         if decision.noise and noise_fn is None:
             raise ConfigError(
-                f"noise route fired on segment at {seg.origin_index} but no noise expert is loaded"
+                f"noise route fired on segment at {w * L} but no noise expert is loaded"
             )
         decisions.append(decision)
-    p_rows = iter(_expert_outputs(peak_fn, [s for s, d in zip(segs, decisions) if d.peak], "peak"))
-    n_rows = iter(_expert_outputs(noise_fn, [s for s, d in zip(segs, decisions) if d.noise], "noise"))
-    out_segs = []
-    for seg, decision in zip(segs, decisions):
+    p_rows = iter(_expert_outputs(peak_fn, windows[[d.peak for d in decisions]], "peak"))
+    n_rows = iter(_expert_outputs(noise_fn, windows[[d.noise for d in decisions]], "noise"))
+    for w, (x, decision) in enumerate(zip(real, decisions)):
         p_hat = next(p_rows) if decision.peak else None
         n_hat = next(n_rows) if decision.noise else None
-        y = _splice(seg.true_values(), decision, config, p_hat, n_hat)
-        padded = np.zeros_like(seg.values)
-        padded[: seg.true_len] = y
-        out_segs.append(Segment(padded, seg.origin_index, seg.true_len))
+        out[w, : x.size] = _splice(x, decision, config, p_hat, n_hat)
     n_peak = sum(d.peak for d in decisions)
     n_noise = sum(d.noise for d in decisions)
     log.info(
-        "enhance: %d segments, %d peak-routed, %d noise-routed", len(segs), n_peak, n_noise
+        "enhance: %d segments, %d peak-routed, %d noise-routed", len(windows), n_peak, n_noise
     )
-    return SampleSeries(stitch(out_segs, len(series)), series.sample_rate)
+    return SampleSeries(stitch(out, n), series.sample_rate)

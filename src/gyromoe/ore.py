@@ -18,9 +18,9 @@ from . import backbone as bb
 from . import diffmath as dm
 from .checkpoint import load_expert, save_expert
 from .diffmath import DiffContext, Param, Tensor
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DimensionError
 from .optim import TrainTrace, fit
-from .signal import ClipSpec, Segment, clip, saturated_mask
+from .signal import ClipSpec, clip, saturated_mask
 
 log = logging.getLogger("gyromoe.ore")
 
@@ -221,42 +221,34 @@ def train_ore(
     return params, trace
 
 
-def reconstruct(segs, params: bb.ModelParams, config: OreConfig) -> list:
+def reconstruct(windows, params: bb.ModelParams, config: OreConfig) -> np.ndarray:
     """Replace the saturated samples of each window with model predictions.
 
-    Takes and returns a list of equal-length Segments. Samples off the rail
-    pass through untouched; a window with no rail contact comes back as an
-    identical copy. The railed windows run through the backbone as one
-    batch, each on the full patch grid with its own mask, so a window's
-    output does not depend on the other windows in the list. A window that
-    saturates every patch raises :class:`MaskError`.
+    Takes a ``[k, L]`` array, one window per row, and returns a new
+    ``[k, L]`` array. Samples off the rail pass through untouched; a window
+    with no rail contact comes back unchanged. The railed windows run
+    through the backbone as one batch, each on the full patch grid with its
+    own mask, so a window's output does not depend on the other windows. A
+    window that saturates every patch raises :class:`MaskError`.
     """
-    if len({seg.values.size for seg in segs}) > 1:
-        raise ContractError("reconstruct needs windows of one length")
+    x = np.asarray(windows, dtype=np.float64)
     P = config.backbone.patch_len
+    if x.ndim != 2 or x.shape[1] % P != 0:
+        raise DimensionError(f"reconstruct needs [k, L] windows with L a multiple of {P}, got {x.shape}")
     level = config.clip.level
-    out = [Segment(seg.values.copy(), seg.origin_index, seg.true_len) for seg in segs]
-    railed = []  # (window index, rail flags, mask)
-    for i, seg in enumerate(out):
-        flags = saturated_mask(seg.values, config.clip)
-        flags[seg.true_len :] = False
-        if flags.any():
-            railed.append((i, flags, bb.mask_from_flags(flags, P)))
-    if railed:
-        x = np.stack([out[i].values for i, _, _ in railed]) / level
-        pred = bb.forward_values(params, config.backbone, x, [mask for _, _, mask in railed])
-        for (i, flags, _), row in zip(railed, pred):
-            out[i].values[flags] = row[flags] * level
+    flags = saturated_mask(x, config.clip)
+    railed = flags.any(axis=1)
+    out = x.copy()
+    if railed.any():
+        masks = [bb.mask_from_flags(f, P) for f in flags[railed]]
+        pred = bb.forward_values(params, config.backbone, x[railed] / level, masks)
+        out[railed] = np.where(flags[railed], pred * level, x[railed])
     return out
 
 
 def make_peak_fn(params: bb.ModelParams, config: OreConfig):
-    """Adapter giving the gate a windows -> ``[k, L]`` prediction callable."""
-
-    def peak_fn(segs) -> np.ndarray:
-        return np.stack([seg.values for seg in reconstruct(segs, params, config)])
-
-    return peak_fn
+    """Adapter giving the gate a ``[k, L]`` -> ``[k, L]`` prediction callable."""
+    return lambda windows: reconstruct(windows, params, config)
 
 
 # ---------------------------------------------------------------------------

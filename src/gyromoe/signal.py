@@ -2,7 +2,9 @@
 
 Angular rate is carried in deg/s throughout; time bases are uniform. All
 arrays are float64. ``saturated_mask`` with the tolerance ``CLIP_EPS`` is
-the one rule for which samples sit on the clip rail; ``synth_motion``
+the one rule for which samples sit on the clip rail. ``segment`` cuts a
+series into the ``[n, L]`` window array that the gate and both experts
+share, one window per row, and ``stitch`` undoes it. ``synth_motion``
 returns a clean series.
 """
 
@@ -65,32 +67,6 @@ class SampleSeries:
         return np.arange(len(self), dtype=np.float64) / self.sample_rate
 
 
-@dataclass
-class Segment:
-    """A fixed-length window cut from a series.
-
-    ``values`` always has the full window length; when the window ran past
-    the end of the source series the tail is zero padding and ``true_len``
-    records how many leading samples are real.
-    """
-
-    values: np.ndarray
-    origin_index: int
-    true_len: int
-
-    def __post_init__(self):
-        self.values = _as_float_array(self.values, "segment values")
-        if not 1 <= self.true_len <= self.values.size:
-            raise ContractError(
-                f"true_len {self.true_len} outside [1, {self.values.size}]"
-            )
-        if self.origin_index < 0:
-            raise ContractError(f"origin_index must be >= 0, got {self.origin_index}")
-
-    def true_values(self) -> np.ndarray:
-        return self.values[: self.true_len]
-
-
 @dataclass(frozen=True)
 class ClipSpec:
     """Symmetric saturation rail: representable range is [-level, +level]."""
@@ -143,39 +119,30 @@ def true_runs(mask: np.ndarray) -> list:
     return list(zip(starts.tolist(), stops.tolist()))
 
 
-def segment(series: SampleSeries, seg_len: int, stride: int) -> list[Segment]:
-    """Cut ``series`` into fixed-length windows.
+def segment(series: SampleSeries, seg_len: int) -> np.ndarray:
+    """Cut ``series`` into back-to-back windows of ``seg_len`` samples.
 
-    Window origins advance by ``stride``; a window running past the end is
-    zero padded and its ``true_len`` records the real sample count. A series
-    shorter than ``seg_len`` yields a single padded segment.
+    Returns a ``[ceil(n / seg_len), seg_len]`` array whose rows are the
+    windows; the last row is zero padded past the end of the series, so a
+    series shorter than ``seg_len`` yields one padded row.
     """
-    n = len(series)
     if seg_len < 1:
         raise ContractError(f"segment length must be >= 1, got {seg_len}")
-    if not 1 <= stride <= seg_len:
-        raise ContractError(f"stride {stride} outside [1, {seg_len}]")
-    out = []
-    for origin in range(0, n, stride):
-        avail = n - origin
-        true_len = min(avail, seg_len)
-        vals = np.zeros(seg_len, dtype=np.float64)
-        vals[:true_len] = series.values[origin : origin + true_len]
-        out.append(Segment(vals, origin, true_len))
-    return out
+    n = len(series)
+    rows = -(-n // seg_len)
+    out = np.zeros(rows * seg_len, dtype=np.float64)
+    out[:n] = series.values
+    return out.reshape(rows, seg_len)
 
 
-def stitch(segments: list[Segment], total_len: int) -> np.ndarray:
-    """Reassemble non-overlapping segments back into a flat array."""
-    out = np.zeros(total_len, dtype=np.float64)
-    for seg in segments:
-        stop = seg.origin_index + seg.true_len
-        if stop > total_len:
-            raise ContractError(
-                f"segment [{seg.origin_index}, {stop}) exceeds series length {total_len}"
-            )
-        out[seg.origin_index : stop] = seg.true_values()
-    return out
+def stitch(windows: np.ndarray, total_len: int) -> np.ndarray:
+    """Inverse of ``segment``: the first ``total_len`` samples of the rows."""
+    flat = np.asarray(windows, dtype=np.float64).reshape(-1)
+    if flat.size < total_len:
+        raise ContractError(
+            f"{flat.size} window samples cannot cover series length {total_len}"
+        )
+    return flat[:total_len].copy()
 
 
 def psd(series: SampleSeries) -> SpectralDensity:
@@ -223,14 +190,17 @@ def load_csv(path) -> SampleSeries:
     Raises
     ------
     CsvFormatError
-        Wrong header, fewer than 2 rows, or a non-uniform/non-increasing
+        Not UTF-8, wrong header, fewer than 2 rows, or a non-uniform/non-increasing
         time column (relative jitter above 1e-6).
     CsvParseError
         A row that does not parse as two floats; the message names the
         1-based line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"file is not UTF-8: {exc}") from None
     if not raw_lines or raw_lines[0].strip() != CSV_HEADER:
         got = raw_lines[0].strip() if raw_lines else "<empty file>"
         raise CsvFormatError(f"expected header '{CSV_HEADER}', got '{got}'")

@@ -45,7 +45,6 @@ from gyromoe.ore import OreConfig, ore_total_loss, pinn_loss, reconstruct, train
 from gyromoe.signal import (
     ClipSpec,
     SampleSeries,
-    Segment,
     load_csv,
     make_snippet_pool,
     saturated_mask,
@@ -294,7 +293,7 @@ def test_c06_desk_scale_reconstruction(capsys):
     t_list, c_list, r_list, escapes = [], [], [], []
     for clean in held:
         clipped = np.clip(clean, -rail, rail)
-        recon = reconstruct([Segment(clipped.copy(), 0, seg_len)], params, cfg)[0].values
+        recon = reconstruct(clipped[None], params, cfg)[0]
         t_list.append(clean)
         c_list.append(clipped)
         r_list.append(recon)
@@ -331,7 +330,7 @@ def test_c07_desk_scale_denoising(capsys):
     for _ in range(40):
         base = SampleSeries(eval_rng.normal(0.0, sigma, seg_len), fs)
         x_mix, _, inj = augment_segment(base, aug, eval_rng)
-        y = denoise([Segment(x_mix, 0, seg_len)], params, cfg)[0].values
+        y = denoise(x_mix[None], params, cfg)[0]
         sig = np.zeros(seg_len, dtype=bool)
         sig[inj.offset : inj.offset + inj.snippet_len] = True
         gains.append(snr(y[sig], y[~sig]) - snr(x_mix[sig], x_mix[~sig]))
@@ -343,9 +342,7 @@ def test_c07_desk_scale_denoising(capsys):
     static = 0.5 + static_rng.normal(0.0, sigma, n_static)
     den = np.empty_like(static)
     for s in range(0, n_static, seg_len):
-        den[s : s + seg_len] = denoise(
-            [Segment(static[s : s + seg_len].copy(), s, seg_len)], params, cfg
-        )[0].values
+        den[s : s + seg_len] = denoise(static[s : s + seg_len][None], params, cfg)[0]
     bi_raw = bias_instability(allan_deviation(SampleSeries(static, fs)))
     bi_den = bias_instability(allan_deviation(SampleSeries(den, fs)))
     assert bi_raw is not None and bi_raw > 0.0

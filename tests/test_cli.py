@@ -266,7 +266,31 @@ class TestEnhanceStartupChecks:
         arrays = load_arrays(path)
         arrays["meta.gd_placement"] = np.asarray(-1.0)
         save_arrays(path, arrays)
-        assert self.run(tmp_path, cfg, {"--ore-ckpt": path}) == 2
+        for ckpt in (path, str(tmp_path / "missing.ckpt")):
+            assert self.run(tmp_path, cfg, {"--ore-ckpt": ckpt}) == 2
+            assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"t,omega\n0.0,\xb0\n0.01,1.0\n"], ids=["missing", "not_utf8"])
+    def test_unreadable_input(self, tmp_path, capsys, content):
+        # a missing file and a non-UTF-8 file both print an error, not a traceback
+        cfg = write_config(tmp_path)
+        src = tmp_path / "in.csv"
+        if content is not None:
+            src.write_bytes(content)
+        out = tmp_path / "out.csv"
+        assert main(["enhance", "--config", cfg, "--input", str(src), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+        if content is not None:
+            assert main(["allan", "--input", str(src)]) == 2
+            assert "UTF-8" in capsys.readouterr().err
+
+    def test_output_directory_missing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        src = tmp_path / "in.csv"
+        save_csv(SampleSeries(np.full(64, 200.0), 100.0), src)
+        out = tmp_path / "no" / "such" / "out.csv"
+        assert main(["enhance", "--config", cfg, "--input", str(src), "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -352,6 +376,15 @@ class TestAllan:
         save_csv(SampleSeries(rng.normal(size=64), 10.0), tmp_path / "in.csv")
         assert main(["allan", "--input", str(tmp_path / "in.csv")]) == 0
         assert capsys.readouterr().out.startswith("tau_s,sigma")
+
+
+class TestPublicApi:
+    def test_star_import_resolves_every_name(self):
+        import gyromoe
+
+        namespace = {}
+        exec("from gyromoe import *", namespace)
+        assert sorted(gyromoe.__all__) == sorted(n for n in namespace if n != "__builtins__")
 
 
 class TestLogging:

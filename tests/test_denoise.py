@@ -30,7 +30,6 @@ from gyromoe.optim import Adam
 from gyromoe.signal import (
     ClipSpec,
     SampleSeries,
-    Segment,
     SpectralDensity,
     make_snippet_pool,
     psd,
@@ -380,22 +379,22 @@ class TestDenoiseInference:
 
     def test_output_shape_and_metadata(self):
         params, cfg = self.make_trained()
-        seg = Segment(np.random.default_rng(16).normal(0, 0.05, 32), origin_index=64, true_len=30)
-        [out] = denoise([seg], params, cfg)
-        assert out.values.shape == (32,)
-        assert out.origin_index == 64 and out.true_len == 30
+        windows = np.random.default_rng(16).normal(0, 0.05, (3, 32))
+        out = denoise(windows, params, cfg)
+        assert out.shape == (3, 32) and out.dtype == np.float64
+        assert denoise(windows[:0], params, cfg).shape == (0, 32)
 
     def test_matches_manual_fuse(self):
         from gyromoe.denoise import dual_forward
 
         params, cfg = self.make_trained(17)
         x = np.random.default_rng(18).normal(0, 0.05, 32)
-        [out] = denoise([Segment(x, 0, 32)], params, cfg)
+        [out] = denoise(x[None], params, cfg)
         a, b = cross_masks(8)
         ctx = DiffContext()
         pa, pb = dual_forward(ctx, params, cfg, (x / cfg.clip.level)[None], a, b)
         want = fuse(pa.data[0], pb.data[0], a, b, 4) * cfg.clip.level
-        np.testing.assert_array_equal(out.values, want)
+        np.testing.assert_array_equal(out, want)
 
     def test_checkpoint_round_trip(self, tmp_path):
         params, cfg = self.make_trained(19)
@@ -406,8 +405,8 @@ class TestDenoiseInference:
         assert cfg2.backbone == cfg.backbone
         x = np.random.default_rng(20).normal(0, 0.05, 32)
         np.testing.assert_array_equal(
-            denoise([Segment(x, 0, 32)], params, cfg)[0].values,
-            denoise([Segment(x, 0, 32)], params2, cfg2)[0].values,
+            denoise(x[None], params, cfg),
+            denoise(x[None], params2, cfg2),
         )
 
     def test_wrong_kind_rejected(self, tmp_path):

@@ -123,11 +123,11 @@ class TestRoute:
 
 def const_expert(row):
     """Expert that predicts ``row`` for every window it is given."""
-    return lambda segs: np.tile(row, (len(segs), 1))
+    return lambda windows: np.tile(row, (len(windows), 1))
 
 
-def identity_expert(segs):
-    return np.stack([seg.values for seg in segs])
+def identity_expert(windows):
+    return windows.copy()
 
 
 def stub_experts(n):
@@ -142,9 +142,9 @@ class TestEnhance:
         series = SampleSeries(vals, 100.0)
         calls = []
 
-        def spy(segs):
-            calls.append([seg.origin_index for seg in segs])
-            return identity_expert(segs)
+        def spy(windows):
+            calls.append(len(windows))
+            return identity_expert(windows)
 
         out = enhance(series, cfg, peak_fn=spy, noise_fn=spy)
         np.testing.assert_array_equal(out.values, vals)
@@ -193,12 +193,37 @@ class TestEnhance:
         assert out.sample_rate == 100.0
         np.testing.assert_array_equal(out.values, vals)
 
+        # routed partial windows: only the real samples are routed and spliced,
+        # so a quiet run at the end does not grow into the zero padding
+        p_hat, n_hat = np.full(64, 7.0), -np.arange(64, dtype=np.float64)
+        peak, noise = stub_experts(64)
+        tail = vals.copy()
+        tail[130:134] = LEVEL  # rail run in the 22-sample tail
+        tail[136:144] = 0.0  # quiet run of quiet_run samples
+        tail[147:150] = 0.0  # 3 quiet samples at the very end
+        short = rng.uniform(0.2, 0.8, size=20)  # shorter than one window
+        short[5:9] = -LEVEL
+        short[16:20] = 0.0
+        outs = []
+        for x in (tail, short):
+            out = enhance(SampleSeries(x, 100.0), cfg, peak_fn=peak, noise_fn=noise).values
+            assert out.shape == x.shape
+            for w in range(0, x.size, 64):
+                real = x[w : w + 64]
+                np.testing.assert_array_equal(out[w : w + 64], scalar_walk(real, cfg, p_hat, n_hat))
+            outs.append(out)
+        np.testing.assert_array_equal(outs[0][130:134], np.full(4, 7.0))
+        np.testing.assert_array_equal(outs[0][136:144], n_hat[8:16])
+        np.testing.assert_array_equal(outs[0][144:], tail[144:])
+        np.testing.assert_array_equal(outs[1][5:9], np.full(4, 7.0))
+        np.testing.assert_array_equal(outs[1][16:], short[16:])
+
     def test_expert_shape_checked(self):
         cfg = gate_config()
         x = np.full(64, 0.5)
         x[5:9] = LEVEL
         with pytest.raises(ContractError, match="shape"):
-            enhance(SampleSeries(x, 100.0), cfg, peak_fn=lambda segs: np.zeros(3))
+            enhance(SampleSeries(x, 100.0), cfg, peak_fn=lambda windows: np.zeros(3))
 
 
 class TestScalarWalkEquivalence:
@@ -262,13 +287,16 @@ def batch_window(rng, kind):
 
 
 class SpyExpert:
-    def __init__(self, fn):
+    def __init__(self, fn, stream):
         self.fn = fn
-        self.calls = []  # origin indices of the windows in each call
+        # start sample of each window of ``stream``, keyed by its bytes
+        self.starts = {stream[w : w + WINDOW].tobytes(): w for w in range(0, stream.size, WINDOW)}
+        assert len(self.starts) * WINDOW == stream.size
+        self.calls = []  # start samples of the windows in each call
 
-    def __call__(self, segs):
-        self.calls.append([seg.origin_index for seg in segs])
-        return self.fn(segs)
+    def __call__(self, windows):
+        self.calls.append([self.starts[row.tobytes()] for row in windows])
+        return self.fn(windows)
 
 
 def small_experts(seed=0):
@@ -297,7 +325,7 @@ class TestBatchedExperts:
         assert len({len(m.hidden) for m in masks}) >= 2  # more than one visible-patch group
 
         peak, noise = small_experts()
-        peak_spy, noise_spy = SpyExpert(peak), SpyExpert(noise)
+        peak_spy, noise_spy = SpyExpert(peak, x), SpyExpert(noise, x)
         whole = enhance(SampleSeries(x, 100.0), cfg, peak_fn=peak_spy, noise_fn=noise_spy).values
         for spy, windows in ((peak_spy, peak_windows), (noise_spy, noise_windows)):
             want = [windows[i : i + EXPERT_CHUNK] for i in range(0, len(windows), EXPERT_CHUNK)]

@@ -9,7 +9,7 @@ import gyromoe.diffmath as dm
 from gyromoe import ore
 from gyromoe.backbone import BackboneConfig, mask_from_flags, mask_sample_indices
 from gyromoe.diffmath import DiffContext
-from gyromoe.errors import ConfigError, ContractError
+from gyromoe.errors import ConfigError, ContractError, DimensionError
 from gyromoe.gate import GateConfig, route
 from gyromoe.optim import TRAIN_CHUNK, Adam
 from gyromoe.ore import (
@@ -22,7 +22,7 @@ from gyromoe.ore import (
     save_ore,
     train_ore,
 )
-from gyromoe.signal import CLIP_EPS, ClipSpec, Segment, clip
+from gyromoe.signal import CLIP_EPS, ClipSpec, clip
 
 TINY_BB = BackboneConfig(
     patch_len=4, embed_dim=8, enc_layers=1, dec_layers=1, heads=2, mlp_ratio=2
@@ -302,12 +302,14 @@ class TestReconstruct:
     def test_untouched_segment_passes_through(self):
         cfg = tiny_config()
         params, _ = train_ore(peaky_segments(np.random.default_rng(2), 8), cfg, epochs=1, seed=1)
-        seg = Segment(np.linspace(-0.5, 0.5, 32), 0, 32)
-        out = reconstruct([seg], params, cfg)[0]
-        np.testing.assert_array_equal(out.values, seg.values)
-        # the windows of one call form one batch, so they share one length
-        with pytest.raises(ContractError):
-            reconstruct([seg, Segment(np.zeros(16), 0, 16)], params, cfg)
+        windows = np.linspace(-0.5, 0.5, 32)[None]
+        out = reconstruct(windows, params, cfg)
+        assert out.shape == (1, 32) and out is not windows
+        np.testing.assert_array_equal(out, windows)
+        assert reconstruct(windows[:0], params, cfg).shape == (0, 32)
+        # the windows of one call form one [k, L] batch
+        with pytest.raises(DimensionError):
+            reconstruct(windows[0], params, cfg)
 
     def test_only_saturated_samples_change(self):
         cfg = tiny_config()
@@ -324,8 +326,8 @@ class TestReconstruct:
         for s, e in decision.clipped_ranges:
             on_rail[s:e] = True
         assert decision.peak and on_rail[1] and not on_rail[30]
-        out = reconstruct([Segment(railed.copy(), 0, 32)], params, cfg)[0]
-        changed = out.values.view(np.int64) != railed.view(np.int64)
+        out = reconstruct(railed[None], params, cfg)[0]
+        changed = out.view(np.int64) != railed.view(np.int64)
         np.testing.assert_array_equal(changed, on_rail)
 
     def test_padding_is_not_treated_as_saturated(self):
@@ -333,9 +335,8 @@ class TestReconstruct:
         params, _ = train_ore(peaky_segments(np.random.default_rng(4), 8), cfg, epochs=1, seed=3)
         vals = np.zeros(32)
         vals[:6] = 0.3
-        seg = Segment(vals, 0, true_len=6)
-        out = reconstruct([seg], params, cfg)[0]
-        np.testing.assert_array_equal(out.values, vals)
+        out = reconstruct(vals[None], params, cfg)[0]
+        np.testing.assert_array_equal(out, vals)
 
 
 class TestCheckpointGlue:
@@ -348,9 +349,9 @@ class TestCheckpointGlue:
         params2, cfg2 = load_ore(path)
         assert cfg2.clip.level == cfg.clip.level
         assert cfg2.backbone == cfg.backbone
-        seg = Segment(clip(peaky_segments(rng, 1)[0], cfg.clip), 0, 32)
+        windows = clip(peaky_segments(rng, 1)[0], cfg.clip)[None]
         np.testing.assert_array_equal(
-            reconstruct([seg], params, cfg)[0].values, reconstruct([seg], params2, cfg2)[0].values
+            reconstruct(windows, params, cfg), reconstruct(windows, params2, cfg2)
         )
 
     def test_wrong_kind_rejected(self, tmp_path):

@@ -7,7 +7,6 @@ from gyromoe.errors import ContractError, CsvFormatError, CsvParseError
 from gyromoe.signal import (
     ClipSpec,
     SampleSeries,
-    Segment,
     SynthConfig,
     clip,
     load_csv,
@@ -31,12 +30,6 @@ class TestCarriers:
             SampleSeries(np.array([1.0, 2.0]), 0.0)
         with pytest.raises(ContractError):
             SampleSeries(np.empty(0), 100.0)
-
-    def test_segment_true_len_bounds(self):
-        with pytest.raises(ContractError):
-            Segment(np.zeros(4), 0, 5)
-        with pytest.raises(ContractError):
-            Segment(np.zeros(4), -1, 4)
 
     def test_clip_spec_positive(self):
         with pytest.raises(ContractError):
@@ -70,30 +63,14 @@ class TestClip:
 class TestSegment:
     def test_len10_window4_stride4(self):
         series = SampleSeries(np.arange(10.0), 100.0)
-        segs = segment(series, 4, 4)
-        assert [s.origin_index for s in segs] == [0, 4, 8]
-        assert [s.true_len for s in segs] == [4, 4, 2]
-        assert segs[2].values.tolist() == [8.0, 9.0, 0.0, 0.0]
-
-    def test_len3_window2_stride1(self):
-        series = SampleSeries(np.arange(3.0), 10.0)
-        segs = segment(series, 2, 1)
-        assert [s.origin_index for s in segs] == [0, 1, 2]
-        assert segs[2].true_len == 1
+        windows = segment(series, 4)
+        assert windows.shape == (3, 4) and windows.dtype == np.float64
+        assert windows.tolist() == [[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0], [8.0, 9.0, 0.0, 0.0]]
 
     def test_window_longer_than_series(self):
         series = SampleSeries(np.arange(3.0), 10.0)
-        segs = segment(series, 8, 8)
-        assert len(segs) == 1
-        assert segs[0].true_len == 3
-        assert segs[0].values.tolist() == [0.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-
-    def test_stride_bounds(self):
-        series = SampleSeries(np.arange(10.0), 10.0)
-        with pytest.raises(ContractError):
-            segment(series, 4, 5)
-        with pytest.raises(ContractError):
-            segment(series, 4, 0)
+        windows = segment(series, 8)
+        assert windows.tolist() == [[0.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
 
     def test_coverage(self):
         rng = np.random.default_rng(1)
@@ -101,24 +78,23 @@ class TestSegment:
             n = int(rng.integers(5, 200))
             series = SampleSeries(rng.normal(size=n), 10.0)
             L = int(rng.integers(2, 32))
-            stride = int(rng.integers(1, L + 1))
-            segs = segment(series, L, stride)
-            seen = np.zeros(n, dtype=bool)
-            for s in segs:
-                assert s.true_len >= 1
-                seen[s.origin_index : s.origin_index + s.true_len] = True
-                np.testing.assert_array_equal(
-                    s.true_values(), series.values[s.origin_index : s.origin_index + s.true_len]
-                )
-                assert not s.values[s.true_len :].any()
-            assert seen.all()
+            windows = segment(series, L)
+            assert windows.shape == (math.ceil(n / L), L)
+            for w, row in enumerate(windows):
+                real = min(L, n - w * L)
+                assert real >= 1
+                np.testing.assert_array_equal(row[:real], series.values[w * L : w * L + real])
+                assert not row[real:].any()
 
     def test_stitch_round_trip(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=100)
         series = SampleSeries(x, 10.0)
-        segs = segment(series, 16, 16)
-        np.testing.assert_array_equal(stitch(segs, 100), x)
+        windows = segment(series, 16)
+        np.testing.assert_array_equal(stitch(windows, 100), x)
+        # rows too short to cover the series
+        with pytest.raises(ContractError):
+            stitch(windows[:-1], 100)
 
 
 class TestSpectra:
