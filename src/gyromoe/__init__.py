@@ -9,7 +9,7 @@ evaluation bench (peak PSNR/MSE/correlation, SNR, Allan-deviation noise
 figures) plus classical smoothing and extrapolation baselines.
 """
 
-from .backbone import BackboneConfig, MaskSet, gd_attention, gd_bias
+from .backbone import BackboneConfig, gd_attention, gd_bias
 from .denoise import (
     AugmentConfig,
     DeConfig,
@@ -75,7 +75,6 @@ __all__ = [
     "GateConfig",
     "GyroMoeError",
     "MaskError",
-    "MaskSet",
     "MetricReport",
     "OreConfig",
     "RouteDecision",

@@ -6,12 +6,14 @@ hidden from the encoder. The decoder sees encoder latents re-expanded to
 the full grid, with a learned mask token standing in at hidden positions,
 and predicts every patch.
 
-The pass is batch-first over a ``[B, L]`` batch. One mask shared by every
-row drops the hidden tokens before the encoder; one mask per row keeps
-every row on the full grid, and a key-padding bias hides each row's hidden
-tokens from encoder attention. Rows never mix, so a row's output does not
-depend on its batch-mates. Training records the pass on a tape; inference
-runs the same pass on a context that records none (:func:`forward_values`).
+The pass is batch-first over a ``[B, L]`` batch. A mask is a boolean array
+that flags the hidden patches. One ``[n]`` mask shared by every row drops
+the hidden tokens before the encoder; a ``[B, n]`` array, one mask per row,
+keeps every row on the full grid, and a key-padding bias hides each row's
+hidden tokens from encoder attention. Rows never mix, so a row's output
+does not depend on its batch-mates. Training records the pass on a tape;
+inference runs the same pass on a context that records none
+(:func:`forward_values`).
 
 Attention logits can carry an additive distance penalty
 ``B[i, j] = -(pos_i - pos_j)^2 / (2 sigma^2)`` with a single learnable
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import diffmath as dm
 from .diffmath import DiffContext, Param, Tensor
-from .errors import ConfigError, ContractError, DimensionError, MaskError
+from .errors import ConfigError, DimensionError, MaskError
 
 GD_PLACEMENTS = ("none", "encoder", "decoder", "both")
 KEY_PAD = -1e30  # logit bias on a hidden key: finite, and its exp is exactly 0
@@ -114,49 +116,6 @@ def config_from_meta(meta: dict) -> BackboneConfig:
     except KeyError as exc:
         raise ConfigError(f"checkpoint metadata incomplete: {exc}") from None
     return BackboneConfig(**kwargs)
-
-
-@dataclass(frozen=True)
-class MaskSet:
-    """Hidden patch indices within a grid of ``n_patches`` patches."""
-
-    hidden: frozenset
-    n_patches: int
-
-    def __post_init__(self):
-        if self.n_patches < 1:
-            raise ContractError(f"n_patches must be >= 1, got {self.n_patches}")
-        object.__setattr__(self, "hidden", frozenset(int(i) for i in self.hidden))
-        for i in self.hidden:
-            if not 0 <= i < self.n_patches:
-                raise MaskError(f"mask index {i} outside [0, {self.n_patches})")
-
-    def hidden_sorted(self) -> np.ndarray:
-        return np.asarray(sorted(self.hidden), dtype=np.int64)
-
-    def visible_sorted(self) -> np.ndarray:
-        vis = [i for i in range(self.n_patches) if i not in self.hidden]
-        return np.asarray(vis, dtype=np.int64)
-
-
-def mask_from_flags(flags: np.ndarray, patch_len: int) -> MaskSet:
-    """Hide every patch containing at least one flagged sample."""
-    flags = np.asarray(flags, dtype=bool)
-    if flags.ndim != 1 or flags.size % patch_len != 0:
-        raise ContractError(
-            f"flag vector of {flags.size} does not tile into patches of {patch_len}"
-        )
-    n = flags.size // patch_len
-    hidden = frozenset(i for i in range(n) if flags[i * patch_len : (i + 1) * patch_len].any())
-    return MaskSet(hidden, n)
-
-
-def mask_sample_indices(mask: MaskSet, patch_len: int) -> np.ndarray:
-    """Flat sample indices covered by the hidden patches, ascending."""
-    hidden = mask.hidden_sorted()
-    if hidden.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return (hidden[:, None] * patch_len + np.arange(patch_len, dtype=np.int64)[None, :]).reshape(-1)
 
 
 @dataclass
@@ -311,6 +270,12 @@ def patchify(values: np.ndarray, patch_len: int) -> np.ndarray:
     return arr.reshape(arr.shape[:-1] + (L // patch_len, patch_len))
 
 
+def mask_from_flags(flags: np.ndarray, patch_len: int) -> np.ndarray:
+    """Hide every patch containing at least one flagged sample: ``[..., L]``
+    sample flags become ``[..., L // patch_len]`` patch flags."""
+    return patchify(flags, patch_len).any(axis=-1)
+
+
 def pe_table(n_positions: int, dim: int) -> np.ndarray:
     """Fixed sinusoidal position codes, [n_positions, dim]."""
     if dim % 2 != 0:
@@ -428,28 +393,23 @@ def embed(ctx: DiffContext, params: ModelParams, config: BackboneConfig, values)
     return TokenSequence(tok, _grid(B, n))
 
 
-def apply_mask(ctx: DiffContext, seq: TokenSequence, masks) -> TokenSequence:
+def apply_mask(ctx: DiffContext, seq: TokenSequence, hidden: np.ndarray) -> TokenSequence:
     """Keep each row's hidden-position tokens out of the encoder.
 
-    ``masks`` is one :class:`MaskSet` for the whole batch, whose hidden
-    tokens are dropped, or a sequence of one per row, whose hidden tokens
-    stay on the grid flagged in ``hidden``. Raises :class:`MaskError` if a
-    row keeps nothing visible.
+    ``hidden`` flags the hidden patches: a ``[n]`` array is one mask for the
+    whole batch, whose hidden tokens are dropped; a ``[B, n]`` array holds
+    one mask per row, whose hidden tokens stay on the grid flagged in the
+    result's ``hidden``. Raises :class:`MaskError` if a row keeps nothing
+    visible.
     """
     B, n = seq.positions.shape
-    shared = isinstance(masks, MaskSet)
-    rows = [masks] if shared else masks
-    if not shared and len(rows) != B:
-        raise DimensionError(f"{len(rows)} masks for a batch of {B} segments")
-    for m in rows:
-        if m.n_patches != n:
-            raise DimensionError(f"mask covers {m.n_patches} patches but sequence has {n}")
-        if len(m.hidden) == n:
-            raise MaskError("mask hides every patch; encoder needs at least one visible token")
-    if shared:
-        vis = np.broadcast_to(masks.visible_sorted(), (B, n - len(masks.hidden)))
+    if hidden.shape not in ((n,), (B, n)):
+        raise DimensionError(f"mask of shape {hidden.shape} does not fit a batch of {B} x {n} patches")
+    if hidden.all(axis=-1).any():
+        raise MaskError("mask hides every patch; encoder needs at least one visible token")
+    if hidden.ndim == 1:
+        vis = np.broadcast_to(np.flatnonzero(~hidden), (B, n - int(hidden.sum())))
         return TokenSequence(dm.gather(ctx, seq.tokens, vis, axis=1), vis)
-    hidden = np.array([[i in m.hidden for i in range(n)] for m in rows])
     return TokenSequence(seq.tokens, seq.positions, hidden)
 
 
@@ -464,22 +424,21 @@ def pad_with_mask_tokens(
     params: ModelParams,
     config: BackboneConfig,
     latent: TokenSequence,
-    masks,
+    hidden: np.ndarray,
 ) -> TokenSequence:
     """Re-expand latents to the full grid, mask token at hidden slots."""
     B, d = latent.positions.shape[0], config.embed_dim
-    if isinstance(masks, MaskSet):
-        n_total = masks.n_patches
+    n_total = hidden.shape[-1]
+    if hidden.ndim == 1:
         full = dm.scatter(ctx, latent.tokens, latent.positions, n_total, axis=1)
-        hidden = np.broadcast_to(masks.hidden_sorted(), (B, len(masks.hidden)))
-        if hidden.shape[1]:
-            ones = dm.constant(np.ones((B, hidden.shape[1], 1)))
+        slots = np.broadcast_to(np.flatnonzero(hidden), (B, int(hidden.sum())))
+        if slots.shape[1]:
+            ones = dm.constant(np.ones((B, slots.shape[1], 1)))
             tiled = dm.matmul(ctx, ones, params["mask_token"])
-            full = dm.add(ctx, full, dm.scatter(ctx, tiled, hidden, n_total, axis=1))
+            full = dm.add(ctx, full, dm.scatter(ctx, tiled, slots, n_total, axis=1))
     else:
         # per-row blend: keep the latent at visible slots, the mask token at hidden ones
-        n_total = latent.positions.shape[1]
-        hide = latent.hidden[..., None].astype(np.float64)  # [B, n, 1]
+        hide = hidden[..., None].astype(np.float64)  # [B, n, 1]
         kept = dm.mul(ctx, latent.tokens, dm.constant(np.broadcast_to(1.0 - hide, (B, n_total, d))))
         full = dm.add(ctx, kept, dm.matmul(ctx, dm.constant(hide), params["mask_token"]))
     # fresh position codes for the decoder stack
@@ -500,19 +459,21 @@ def forward(
     params: ModelParams,
     config: BackboneConfig,
     values,
-    masks,
+    hidden,
 ) -> Tensor:
-    """Full masked-autoencoder pass over a ``[B, L]`` batch with a shared or
-    per-row mask (see :func:`apply_mask`); returns the ``[B, L]`` prediction."""
+    """Full masked-autoencoder pass over a ``[B, L]`` batch with a shared
+    ``[n]`` or per-row ``[B, n]`` mask of hidden patches (see
+    :func:`apply_mask`); returns the ``[B, L]`` prediction."""
     vals = dm.value(values)
+    hidden = np.asarray(hidden, dtype=bool)
     seq = embed(ctx, params, config, vals)
-    visible = apply_mask(ctx, seq, masks)
+    visible = apply_mask(ctx, seq, hidden)
     latent = encode(ctx, params, config, visible)
-    full = pad_with_mask_tokens(ctx, params, config, latent, masks)
+    full = pad_with_mask_tokens(ctx, params, config, latent, hidden)
     patches = decode(ctx, params, config, full)
     return dm.reshape(ctx, patches, vals.shape)
 
 
-def forward_values(params: ModelParams, config: BackboneConfig, values, masks) -> np.ndarray:
+def forward_values(params: ModelParams, config: BackboneConfig, values, hidden) -> np.ndarray:
     """Inference: :func:`forward` on a context that records no tape."""
-    return forward(DiffContext(record=False), params, config, values, masks).data
+    return forward(DiffContext(record=False), params, config, values, hidden).data

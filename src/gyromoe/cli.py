@@ -169,6 +169,18 @@ def _require_seed(args) -> int:
     return int(args.seed)
 
 
+def _check_outputs(args, out_kind: str | None) -> None:
+    """Fail before any work on an output path the command could not write:
+    ``--out`` left out though the command needs one (``out_kind`` says what
+    it names), or an ``--out`` or ``--trace`` whose directory does not exist."""
+    if args.out is None and out_kind is not None:
+        raise ConfigError(f"{args.command} needs --out <{out_kind}>")
+    for flag in ("out", "trace"):
+        path = getattr(args, flag, None)
+        if path is not None and not Path(path).parent.is_dir():
+            raise ConfigError(f"--{flag} {path}: {Path(path).parent} is not an existing directory")
+
+
 def _write_text(path, text: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -209,8 +221,7 @@ def _trace_csv(step_losses) -> str:
 def cmd_train_ore(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args)
-    if args.out is None:
-        raise ConfigError("train-ore needs --out <checkpoint path>")
+    _check_outputs(args, "checkpoint path")
     section = cfg.get("train_ore", {})
     spec = _clip_spec(cfg)
     seg_len = _segment_len(cfg)
@@ -244,8 +255,7 @@ def cmd_train_ore(args) -> int:
 def cmd_train_de(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args)
-    if args.out is None:
-        raise ConfigError("train-de needs --out <checkpoint path>")
+    _check_outputs(args, "checkpoint path")
     section = cfg.get("train_de", {})
     spec = _clip_spec(cfg)
     seg_len = _segment_len(cfg)
@@ -309,8 +319,7 @@ def _check_sample_rate(cfg: dict, series: SampleSeries):
 
 def cmd_enhance(args) -> int:
     cfg = _load_config(args.config)
-    if args.out is None:
-        raise ConfigError("enhance needs --out <csv path>")
+    _check_outputs(args, "csv path")
     spec = _clip_spec(cfg)
     gate_cfg = gate_mod.GateConfig(clip=spec, segment_len=_segment_len(cfg), **cfg.get("gate", {}))
     peak_fn = None
@@ -333,8 +342,7 @@ def cmd_enhance(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
-    if args.out is None:
-        raise ConfigError("bench needs --out <json path>")
+    _check_outputs(args, "json path")
     spec = _clip_spec(cfg)
     static_region = cfg.get("bench", {}).get("static_region")
     raw = load_csv(args.raw)
@@ -354,6 +362,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_allan(args) -> int:
+    _check_outputs(args, None)
     series = load_csv(args.input)
     curve = me.allan_deviation(series)
     lines = ["tau_s,sigma"]

@@ -113,16 +113,16 @@ def build_de_params(config: DeConfig, rng: np.random.Generator) -> DeParams:
 # Cross masks and fusion.
 
 
-def cross_masks(num_patches: int) -> tuple[bb.MaskSet, bb.MaskSet]:
-    """Complementary 50% masks: A hides odd patches, B hides even ones."""
+def cross_masks(num_patches: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complementary 50% masks as ``[n]`` hidden-patch flags: A hides odd
+    patches, B hides even ones."""
     if num_patches < 2:
         raise ContractError(f"cross masks need at least 2 patches, got {num_patches}")
-    odd = frozenset(range(1, num_patches, 2))
-    even = frozenset(range(0, num_patches, 2))
-    return bb.MaskSet(odd, num_patches), bb.MaskSet(even, num_patches)
+    odd = np.arange(num_patches) % 2 == 1
+    return odd, ~odd
 
 
-def fuse(pred_a, pred_b, mask_a: bb.MaskSet, mask_b: bb.MaskSet, patch_len: int) -> np.ndarray:
+def fuse(pred_a, pred_b, mask_a: np.ndarray, mask_b: np.ndarray, patch_len: int) -> np.ndarray:
     """Stitch branch outputs, taking each branch at its own hidden patches.
 
     Works on one segment ``[L]`` or a batch ``[B, L]`` fused row by row.
@@ -133,15 +133,12 @@ def fuse(pred_a, pred_b, mask_a: bb.MaskSet, mask_b: bb.MaskSet, patch_len: int)
         raise DimensionError(
             f"fuse needs matching [L] or [B, L] inputs, got {a.shape} and {c.shape}"
         )
-    n = mask_a.n_patches
-    if mask_b.n_patches != n or a.shape[-1] != n * patch_len:
+    from_a = np.repeat(mask_a, patch_len)
+    if mask_a.shape != mask_b.shape or from_a.shape != a.shape[-1:]:
         raise DimensionError("fuse masks do not tile the segment")
-    if mask_a.hidden | mask_b.hidden != frozenset(range(n)) or mask_a.hidden & mask_b.hidden:
+    if not (mask_a ^ mask_b).all():
         raise ContractError("fuse needs complementary masks covering every patch")
-    out = c.copy()
-    from_a = bb.mask_sample_indices(mask_a, patch_len)
-    out[..., from_a] = a[..., from_a]
-    return out
+    return np.where(from_a, a, c)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +254,8 @@ def dual_forward(
     de_params: DeParams,
     config: DeConfig,
     values_norm,
-    mask_a: bb.MaskSet,
-    mask_b: bb.MaskSet,
+    mask_a: np.ndarray,
+    mask_b: np.ndarray,
 ) -> tuple[Tensor, Tensor]:
     """Both branches over a ``[B, L]`` batch; each branch's mask is shared by every row."""
     pred_a = bb.forward(ctx, de_params.branch_a, config.backbone, values_norm, mask_a)
@@ -266,13 +263,13 @@ def dual_forward(
     return pred_a, pred_b
 
 
-def branch_loss(target, pred, mask: bb.MaskSet, patch_len: int, ctx: DiffContext | None = None) -> Tensor:
+def branch_loss(target, pred, mask: np.ndarray, patch_len: int, ctx: DiffContext | None = None) -> Tensor:
     """Mean squared error at the samples the branch had hidden, for one
     segment ``[L]`` or over a batch ``[B, L]``."""
     ctx = dm.resolve_ctx(ctx, pred)
     tv = np.asarray(dm.value(target), dtype=np.float64)
     ph = pred if isinstance(pred, (Tensor, Param)) else dm.constant(pred)
-    idx = bb.mask_sample_indices(mask, patch_len)
+    idx = np.flatnonzero(np.repeat(mask, patch_len))
     if idx.size == 0:
         raise ContractError("branch mask hides no patches")
     diff = dm.sub(ctx, dm.constant(tv[..., idx]), dm.gather(ctx, ph, idx, axis=tv.ndim - 1))
@@ -283,8 +280,8 @@ def de_pair_loss(
     target,
     pred_a,
     pred_b,
-    mask_a: bb.MaskSet,
-    mask_b: bb.MaskSet,
+    mask_a: np.ndarray,
+    mask_b: np.ndarray,
     patch_len: int,
     ctx: DiffContext | None = None,
 ) -> Tensor:

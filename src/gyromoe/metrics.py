@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .signal import ClipSpec, SampleSeries, saturated_mask, true_runs
+from .signal import ClipSpec, SampleSeries, saturated_mask, segment, true_runs
 
 _BI_FACTOR = math.sqrt(2.0 * math.log(2.0) / math.pi)
 
@@ -345,15 +345,6 @@ class MetricReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _windows_with_peaks(values: np.ndarray, truth: np.ndarray, clip: ClipSpec, seg_len: int):
-    out = []
-    for start in range(0, truth.size, seg_len):
-        stop = min(truth.size, start + seg_len)
-        if (np.abs(truth[start:stop]) > clip.level).any():
-            out.append((truth[start:stop], values[start:stop]))
-    return out
-
-
 def _reduction_or_none(raw_v, enh_v):
     if raw_v is None or enh_v is None or raw_v == 0.0:
         return None
@@ -382,8 +373,10 @@ def report(
     rep = MetricReport()
     idx = peak_indices(truth.values, clip)
     if idx.size:
-        wins = _windows_with_peaks(enhanced.values, truth.values, clip, segment_len)
-        rep.psnr_db = psnr([t for t, _ in wins], [v for _, v in wins], clip)
+        # zero padding never exceeds the rail, so padded tail windows pool the same samples
+        truth_wins = segment(truth, segment_len)
+        peaked = (np.abs(truth_wins) > clip.level).any(axis=1)
+        rep.psnr_db = psnr(truth_wins[peaked], segment(enhanced, segment_len)[peaked], clip)
         rep.p_mse = p_mse(truth.values, enhanced.values, idx)
         raw_p_mse = p_mse(truth.values, raw.values, idx)
         rep.p_mse_reduction_pct = _reduction_or_none(raw_p_mse, rep.p_mse)

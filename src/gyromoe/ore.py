@@ -167,12 +167,12 @@ def _prepare_segment(clean: np.ndarray, config: OreConfig):
     flags = saturated_mask(clipped, config.clip)
     if not flags.any():
         return None
-    mask = bb.mask_from_flags(flags, P)
-    if len(mask.hidden) == mask.n_patches:
+    hidden = bb.mask_from_flags(flags, P)
+    if hidden.all():
         return None  # nothing left for the encoder
     level = config.clip.level
-    midx = bb.mask_sample_indices(mask, P)
-    return clipped / level, clean / level, mask, midx
+    midx = np.flatnonzero(np.repeat(hidden, P))
+    return clipped / level, clean / level, hidden, midx
 
 
 def train_ore(
@@ -208,7 +208,7 @@ def train_ore(
         # one forward over the chunk's segments, each row with its own mask
         items = [prepared[i] for i in chunk]
         x_in = np.stack([item[0] for item in items])
-        pred = bb.forward(ctx, params, config.backbone, x_in, [item[2] for item in items])
+        pred = bb.forward(ctx, params, config.backbone, x_in, np.stack([item[2] for item in items]))
         total = None
         for r, (_, x_tgt, _, midx) in enumerate(items):
             row = dm.reshape(ctx, dm.gather(ctx, pred, np.array([r]), axis=0), x_tgt.shape)
@@ -240,8 +240,8 @@ def reconstruct(windows, params: bb.ModelParams, config: OreConfig) -> np.ndarra
     railed = flags.any(axis=1)
     out = x.copy()
     if railed.any():
-        masks = [bb.mask_from_flags(f, P) for f in flags[railed]]
-        pred = bb.forward_values(params, config.backbone, x[railed] / level, masks)
+        hidden = bb.mask_from_flags(flags[railed], P)
+        pred = bb.forward_values(params, config.backbone, x[railed] / level, hidden)
         out[railed] = np.where(flags[railed], pred * level, x[railed])
     return out
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gyromoe.backbone import (
+    GD_PLACEMENTS,
     BackboneConfig,
-    MaskSet,
     apply_mask,
     embed,
     forward,
@@ -14,11 +14,12 @@ from gyromoe.backbone import (
     gd_bias,
     init_params,
     is_encoder_param,
+    mask_from_flags,
     param_spec,
     patchify,
     pe_table,
 )
-from gyromoe.diffmath import DiffContext, backward, mean, square, sub, constant
+from gyromoe.diffmath import DiffContext, backward, constant, gather, mean, square, sub
 from gyromoe.errors import ConfigError, DimensionError, MaskError
 from gyromoe.optim import Adam
 
@@ -29,6 +30,13 @@ SMALL = BackboneConfig(
 
 def small_params(seed=0, config=SMALL):
     return init_params(config, np.random.default_rng(seed))
+
+
+def hide(n, *idx):
+    """A ``[n]`` mask that hides the patches ``idx``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(idx)] = True
+    return mask
 
 
 class TestConfig:
@@ -62,52 +70,85 @@ class TestPatchify:
             patchify(np.zeros(30), 8)
 
 
-class TestMaskSet:
-    def test_sorted_views(self):
-        m = MaskSet(hidden=frozenset({3, 1}), n_patches=5)
-        np.testing.assert_array_equal(m.hidden_sorted(), [1, 3])
-        np.testing.assert_array_equal(m.visible_sorted(), [0, 2, 4])
+class TestMasks:
+    def test_flags_batched(self):
+        flags = np.zeros((3, 12), dtype=bool)
+        flags[0, 5] = flags[2, [0, 11]] = True
+        want = np.array([[False, True, False], [False, False, False], [True, False, True]])
+        np.testing.assert_array_equal(mask_from_flags(flags, 4), want)
+        for row, got in zip(flags, want):
+            np.testing.assert_array_equal(mask_from_flags(row, 4), got)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(MaskError):
-            MaskSet(hidden=frozenset({5}), n_patches=5)
+    def test_wrong_shape_rejected_at_apply(self):
+        ctx = DiffContext()
+        seq = embed(ctx, small_params(), SMALL, np.zeros((2, 16)))
+        for bad in (hide(3, 0), hide(5, 0), hide(4, 0)[None], np.zeros((3, 4), dtype=bool),
+                    np.zeros((2, 4, 1), dtype=bool)):
+            with pytest.raises(DimensionError):
+                apply_mask(ctx, seq, bad)
 
     def test_all_hidden_rejected_at_apply(self):
         params = small_params()
         ctx = DiffContext()
         seq = embed(ctx, params, SMALL, np.zeros((1, 16)))
-        all_hidden = MaskSet(hidden=frozenset(range(4)), n_patches=4)
+        all_hidden = hide(4, 0, 1, 2, 3)
         with pytest.raises(MaskError):
-            apply_mask(ctx, seq, [all_hidden])
+            apply_mask(ctx, seq, all_hidden[None])
         with pytest.raises(MaskError):
             apply_mask(ctx, seq, all_hidden)
         # one all-hidden row fails a batch whose other rows keep patches visible
         mixed = embed(ctx, params, SMALL, np.zeros((3, 16)))
         with pytest.raises(MaskError):
-            apply_mask(ctx, mixed, [MaskSet(frozenset({0}), 4), all_hidden, MaskSet(frozenset(), 4)])
+            apply_mask(ctx, mixed, np.stack([hide(4, 0), all_hidden, hide(4)]))
 
     def test_rows_with_different_visible_counts_match_single_rows(self):
         params = small_params()
         ctx = DiffContext()
         seq = embed(ctx, params, SMALL, np.zeros((2, 16)))
         with pytest.raises(DimensionError):
-            apply_mask(ctx, seq, [MaskSet(frozenset({0}), 4)])
-        masks = [MaskSet(frozenset({0}), 4), MaskSet(frozenset(), 4),
-                 MaskSet(frozenset({0, 2, 3}), 4), MaskSet(frozenset({1, 2}), 4)]
+            apply_mask(ctx, seq, hide(4, 0)[None])
+        masks = np.stack([hide(4, 0), hide(4), hide(4, 0, 2, 3), hide(4, 1, 2)])
         x = np.random.default_rng(3).normal(size=(len(masks), 16))
         for cfg in (SMALL, dataclasses.replace(SMALL, gd_placement="both")):
             params = small_params(4, cfg)
             batched = forward_values(params, cfg, x, masks)
             for row, mask, got in zip(x, masks, batched):
-                alone = forward_values(params, cfg, row[None], [mask])[0]
+                alone = forward_values(params, cfg, row[None], mask[None])[0]
                 np.testing.assert_array_equal(got.view(np.int64), alone.view(np.int64))
 
     def test_empty_mask_keeps_all_tokens(self):
         params = small_params()
         ctx = DiffContext()
         seq = embed(ctx, params, SMALL, np.zeros((1, 16)))
-        kept = apply_mask(ctx, seq, [MaskSet(hidden=frozenset(), n_patches=4)])
+        kept = apply_mask(ctx, seq, hide(4)[None])
         assert kept.tokens.data.shape == (1, 4, SMALL.embed_dim)
+
+    @pytest.mark.parametrize("placement", GD_PLACEMENTS)
+    def test_shared_and_per_row_forms_agree(self, placement):
+        # key padding keeps the hidden tokens out of attention, so one mask
+        # given per row gives, up to rounding, the prediction and gradients of
+        # the same mask shared by the batch, whose encoder drops them (MAE)
+        cfg = dataclasses.replace(SMALL, gd_placement=placement)
+        rng = np.random.default_rng(GD_PLACEMENTS.index(placement))
+
+        def run(seed, x, target, mask, idx):
+            params = small_params(seed, cfg)
+            ctx = DiffContext()
+            pred = forward(ctx, params, cfg, x, mask)
+            diff = sub(ctx, gather(ctx, pred, idx, axis=1), constant(target[:, idx]))
+            backward(mean(ctx, square(ctx, diff)), ctx)
+            return pred.data, np.concatenate([p.grad.data.ravel() for p in params.all_params()])
+
+        def rel(got, want):
+            return np.abs(got - want).max() / np.abs(want).max()
+
+        for case in range(5):
+            x, target = rng.normal(size=(2, 3, 16))
+            mask = hide(4, *rng.choice(4, size=rng.integers(1, 4), replace=False))
+            idx = np.flatnonzero(np.repeat(mask, cfg.patch_len))
+            shared = run(case, x, target, mask, idx)
+            per_row = run(case, x, target, np.broadcast_to(mask, (3, 4)), idx)
+            assert max(rel(got, want) for got, want in zip(per_row, shared)) <= 1e-12
 
 
 class TestPositionalEncoding:
@@ -250,16 +291,16 @@ class TestForward:
         params = small_params(1)
         rng = np.random.default_rng(2)
         x = rng.normal(size=16)
-        mask = MaskSet(hidden=frozenset({1, 3}), n_patches=4)
-        out1 = forward_values(params, SMALL, x[None], [mask])
-        out2 = forward_values(params, SMALL, x[None], [mask])
+        mask = hide(4, 1, 3)[None]
+        out1 = forward_values(params, SMALL, x[None], mask)
+        out2 = forward_values(params, SMALL, x[None], mask)
         assert out1.shape == (1, 16)
         np.testing.assert_array_equal(out1, out2)
 
     def test_length_must_tile(self):
         params = small_params()
         with pytest.raises(DimensionError):
-            forward_values(params, SMALL, np.zeros((1, 15)), [MaskSet(frozenset({0}), 3)])
+            forward_values(params, SMALL, np.zeros((1, 15)), hide(3, 0)[None])
 
     def test_masked_loss_ignores_hidden_input_values(self):
         # Hidden patches are replaced by the mask token, so the prediction
@@ -267,11 +308,11 @@ class TestForward:
         params = small_params(5)
         rng = np.random.default_rng(6)
         x = rng.normal(size=16)
-        mask = MaskSet(hidden=frozenset({2}), n_patches=4)
-        y1 = forward_values(params, SMALL, x[None], [mask])
+        mask = hide(4, 2)
+        y1 = forward_values(params, SMALL, x[None], mask[None])
         x2 = x.copy()
         x2[8:12] = 99.0
-        y2 = forward_values(params, SMALL, x2[None], [mask])
+        y2 = forward_values(params, SMALL, x2[None], mask[None])
         np.testing.assert_array_equal(y1, y2)
         # the same for a mask shared by the whole batch ...
         shared = [forward_values(params, SMALL, np.stack([v, x]), mask) for v in (x, x2)]
@@ -279,7 +320,7 @@ class TestForward:
         # ... and for per-row masks with the Gaussian bias in the encoder too
         cfg = dataclasses.replace(SMALL, gd_placement="both")
         both = small_params(5, cfg)
-        masks = [mask, MaskSet(frozenset({0, 3}), 4)]
+        masks = np.stack([mask, hide(4, 0, 3)])
         x3 = np.stack([x, x])
         x4 = np.stack([x2, x])
         x4[1, :4] = -7.5
@@ -291,9 +332,8 @@ class TestForward:
         rng = np.random.default_rng(9)
         x = rng.normal(size=16)
         target = rng.normal(size=16)
-        mask = MaskSet(hidden=frozenset({0, 2}), n_patches=4)
         ctx = DiffContext()
-        pred = forward(ctx, params, SMALL, x[None], [mask])
+        pred = forward(ctx, params, SMALL, x[None], hide(4, 0, 2)[None])
         loss = mean(ctx, square(ctx, sub(ctx, pred, constant(target[None]))))
         backward(loss, ctx)
         assert params["gd_sigma"].grad.data.shape == ()
@@ -303,7 +343,7 @@ class TestForward:
         cfg = BackboneConfig(patch_len=4, embed_dim=8, heads=2, gd_placement="both")
         params = init_params(cfg, np.random.default_rng(11))
         x = np.random.default_rng(12).normal(size=(2, 16))
-        masks = [MaskSet(frozenset({1}), 4), MaskSet(frozenset({3}), 4)]
+        masks = np.stack([hide(4, 1), hide(4, 3)])
 
         def run(placement, sigma):
             params["gd_sigma"].tensor.data[...] = sigma
@@ -320,6 +360,6 @@ class TestForward:
     def test_all_placements_run(self, placement):
         cfg = BackboneConfig(patch_len=4, embed_dim=8, heads=2, gd_placement=placement)
         params = init_params(cfg, np.random.default_rng(0))
-        out = forward_values(params, cfg, np.linspace(-1, 1, 16)[None], [MaskSet(frozenset({1}), 4)])
+        out = forward_values(params, cfg, np.linspace(-1, 1, 16)[None], hide(4, 1)[None])
         assert out.shape == (1, 16)
         assert np.all(np.isfinite(out))

@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gyromoe.backbone import BackboneConfig, init_params
 from gyromoe.checkpoint import load_arrays, save_arrays
+import gyromoe.cli as cli
 from gyromoe.cli import main
 from gyromoe.denoise import DeConfig, build_de_params, save_de
 from gyromoe.ore import OreConfig, save_ore
@@ -206,6 +208,19 @@ def untrained_checkpoints(tmp_path, clip_level=450.0):
     return {"--ore-ckpt": str(ore_path), "--de-ckpt": str(de_path)}
 
 
+# each command with the function doing its work, and the flags naming its
+# outputs; an output path that cannot be written fails before that work
+_OUTPUT_CASES = [
+    ("train-ore", "ore_mod.train_ore", "--out"),
+    ("train-ore", "ore_mod.train_ore", "--trace"),
+    ("train-de", "train_de", "--out"),
+    ("train-de", "train_de", "--trace"),
+    ("enhance", "gate_mod.enhance", "--out"),
+    ("bench", "me.report", "--out"),
+    ("allan", "me.allan_deviation", "--out"),
+]
+
+
 class TestEnhanceStartupChecks:
     """A misconfigured expert fails before any window, even on a stream that
     would route nowhere."""
@@ -251,7 +266,7 @@ class TestEnhanceStartupChecks:
         assert "sample_rate" in capsys.readouterr().err
 
     def test_stream_rate_is_free_without_a_config_rate(self, tmp_path):
-        cfg = json.loads(open(write_config(tmp_path)).read())
+        cfg = json.loads(Path(write_config(tmp_path)).read_text())
         del cfg["sample_rate"]
         (tmp_path / "config.json").write_text(json.dumps(cfg))
         src = tmp_path / "in.csv"
@@ -285,13 +300,35 @@ class TestEnhanceStartupChecks:
             assert main(["allan", "--input", str(src)]) == 2
             assert "UTF-8" in capsys.readouterr().err
 
-    def test_output_directory_missing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, work, flag", _OUTPUT_CASES,
+                             ids=[f"{c}{f}" for c, _, f in _OUTPUT_CASES])
+    def test_output_directory_missing(self, tmp_path, capsys, monkeypatch, command, work, flag):
+        owner, _, name = work.rpartition(".")
+        target = getattr(cli, owner) if owner else cli
+
+        def work_ran(*args, **kwargs):
+            pytest.fail(f"{command} did its work before checking {flag}")
+
+        monkeypatch.setattr(target, name, work_ran)
         cfg = write_config(tmp_path)
         src = tmp_path / "in.csv"
         save_csv(SampleSeries(np.full(64, 200.0), 100.0), src)
-        out = tmp_path / "no" / "such" / "out.csv"
-        assert main(["enhance", "--config", cfg, "--input", str(src), "--out", str(out)]) == 2
+        made = set(tmp_path.iterdir())
+        argv = {
+            "train-ore": ["--config", cfg, "--seed", "1"],
+            "train-de": ["--config", cfg, "--seed", "1"],
+            "enhance": ["--config", cfg, "--input", str(src)],
+            "bench": ["--config", cfg, "--raw", str(src), "--enhanced", str(src), "--truth", str(src)],
+            "allan": ["--input", str(src)],
+        }[command]
+        missing = str(tmp_path / "no" / "such" / "out.file")
+        if flag == "--out":
+            argv += ["--out", missing]
+        else:
+            argv += ["--out", str(tmp_path / "out.file"), flag, missing]
+        assert main([command] + argv) == 2
         assert "error:" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == made
 
 
 class TestBench:

@@ -25,7 +25,7 @@ from gyromoe.denoise import (
     train_de,
 )
 from gyromoe.diffmath import DiffContext, grad_check
-from gyromoe.errors import ConfigError, ContractError
+from gyromoe.errors import ConfigError, ContractError, DimensionError
 from gyromoe.optim import Adam
 from gyromoe.signal import (
     ClipSpec,
@@ -53,13 +53,14 @@ class TestCrossMasks:
     @pytest.mark.parametrize("n", range(2, 65))
     def test_complementary_and_covering(self, n):
         a, b = cross_masks(n)
-        assert a.hidden | b.hidden == frozenset(range(n))
-        assert not (a.hidden & b.hidden)
+        assert a.shape == b.shape == (n,) and a.dtype == b.dtype == bool
+        assert (a | b).all()
+        assert not (a & b).any()
 
     def test_parity_assignment(self):
         a, b = cross_masks(6)
-        assert a.hidden == frozenset({1, 3, 5})
-        assert b.hidden == frozenset({0, 2, 4})
+        np.testing.assert_array_equal(np.flatnonzero(a), [1, 3, 5])
+        np.testing.assert_array_equal(np.flatnonzero(b), [0, 2, 4])
 
     def test_single_patch_rejected(self):
         with pytest.raises(ContractError):
@@ -81,11 +82,18 @@ class TestFuse:
         np.testing.assert_array_equal(fuse(x, x, a, b, 4), x)
 
     def test_non_complementary_rejected(self):
-        from gyromoe.backbone import MaskSet
-
-        a = MaskSet(frozenset({0}), 2)
+        a = np.array([True, False])
         with pytest.raises(ContractError):
             fuse(np.zeros(4), np.zeros(4), a, a, 2)
+        with pytest.raises(ContractError):
+            fuse(np.zeros(4), np.zeros(4), a, np.zeros(2, dtype=bool), 2)
+
+    def test_masks_must_tile_the_segment(self):
+        a, b = cross_masks(4)
+        with pytest.raises(DimensionError):
+            fuse(np.zeros(8), np.zeros(8), a, b[:3], 2)
+        with pytest.raises(DimensionError):
+            fuse(np.zeros(6), np.zeros(6), a, b, 2)
 
 
 class TestNoiseFloor:

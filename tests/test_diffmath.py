@@ -277,7 +277,7 @@ class TestTape:
         cfg = bb.BackboneConfig(patch_len=4, embed_dim=8, enc_layers=1, dec_layers=1, heads=2)
         params = bb.init_params(cfg, np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(3, 16))
-        masks = [bb.MaskSet({1}, 4), bb.MaskSet({0}, 4), bb.MaskSet({3}, 4)]
+        masks = np.eye(4, dtype=bool)[[1, 0, 3]]  # row r hides patch 1, 0, 3
         ctx = DiffContext()
         pred = bb.forward(ctx, params, cfg, x, masks)
         dm.mean(ctx, dm.square(ctx, dm.sub(ctx, pred, dm.constant(x))))

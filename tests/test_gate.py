@@ -321,8 +321,8 @@ class TestBatchedExperts:
         peak_windows = [w * WINDOW for w, d in enumerate(routes) if d.peak]
         noise_windows = [w * WINDOW for w, d in enumerate(routes) if d.noise]
         assert len(peak_windows) > EXPERT_CHUNK and len(noise_windows) > EXPERT_CHUNK
-        masks = [bb.mask_from_flags(saturated_mask(x[w : w + WINDOW], cfg.clip), 4) for w in peak_windows]
-        assert len({len(m.hidden) for m in masks}) >= 2  # more than one visible-patch group
+        masks = bb.mask_from_flags(np.stack([saturated_mask(x[w : w + WINDOW], cfg.clip) for w in peak_windows]), 4)
+        assert len(set(masks.sum(axis=1))) >= 2  # more than one visible-patch group
 
         peak, noise = small_experts()
         peak_spy, noise_spy = SpyExpert(peak, x), SpyExpert(noise, x)

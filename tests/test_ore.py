@@ -7,7 +7,7 @@ from scipy.optimize import minimize_scalar
 import gyromoe.backbone as bb
 import gyromoe.diffmath as dm
 from gyromoe import ore
-from gyromoe.backbone import BackboneConfig, mask_from_flags, mask_sample_indices
+from gyromoe.backbone import BackboneConfig, mask_from_flags
 from gyromoe.diffmath import DiffContext
 from gyromoe.errors import ConfigError, ContractError, DimensionError
 from gyromoe.gate import GateConfig, route
@@ -37,16 +37,18 @@ class TestMasks:
     def test_flags_hide_touched_patches(self):
         flags = np.zeros(12, dtype=bool)
         flags[5] = True
-        m = mask_from_flags(flags, 4)
-        assert set(m.hidden) == {1}
-        assert m.n_patches == 3
+        np.testing.assert_array_equal(mask_from_flags(flags, 4), [False, True, False])
 
     def test_sample_indices(self):
-        m = mask_from_flags(np.array([0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1], dtype=bool), 4)
-        np.testing.assert_array_equal(mask_sample_indices(m, 4), [4, 5, 6, 7, 8, 9, 10, 11])
+        # a segment whose samples 5 and 11 sit on the rail hides patches 1 and 2
+        clean = np.zeros(12)
+        clean[[5, 11]] = 2.0
+        _, _, hidden, midx = ore._prepare_segment(clean, tiny_config())
+        np.testing.assert_array_equal(hidden, [False, True, True])
+        np.testing.assert_array_equal(midx, [4, 5, 6, 7, 8, 9, 10, 11])
 
     def test_non_tiling_flags_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(DimensionError):
             mask_from_flags(np.zeros(10, dtype=bool), 4)
 
 
@@ -250,7 +252,7 @@ class TestChunkedTapes:
 
     def test_gradient_equals_sum_of_per_segment_tapes(self, monkeypatch):
         segs, cfg, prepared = self.corpus()
-        visible = {m.n_patches - len(m.hidden) for _, _, m, _ in prepared}
+        visible = {int((~m).sum()) for _, _, m, _ in prepared}
         assert len(visible) >= 3 and None not in prepared
         seen = first_step_grads(monkeypatch)
         train_ore(segs, cfg, epochs=1, seed=9)
@@ -258,7 +260,7 @@ class TestChunkedTapes:
         params = bb.init_params(cfg.backbone, np.random.default_rng(9))
         for x_in, x_tgt, mask, midx in prepared:
             ctx = DiffContext()
-            pred = bb.forward(ctx, params, cfg.backbone, x_in[None], [mask])
+            pred = bb.forward(ctx, params, cfg.backbone, x_in[None], mask[None])
             loss = ore_total_loss(x_tgt, dm.reshape(ctx, pred, x_tgt.shape), midx, cfg, ctx=ctx)
             dm.backward(dm.scale(ctx, loss, 1.0 / len(prepared)), ctx)
         assert_grads_close(seen[0], [p.grad.data for p in params.all_params()])
@@ -269,7 +271,7 @@ class TestChunkedTapes:
         forward = bb.forward
 
         def spy(ctx, params, config, values, masks):
-            calls.append(([row.tobytes() for row in values], [len(m.hidden) for m in masks]))
+            calls.append(([row.tobytes() for row in values], [int(m.sum()) for m in masks]))
             return forward(ctx, params, config, values, masks)
 
         monkeypatch.setattr(bb, "forward", spy)
