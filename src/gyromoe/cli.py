@@ -45,11 +45,18 @@ log = logging.getLogger("gyromoe.cli")
 _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING, "error": logging.ERROR}
 
 
+def _number(value) -> float:
+    """``value`` as a float: a finite JSON number, not a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(float(value)):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
 def _integer(value) -> int:
     """``value`` as an int; a fractional number is rejected, not truncated."""
-    if not float(value).is_integer():
+    if not _number(value).is_integer():
         raise ValueError(f"{value!r} is not a whole number")
-    return int(float(value))
+    return int(value)
 
 
 def _int_pair(value) -> tuple:
@@ -60,29 +67,30 @@ def _int_pair(value) -> tuple:
 # the keys the config accepts, each with the cast that reads its value or,
 # for a section, the keys that section accepts; any other key is a typo
 _CONFIG_KEYS = {
-    "clip_level": float,
-    "sample_rate": float,
+    "clip_level": _number,
+    "sample_rate": _number,
     "segment_len": _integer,
     "backbone": {
-        f.name: _integer if isinstance(f.default, int) else type(f.default)
+        f.name: {int: _integer, float: _number}.get(type(f.default), type(f.default))
         for f in dataclasses.fields(BackboneConfig)
     },
     "synth": {
-        "duration_s": float, "white_noise_sigma": float, "drift_rate": float,
-        "peak_events": lambda events: [tuple(map(float, event)) for event in events],
+        "duration_s": _number, "white_noise_sigma": _number, "drift_rate": _number,
+        "peak_events": lambda events: [tuple(map(_number, event)) for event in events],
     },
     "train_ore": {
-        "n_segments": _integer, "epochs": _integer, "batch_size": _integer, "learn_rate": float,
-        "amp_lo_x": float, "amp_hi_x": float, "width_lo_s": float, "width_hi_s": float, "noise_sigma": float,
+        "n_segments": _integer, "epochs": _integer, "batch_size": _integer, "learn_rate": _number,
+        "amp_lo_x": _number, "amp_hi_x": _number, "width_lo_s": _number, "width_hi_s": _number,
+        "noise_sigma": _number,
     },
     "train_de": {
-        "n_segments": _integer, "epochs": _integer, "batch_size": _integer, "learn_rate": float,
-        "noise_sigma": float, "beta": float, "corruption_gain": float, "n_snippets": _integer,
+        "n_segments": _integer, "epochs": _integer, "batch_size": _integer, "learn_rate": _number,
+        "noise_sigma": _number, "beta": _number, "corruption_gain": _number, "n_snippets": _integer,
         "weight_share": str,
     },
     "gate": {
         "peak_run": _integer, "quiet_run": _integer,
-        "quiet_threshold": lambda tau: None if tau is None else float(tau),
+        "quiet_threshold": lambda tau: None if tau is None else _number(tau),
     },
     "bench": {"static_region": _int_pair},
 }
@@ -133,7 +141,7 @@ def _read(mapping, casts: dict, section: str | None) -> dict:
         cast = casts[key]
         try:
             out[key] = _read(value, cast, key) if isinstance(cast, dict) else cast(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             name = key if section is None else f"{section}.{key}"
             raise ConfigError(f"config value {name} = {value!r} is invalid: {exc}") from None
     return out
@@ -172,13 +180,13 @@ def _require_seed(args) -> int:
 def _check_outputs(args, out_kind: str | None) -> None:
     """Fail before any work on an output path the command could not write:
     ``--out`` left out though the command needs one (``out_kind`` says what
-    it names), or an ``--out`` or ``--trace`` whose directory does not exist."""
+    it names), or an ``--out`` or ``--trace`` that is not a file in an existing directory."""
     if args.out is None and out_kind is not None:
         raise ConfigError(f"{args.command} needs --out <{out_kind}>")
     for flag in ("out", "trace"):
         path = getattr(args, flag, None)
-        if path is not None and not Path(path).parent.is_dir():
-            raise ConfigError(f"--{flag} {path}: {Path(path).parent} is not an existing directory")
+        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ConfigError(f"--{flag} {path} is not a file path in an existing directory")
 
 
 def _write_text(path, text: str):

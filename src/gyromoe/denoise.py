@@ -152,7 +152,6 @@ def noise_floor(density: SpectralDensity) -> float:
 
 @dataclass
 class InjectionResult:
-    x_mix: np.ndarray
     x_clean: np.ndarray
     offset: int
     alpha: float
@@ -170,8 +169,8 @@ def inject_weak_signal(
 
     The scale is ``alpha = beta * sqrt(floor) / max|snippet|``, tying the
     injected amplitude to the measured noise floor (see :func:`noise_floor`).
-    Returns both the mixed signal and the identical clean copy; corruption
-    is applied separately.
+    Returns the clean target with the snippet in place; corruption is
+    applied separately, to a copy.
     """
     s = np.asarray(snippet, dtype=np.float64)
     n = len(noise)
@@ -188,7 +187,7 @@ def inject_weak_signal(
     offset = int(rng.integers(0, n - s.size + 1))
     x_clean = noise.values.copy()
     x_clean[offset : offset + s.size] += alpha * s
-    return InjectionResult(x_clean.copy(), x_clean, offset, alpha, s.size)
+    return InjectionResult(x_clean, offset, alpha, s.size)
 
 
 def spectral_corruption(
@@ -241,7 +240,7 @@ def augment_segment(
     floor = noise_floor(density)
     snippet = aug.snippet_pool[int(rng.integers(0, len(aug.snippet_pool)))]
     inj = inject_weak_signal(noise, snippet, aug.beta, rng, floor=floor)
-    x_mix = spectral_corruption(inj.x_mix, noise.sample_rate, density, aug.corruption_gain, rng)
+    x_mix = spectral_corruption(inj.x_clean, noise.sample_rate, density, aug.corruption_gain, rng)
     return x_mix, inj.x_clean, inj
 
 

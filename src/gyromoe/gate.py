@@ -50,9 +50,9 @@ class GateConfig:
             raise ConfigError(f"peak_run must be >= 1, got {self.peak_run}")
         if self.quiet_run < 1:
             raise ConfigError(f"quiet_run must be >= 1, got {self.quiet_run}")
-        if self.quiet_threshold is not None and self.quiet_threshold <= 0.0:
+        if self.quiet_threshold is not None and not 0.0 < self.quiet_threshold < np.inf:
             raise ConfigError(
-                f"quiet_threshold must be positive, got {self.quiet_threshold}"
+                f"quiet_threshold must be positive and finite, got {self.quiet_threshold}"
             )
 
     @property

@@ -4,7 +4,9 @@ Training is self-supervised: clean synthetic segments are saturated at an
 artificial rail, the saturated patches are hidden from the encoder, and the
 decoder is trained to recover the clean values there. The loss couples a
 masked L2 term with a first-difference correlation term and an
-energy-barrier regularizer computed on the prediction.
+energy-barrier regularizer computed on the prediction. Each loss takes a
+``[B, L]`` prediction with boolean ``[B, L]`` hidden-sample flags (``[L]``
+for one series) and returns the mean of the rows' losses.
 """
 
 from __future__ import annotations
@@ -47,107 +49,101 @@ class OreConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def corr_loss(x, x_hat, mask_samples, lambda_sign: float = 1.0, ctx: DiffContext | None = None) -> Tensor:
+def _loss_rows(ctx: DiffContext, x, x_hat, hidden, name: str):
+    """``x_hat``, boolean ``hidden`` and target ``x`` as ``[B, L]`` rows; a
+    1-D series is the one-row case. Every row must hide a sample."""
+    xh = x_hat if isinstance(x_hat, (Tensor, Param)) else dm.constant(x_hat)
+    xv = np.asarray(dm.value(x), dtype=np.float64)
+    flags = np.asarray(hidden)
+    if flags.dtype != bool or flags.ndim not in (1, 2) or not flags.shape == xv.shape == xh.shape:
+        raise ContractError(f"{name} needs boolean [L] or [B, L] flags matching its series, got "
+                            f"{flags.dtype} {flags.shape} for {xh.shape} and {xv.shape}")
+    if not flags.any(axis=-1).all():
+        raise ContractError(f"{name} needs a hidden sample in every row")
+    if flags.ndim == 1:
+        return dm.reshape(ctx, xh, (1, flags.size)), flags[None], xv[None]
+    return xh, flags, xv
+
+
+def _masked_mean(ctx: DiffContext, values, sel: np.ndarray) -> Tensor:
+    """Mean over rows of each row's mean over its ``sel`` entries, where
+    ``sel`` is a boolean ``[B, n]`` array; a row with none adds 0."""
+    weights = sel * (sel.shape[1] / np.maximum(sel.sum(axis=1, keepdims=True), 1))
+    return dm.mean(ctx, dm.mul(ctx, values, dm.constant(weights)))
+
+
+def corr_loss(x, x_hat, hidden, lambda_sign: float = 1.0, ctx: DiffContext | None = None) -> Tensor:
     """First-difference matching plus a value pin at trend reversals.
 
-    The first term is the mean over masked samples t >= 1 of
+    Per row, the first term is the mean over hidden samples t >= 1 of
     ``((x_t - x_{t-1}) - (xh_t - xh_{t-1}))^2``. The second term pins the
-    predicted value at masked extrema of the true signal (samples where the
-    sign of the first difference flips), weighted by ``lambda_sign``.
+    predicted value at hidden extrema of the true signal (samples where the
+    sign of the first difference flips), weighted by ``lambda_sign``; a row
+    without one has no pin.
     """
-    xv = np.asarray(dm.value(x), dtype=np.float64)
     ctx = dm.resolve_ctx(ctx, x_hat)
-    xh = x_hat if isinstance(x_hat, (Tensor, Param)) else dm.constant(x_hat)
-    xh_shape = dm.value(xh).shape
-    if xv.ndim != 1 or xh_shape != xv.shape:
-        raise ContractError(
-            f"corr_loss needs matching 1-D series, got {xv.shape} and {xh_shape}"
-        )
-    m = np.unique(np.asarray(mask_samples, dtype=np.int64))
-    if m.size == 0:
-        raise ContractError("corr_loss needs a nonempty sample mask")
-    if (m < 0).any() or (m >= xv.size).any():
-        raise ContractError("corr_loss mask index out of range")
-    usable = m[m >= 1]
-    if usable.size == 0:
-        raise ContractError("corr_loss mask has no usable index (first differences start at t=1)")
-    d_true = xv[usable] - xv[usable - 1]
-    d_hat = dm.sub(ctx, dm.gather(ctx, xh, usable), dm.gather(ctx, xh, usable - 1))
-    total = dm.mean(ctx, dm.square(ctx, dm.sub(ctx, dm.constant(d_true), d_hat)))
+    xh, flags, xv = _loss_rows(ctx, x, x_hat, hidden, "corr_loss")
+    usable = flags[:, 1:]
+    if not usable.any(axis=1).all():
+        raise ContractError("corr_loss needs a hidden sample t >= 1 in every row")
+    cols = np.arange(flags.shape[1])
+    d_true = np.diff(xv, axis=1)
+    d_hat = dm.sub(ctx, dm.gather(ctx, xh, cols[1:], axis=1), dm.gather(ctx, xh, cols[:-1], axis=1))
+    total = _masked_mean(ctx, dm.square(ctx, dm.sub(ctx, dm.constant(d_true), d_hat)), usable)
     if lambda_sign > 0.0:
-        n = xv.size
-        cand = m[(m >= 1) & (m <= n - 2)]
-        if cand.size:
-            s_here = np.sign(xv[cand] - xv[cand - 1])
-            s_next = np.sign(xv[cand + 1] - xv[cand])
-            extrema = cand[s_here != s_next]
-            if extrema.size:
-                pin = dm.mean(
-                    ctx,
-                    dm.square(ctx, dm.sub(ctx, dm.constant(xv[extrema]), dm.gather(ctx, xh, extrema))),
-                )
-                total = dm.add(ctx, total, dm.scale(ctx, pin, lambda_sign))
+        s = np.sign(d_true)
+        extrema = np.zeros_like(flags)
+        extrema[:, 1:-1] = flags[:, 1:-1] & (s[:, :-1] != s[:, 1:])
+        if extrema.any():
+            pin = _masked_mean(ctx, dm.square(ctx, dm.sub(ctx, dm.constant(xv), xh)), extrema)
+            total = dm.add(ctx, total, dm.scale(ctx, pin, lambda_sign))
     return total
 
 
-def pinn_loss(x_hat, mask_samples, kappa: float = 1.0, ctx: DiffContext | None = None) -> Tensor:
+def pinn_loss(x_hat, hidden, kappa: float = 1.0, ctx: DiffContext | None = None) -> Tensor:
     """Energy-barrier regularizer on the predicted trajectory.
 
-    Per usable masked sample t (2 <= t <= N-2) the signed power proxy is
+    Per usable hidden sample t (2 <= t <= L-2) the signed power proxy is
     ``e_t = 0.5 * (D2[t-1] + D2[t]) * D1[t]`` with D2 the second and D1 the
-    first difference of the prediction. The mean energy is squashed with a
-    sigmoid and pushed away from both 0 and 1 by
+    first difference of the prediction. Each row's mean energy is squashed
+    with a sigmoid and pushed away from both 0 and 1 by
     ``-log(u) - kappa * log(1 - u)``; a constant prediction lands exactly at
     ``u = 1/2`` giving ``(1 + kappa) * log 2``.
     """
     if kappa <= 0.0:
         raise ConfigError(f"kappa must be positive, got {kappa}")
     ctx = dm.resolve_ctx(ctx, x_hat)
-    xh = x_hat if isinstance(x_hat, (Tensor, Param)) else dm.constant(x_hat)
-    xh_data = dm.value(xh)
-    if xh_data.ndim != 1:
-        raise ContractError(f"pinn_loss needs a 1-D series, got {xh_data.shape}")
-    n = xh_data.size
-    m = np.unique(np.asarray(mask_samples, dtype=np.int64))
-    if m.size == 0:
-        raise ContractError("pinn_loss needs a nonempty sample mask")
-    if (m < 0).any() or (m >= n).any():
-        raise ContractError("pinn_loss mask index out of range")
-    usable = m[(m >= 2) & (m <= n - 2)]
-    if usable.size == 0:
-        raise ContractError("pinn_loss mask has no usable index in [2, N-2]")
-    x_p1 = dm.gather(ctx, xh, usable + 1)
-    x_0 = dm.gather(ctx, xh, usable)
-    x_m1 = dm.gather(ctx, xh, usable - 1)
-    x_m2 = dm.gather(ctx, xh, usable - 2)
+    xh, flags, _ = _loss_rows(ctx, x_hat, x_hat, hidden, "pinn_loss")
+    B, L = flags.shape
+    usable = flags[:, 2 : L - 1]
+    if not usable.any(axis=1).all():
+        raise ContractError("pinn_loss needs a hidden sample in [2, L-2] in every row")
+    t = np.arange(2, L - 1)
+    x_p1 = dm.gather(ctx, xh, t + 1, axis=1)
+    x_0 = dm.gather(ctx, xh, t, axis=1)
+    x_m1 = dm.gather(ctx, xh, t - 1, axis=1)
+    x_m2 = dm.gather(ctx, xh, t - 2, axis=1)
     # 0.5*(D2[t-1] + D2[t]) telescopes to 0.5*(x[t+1] - x[t] - x[t-1] + x[t-2])
     acc = dm.scale(ctx, dm.sub(ctx, dm.sub(ctx, x_p1, x_0), dm.sub(ctx, x_m1, x_m2)), 0.5)
     vel = dm.sub(ctx, x_0, x_m1)
-    e_bar = dm.mean(ctx, dm.mul(ctx, acc, vel))
+    energy = dm.mul(ctx, dm.mul(ctx, acc, vel), dm.constant(usable / usable.sum(axis=1, keepdims=True)))
+    e_bar = dm.matmul(ctx, energy, dm.constant(np.ones((t.size, 1))))
     u = dm.sigmoid(ctx, e_bar)
-    one = dm.constant(np.asarray(1.0))
     barrier_lo = dm.scale(ctx, dm.log(ctx, u), -1.0)
-    barrier_hi = dm.scale(ctx, dm.log(ctx, dm.sub(ctx, one, u)), -float(kappa))
-    return dm.add(ctx, barrier_lo, barrier_hi)
+    barrier_hi = dm.scale(ctx, dm.log(ctx, dm.sub(ctx, dm.constant(np.ones((B, 1))), u)), -float(kappa))
+    return dm.mean(ctx, dm.add(ctx, barrier_lo, barrier_hi))
 
 
-def ore_total_loss(x, x_hat, mask_samples, config: OreConfig, ctx: DiffContext | None = None) -> Tensor:
+def ore_total_loss(x, x_hat, hidden, config: OreConfig, ctx: DiffContext | None = None) -> Tensor:
     """Masked L2 plus weighted correlation and energy-barrier terms."""
     ctx = dm.resolve_ctx(ctx, x_hat)
-    xv = np.asarray(dm.value(x), dtype=np.float64)
-    xh = x_hat if isinstance(x_hat, (Tensor, Param)) else dm.constant(x_hat)
-    m = np.unique(np.asarray(mask_samples, dtype=np.int64))
-    if m.size == 0:
-        raise ContractError("ore_total_loss needs a nonempty sample mask")
-    l2 = dm.mean(
-        ctx, dm.square(ctx, dm.sub(ctx, dm.constant(xv[m]), dm.gather(ctx, xh, m)))
-    )
-    total = l2
+    xh, flags, xv = _loss_rows(ctx, x, x_hat, hidden, "ore_total_loss")
+    total = _masked_mean(ctx, dm.square(ctx, dm.sub(ctx, dm.constant(xv), xh)), flags)
     if config.lambda_corr > 0.0:
-        c = corr_loss(xv, xh, m, lambda_sign=config.lambda_sign, ctx=ctx)
+        c = corr_loss(xv, xh, flags, lambda_sign=config.lambda_sign, ctx=ctx)
         total = dm.add(ctx, total, dm.scale(ctx, c, config.lambda_corr))
     if config.lambda_pinn > 0.0:
-        p = pinn_loss(xh, m, kappa=config.kappa, ctx=ctx)
+        p = pinn_loss(xh, flags, kappa=config.kappa, ctx=ctx)
         total = dm.add(ctx, total, dm.scale(ctx, p, config.lambda_pinn))
     return total
 
@@ -171,8 +167,7 @@ def _prepare_segment(clean: np.ndarray, config: OreConfig):
     if hidden.all():
         return None  # nothing left for the encoder
     level = config.clip.level
-    midx = np.flatnonzero(np.repeat(hidden, P))
-    return clipped / level, clean / level, hidden, midx
+    return clipped / level, clean / level, hidden, np.repeat(hidden, P)
 
 
 def train_ore(
@@ -203,20 +198,15 @@ def train_ore(
             "or saturates every patch"
         )
     log.info("ore training: %d usable segments, %d skipped", len(prepared), skipped)
+    # inputs, targets, hidden patches and hidden samples, one row per segment
+    x_in, x_tgt, hidden, flags = (np.stack(column) for column in zip(*prepared))
 
     def chunk_loss(ctx, chunk, rng):
-        # one forward over the chunk's segments, each row with its own mask
-        items = [prepared[i] for i in chunk]
-        x_in = np.stack([item[0] for item in items])
-        pred = bb.forward(ctx, params, config.backbone, x_in, np.stack([item[2] for item in items]))
-        total = None
-        for r, (_, x_tgt, _, midx) in enumerate(items):
-            row = dm.reshape(ctx, dm.gather(ctx, pred, np.array([r]), axis=0), x_tgt.shape)
-            loss = ore_total_loss(x_tgt, row, midx, config, ctx=ctx)
-            total = loss if total is None else dm.add(ctx, total, loss)
-        return dm.scale(ctx, total, 1.0 / len(items))
+        # one forward and one loss over the chunk's segments, each row with its own mask
+        pred = bb.forward(ctx, params, config.backbone, x_in[chunk], hidden[chunk])
+        return ore_total_loss(x_tgt[chunk], pred, flags[chunk], config, ctx=ctx)
 
-    trace = fit(params, config, len(prepared), chunk_loss, epochs, rng, "ore")
+    trace = fit(params, config, len(x_in), chunk_loss, epochs, rng, "ore")
     trace.skipped_segments = skipped
     return params, trace
 

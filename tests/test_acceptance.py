@@ -158,7 +158,7 @@ def test_c01_gradient_correctness(capsys):
     for seed in range(10):
         rng = np.random.default_rng([911, seed])
         x = rng.normal(0.0, 0.6, 16)
-        mask = np.arange(2, 14)
+        mask = np.isin(np.arange(16), np.arange(2, 14))
         fn = lambda c, xh: ore_total_loss(x, xh, mask, ore_cfg, ctx=c)
         rep = dm.grad_check(fn, [rng.normal(0.0, 0.6, 16)])
         worst = max(worst, rep.max_rel_err)
@@ -212,10 +212,10 @@ def _barrier_series(e):
 
 
 def test_c03_energy_barrier(capsys):
-    const = float(pinn_loss(np.full(12, 3.7), np.arange(2, 10), kappa=1.0).data)
+    const = float(pinn_loss(np.full(12, 3.7), np.isin(np.arange(12), np.arange(2, 10)), kappa=1.0).data)
     err_const = abs(const - 2.0 * math.log(2.0))
 
-    mask = np.array([2])
+    mask = np.arange(4) == 2
     worst_u = 0.0
     for kappa in (0.5, 1.0, 2.0):
         f = lambda e: float(pinn_loss(_barrier_series(e), mask, kappa=kappa).data)

@@ -96,6 +96,13 @@ class TestConfigKeys:
             ({"train_ore": {"epochs": "four"}}, "train_ore.epochs"),
             ({"clip_level": "high"}, "clip_level"),
             ({"backbone": {"embed_dim": "wide"}}, "backbone.embed_dim"),
+            # a number must be a finite JSON number: no boolean, string, Infinity or NaN
+            ({"sample_rate": float("inf")}, "sample_rate"),
+            ({"gate": {"quiet_threshold": float("nan")}}, "gate.quiet_threshold"),
+            ({"clip_level": True}, "clip_level"),
+            ({"clip_level": "450"}, "clip_level"),
+            ({"train_ore": {"epochs": True}}, "train_ore.epochs"),
+            ({"backbone": {"sigma_init": float("inf")}}, "backbone.sigma_init"),
         ],
     )
     def test_unknown_key_rejected(self, tmp_path, capsys, extra, bad):
@@ -313,6 +320,8 @@ class TestEnhanceStartupChecks:
         cfg = write_config(tmp_path)
         src = tmp_path / "in.csv"
         save_csv(SampleSeries(np.full(64, 200.0), 100.0), src)
+        existing_dir = tmp_path / "out_dir"
+        existing_dir.mkdir()
         made = set(tmp_path.iterdir())
         argv = {
             "train-ore": ["--config", cfg, "--seed", "1"],
@@ -321,14 +330,16 @@ class TestEnhanceStartupChecks:
             "bench": ["--config", cfg, "--raw", str(src), "--enhanced", str(src), "--truth", str(src)],
             "allan": ["--input", str(src)],
         }[command]
-        missing = str(tmp_path / "no" / "such" / "out.file")
-        if flag == "--out":
-            argv += ["--out", missing]
-        else:
-            argv += ["--out", str(tmp_path / "out.file"), flag, missing]
-        assert main([command] + argv) == 2
-        assert "error:" in capsys.readouterr().err
-        assert set(tmp_path.iterdir()) == made
+        # a path whose directory is missing, and a path that names a directory
+        for bad in (str(tmp_path / "no" / "such" / "out.file"), str(existing_dir)):
+            if flag == "--out":
+                args = argv + ["--out", bad]
+            else:
+                args = argv + ["--out", str(tmp_path / "out.file"), flag, bad]
+            assert main([command] + args) == 2
+            assert "error:" in capsys.readouterr().err
+            assert set(tmp_path.iterdir()) == made
+            assert not any(existing_dir.iterdir())
 
 
 class TestBench:

@@ -67,7 +67,9 @@ class TestConfig:
         assert gate_config(quiet_threshold=0.25).quiet_tau == 0.25
 
     def test_validation(self):
-        for kw in ({"segment_len": 0}, {"peak_run": 0}, {"quiet_run": 0}, {"quiet_threshold": -1.0}):
+        # a NaN threshold would compare false everywhere and silently disable the noise route
+        for kw in ({"segment_len": 0}, {"peak_run": 0}, {"quiet_run": 0}, {"quiet_threshold": -1.0},
+                   {"quiet_threshold": np.nan}, {"quiet_threshold": np.inf}):
             with pytest.raises(ConfigError):
                 gate_config(**kw)
 

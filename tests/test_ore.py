@@ -33,6 +33,13 @@ def tiny_config(**kw):
     return OreConfig(clip=ClipSpec(level=1.0), backbone=TINY_BB, **kw)
 
 
+def hide(n, idx):
+    """Boolean [n] hidden-sample flags, true at the indices ``idx``."""
+    flags = np.zeros(n, dtype=bool)
+    flags[np.asarray(idx, dtype=np.int64)] = True
+    return flags
+
+
 class TestMasks:
     def test_flags_hide_touched_patches(self):
         flags = np.zeros(12, dtype=bool)
@@ -43,9 +50,10 @@ class TestMasks:
         # a segment whose samples 5 and 11 sit on the rail hides patches 1 and 2
         clean = np.zeros(12)
         clean[[5, 11]] = 2.0
-        _, _, hidden, midx = ore._prepare_segment(clean, tiny_config())
+        _, _, hidden, flags = ore._prepare_segment(clean, tiny_config())
         np.testing.assert_array_equal(hidden, [False, True, True])
-        np.testing.assert_array_equal(midx, [4, 5, 6, 7, 8, 9, 10, 11])
+        assert flags.dtype == bool
+        np.testing.assert_array_equal(np.flatnonzero(flags), [4, 5, 6, 7, 8, 9, 10, 11])
 
     def test_non_tiling_flags_rejected(self):
         with pytest.raises(DimensionError):
@@ -56,20 +64,20 @@ class TestCorrLoss:
     def test_worked_example(self):
         x = np.array([0.0, 1.0, 2.0, 1.0])
         xh = np.array([0.0, 1.0, 1.0, 1.0])
-        loss = corr_loss(x, xh, [1, 2, 3], ctx=DiffContext())
+        loss = corr_loss(x, xh, hide(4, [1, 2, 3]), ctx=DiffContext())
         assert float(loss.data) == pytest.approx(5.0 / 3.0, abs=1e-12)
 
     def test_perfect_reconstruction_is_zero(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=16)
-        loss = corr_loss(x, x.copy(), np.arange(1, 16), ctx=DiffContext())
+        loss = corr_loss(x, x.copy(), hide(16, np.arange(1, 16)), ctx=DiffContext())
         assert float(loss.data) == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         x, xh = rng.normal(size=12), rng.normal(size=12)
-        m = np.sort(rng.choice(np.arange(1, 12), size=5, replace=False))
+        m = hide(12, rng.choice(np.arange(1, 12), size=5, replace=False))
         loss = corr_loss(x, xh, m, ctx=DiffContext())
         assert float(loss.data) >= 0.0
 
@@ -77,7 +85,7 @@ class TestCorrLoss:
     def test_diff_term_oracle_without_pin(self, seed):
         rng = np.random.default_rng(seed)
         x, xh = rng.normal(size=10), rng.normal(size=10)
-        m = np.arange(1, 10)
+        m = hide(10, np.arange(1, 10))
         loss = corr_loss(x, xh, m, lambda_sign=0.0, ctx=DiffContext())
         want = np.mean((np.diff(x) - np.diff(xh)) ** 2)
         assert float(loss.data) == pytest.approx(want, rel=1e-12)
@@ -86,17 +94,17 @@ class TestCorrLoss:
         # true signal flat, prediction wiggly: no extrema, pin term absent
         x = np.linspace(0.0, 1.0, 8)
         xh = np.array([0.0, 0.5, -0.5, 0.5, -0.5, 0.5, -0.5, 0.0])
-        loss = corr_loss(x, xh, np.arange(1, 8), ctx=DiffContext())
+        loss = corr_loss(x, xh, hide(8, np.arange(1, 8)), ctx=DiffContext())
         want = np.mean((np.diff(x) - np.diff(xh)) ** 2)
         assert float(loss.data) == pytest.approx(want, rel=1e-12)
 
     def test_mask_without_usable_index_rejected(self):
         with pytest.raises(ContractError):
-            corr_loss(np.zeros(4), np.zeros(4), [0], ctx=DiffContext())
+            corr_loss(np.zeros(4), np.zeros(4), hide(4, [0]), ctx=DiffContext())
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ContractError):
-            corr_loss(np.zeros(4), np.zeros(4), [], ctx=DiffContext())
+            corr_loss(np.zeros(4), np.zeros(4), hide(4, []), ctx=DiffContext())
 
 
 def barrier_series(e_bar: float) -> np.ndarray:
@@ -107,7 +115,7 @@ def barrier_series(e_bar: float) -> np.ndarray:
 
 class TestPinnLoss:
     def test_constant_prediction_value(self):
-        loss = pinn_loss(np.full(16, 3.7), np.arange(16), kappa=1.0, ctx=DiffContext())
+        loss = pinn_loss(np.full(16, 3.7), hide(16, np.arange(16)), kappa=1.0, ctx=DiffContext())
         assert float(loss.data) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_barrier_series_helper_hits_target_energy(self):
@@ -119,7 +127,7 @@ class TestPinnLoss:
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
     def test_minimum_sits_at_inverse_one_plus_kappa(self, kappa):
         def f(e):
-            return float(pinn_loss(barrier_series(e), [2], kappa=kappa, ctx=DiffContext()).data)
+            return float(pinn_loss(barrier_series(e), hide(4, [2]), kappa=kappa, ctx=DiffContext()).data)
 
         res = minimize_scalar(f, bounds=(-6.0, 6.0), method="bounded", options={"xatol": 1e-12})
         from scipy.special import expit
@@ -132,16 +140,16 @@ class TestPinnLoss:
         for e in (-0.8, 0.3, 2.0):
             u = expit(e)
             want = -math.log(u) - 2.0 * math.log(1.0 - u)
-            got = float(pinn_loss(barrier_series(e), [2], kappa=2.0, ctx=DiffContext()).data)
+            got = float(pinn_loss(barrier_series(e), hide(4, [2]), kappa=2.0, ctx=DiffContext()).data)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_no_usable_index_rejected(self):
         with pytest.raises(ContractError):
-            pinn_loss(np.zeros(8), [0, 1, 7], ctx=DiffContext())
+            pinn_loss(np.zeros(8), hide(8, [0, 1, 7]), ctx=DiffContext())
 
     def test_bad_kappa_rejected(self):
         with pytest.raises(ConfigError):
-            pinn_loss(np.zeros(8), [3], kappa=0.0, ctx=DiffContext())
+            pinn_loss(np.zeros(8), hide(8, [3]), kappa=0.0, ctx=DiffContext())
 
 
 class TestTotalLoss:
@@ -150,14 +158,14 @@ class TestTotalLoss:
         rng = np.random.default_rng(1)
         x, xh = rng.normal(size=16), rng.normal(size=16)
         m = np.array([4, 5, 6, 7])
-        loss = ore_total_loss(x, xh, m, cfg, ctx=DiffContext())
+        loss = ore_total_loss(x, xh, hide(16, m), cfg, ctx=DiffContext())
         assert float(loss.data) == pytest.approx(np.mean((x[m] - xh[m]) ** 2), rel=1e-12)
 
     def test_composition_identity(self):
         cfg = tiny_config()
         rng = np.random.default_rng(2)
         x, xh = rng.normal(size=16), rng.normal(size=16)
-        m = np.arange(2, 14)
+        m = hide(16, np.arange(2, 14))
         total = float(ore_total_loss(x, xh, m, cfg, ctx=DiffContext()).data)
         l2 = np.mean((x[m] - xh[m]) ** 2)
         c = float(corr_loss(x, xh, m, lambda_sign=cfg.lambda_sign, ctx=DiffContext()).data)
@@ -169,7 +177,7 @@ class TestTotalLoss:
         cfg = tiny_config()
         rng = np.random.default_rng(seed)
         x = rng.normal(size=16)
-        m = np.sort(rng.choice(np.arange(2, 14), size=6, replace=False))
+        m = hide(16, rng.choice(np.arange(2, 14), size=6, replace=False))
         rep = dm.grad_check(
             lambda ctx, xh: ore_total_loss(x, xh, m, cfg, ctx=ctx),
             [rng.normal(size=16)],
@@ -178,7 +186,57 @@ class TestTotalLoss:
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ContractError):
-            ore_total_loss(np.zeros(8), np.zeros(8), [], tiny_config(), ctx=DiffContext())
+            ore_total_loss(np.zeros(8), np.zeros(8), hide(8, []), tiny_config(), ctx=DiffContext())
+
+
+class TestBatchedLoss:
+    """A [B, L] batch is scored as the mean over rows of each row's 1-D loss."""
+
+    def batch(self):
+        rng = np.random.default_rng(11)
+        x, xh = rng.normal(size=(4, 16)), rng.normal(size=(4, 16))
+        x[3] = np.linspace(-1.0, 1.0, 16)  # no extremum: this row has no pin
+        flags = np.stack([
+            hide(16, np.arange(2, 14)),
+            hide(16, [4, 5, 6, 7]),
+            hide(16, np.arange(8, 16)),
+            hide(16, [1, 5, 9, 13, 14]),
+        ])
+        return x, xh, flags
+
+    @pytest.mark.parametrize("term", ["total", "corr", "pinn"])
+    def test_batch_is_the_mean_of_its_rows(self, term):
+        cfg = tiny_config()
+        loss = {
+            "total": lambda x, xh, m: ore_total_loss(x, xh, m, cfg, ctx=DiffContext()),
+            "corr": lambda x, xh, m: corr_loss(x, xh, m, lambda_sign=cfg.lambda_sign, ctx=DiffContext()),
+            "pinn": lambda x, xh, m: pinn_loss(xh, m, kappa=cfg.kappa, ctx=DiffContext()),
+        }[term]
+        x, xh, flags = self.batch()
+        assert len({int(n) for n in flags.sum(axis=1)}) == 4
+        rows = [float(loss(x[b], xh[b], flags[b]).data) for b in range(4)]
+        assert float(loss(x, xh, flags).data) == pytest.approx(np.mean(rows), rel=1e-12, abs=1e-12)
+
+    def test_gradient_wrt_prediction(self):
+        cfg = tiny_config()
+        x, xh, flags = self.batch()
+        rep = dm.grad_check(lambda ctx, p: ore_total_loss(x, p, flags, cfg, ctx=ctx), [xh])
+        assert rep.passed, f"max rel err {rep.max_rel_err:.3e}"
+
+    @pytest.mark.parametrize("case", ["index_array", "shape_mismatch", "row_without_hidden", "only_t0_hidden"])
+    def test_bad_masks_rejected(self, case):
+        x, xh, flags = self.batch()
+        if case == "index_array":
+            flags = np.flatnonzero(flags[0])
+            x, xh = x[0], xh[0]
+        elif case == "shape_mismatch":
+            flags = flags[:, :12]
+        elif case == "row_without_hidden":
+            flags[2] = False
+        else:
+            flags[1] = hide(16, [0])
+        with pytest.raises(ContractError):
+            ore_total_loss(x, xh, flags, tiny_config(), ctx=DiffContext())
 
 
 def peaky_segments(rng, n, seg_len=32, level=1.0):
@@ -258,10 +316,10 @@ class TestChunkedTapes:
         train_ore(segs, cfg, epochs=1, seed=9)
         # reference: one B=1 tape per segment, each weighted 1/B
         params = bb.init_params(cfg.backbone, np.random.default_rng(9))
-        for x_in, x_tgt, mask, midx in prepared:
+        for x_in, x_tgt, mask, flags in prepared:
             ctx = DiffContext()
             pred = bb.forward(ctx, params, cfg.backbone, x_in[None], mask[None])
-            loss = ore_total_loss(x_tgt, dm.reshape(ctx, pred, x_tgt.shape), midx, cfg, ctx=ctx)
+            loss = ore_total_loss(x_tgt, dm.reshape(ctx, pred, x_tgt.shape), flags, cfg, ctx=ctx)
             dm.backward(dm.scale(ctx, loss, 1.0 / len(prepared)), ctx)
         assert_grads_close(seen[0], [p.grad.data for p in params.all_params()])
 
