@@ -24,7 +24,6 @@ and the block reduces to plain dot-product attention; sigma is kept inside
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -306,58 +305,45 @@ def gd_bias(ctx: DiffContext, sigma, positions: np.ndarray) -> Tensor:
     return dm.scalar_mul(ctx, coef, d2)
 
 
-def gd_attention(ctx: DiffContext, q, k_t, v, bias) -> Tensor:
-    """Per-head attention ``softmax(q k_t / sqrt(d_k) + bias) v``.
+def gd_attention(ctx: DiffContext, qkv, bias) -> Tensor:
+    """Per-head attention ``softmax(q k^T / sqrt(d_k) + bias) v``.
 
-    Takes queries ``[B, heads, n, d_k]``, transposed keys
-    ``[B, heads, d_k, n]`` and values ``[B, heads, n, d_k]``; ``bias`` is a
+    Takes queries, keys and values stacked on axis 1 as one
+    ``[B, 3 * heads, n, d_k]`` array (the :func:`~gyromoe.diffmath.split_heads`
+    output of a block) and returns ``[B, heads, n, d_k]``. ``bias`` is a
     :func:`gd_bias` term, key padding, their sum, or None for plain
-    dot-product attention, which a large sigma approaches smoothly.
+    dot-product attention, which a large sigma approaches smoothly. The
+    pass is four tape nodes: a transpose for the keys,
+    :func:`~gyromoe.diffmath.scores`, row softmax and
+    :func:`~gyromoe.diffmath.values`.
     """
-    logits = dm.scale(ctx, dm.matmul(ctx, q, k_t), 1.0 / math.sqrt(dm.value(q).shape[-1]))
-    if bias is not None:
-        logits = dm.add(ctx, logits, bias)
-    return dm.matmul(ctx, dm.row_softmax(ctx, logits), v)
+    logits = dm.scores(ctx, qkv, dm.transpose(ctx, qkv), bias)
+    return dm.values(ctx, dm.row_softmax(ctx, logits), qkv)
 
 
 # ---------------------------------------------------------------------------
 # Transformer blocks (pre-norm) on [B, n, d] token batches.
 
 
-def _linear(ctx, x, params, w_name, b_name):
-    return dm.add(ctx, dm.matmul(ctx, x, params[w_name]), params[b_name])
-
-
 def _attention_sublayer(ctx, params, prefix, config, x, bias_term):
-    B, n, d = x.shape
-    heads, d_k = config.heads, config.head_dim
     a = f"{prefix}.attn."
     h = dm.layer_norm(ctx, x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     # q, k and v are three products stacked afterwards, not one product over
     # concatenated weights, so each input-gradient term sums over d entries
     # (a 3d-wide product would round differently)
     qkv = dm.concat(
-        ctx, [_linear(ctx, h, params, a + f"w{p}", a + f"b{p}") for p in "qkv"], axis=2
+        ctx, [dm.linear(ctx, h, params[a + f"w{p}"], params[a + f"b{p}"]) for p in "qkv"], axis=2
     )  # [B, n, 3d]
     # column (part * heads + head) * d_k + j of qkv is entry j of that head's
-    # query (part 0), key (1) or value (2); move the heads onto axis 1
-    cols = dm.reshape(ctx, dm.transpose(ctx, qkv), (B, 3 * heads, d_k, n))
-    rows = dm.transpose(ctx, cols)  # [B, 3 * heads, n, d_k]
-    q = dm.gather(ctx, rows, np.arange(0, heads), axis=1)
-    k_t = dm.gather(ctx, cols, np.arange(heads, 2 * heads), axis=1)
-    v = dm.gather(ctx, rows, np.arange(2 * heads, 3 * heads), axis=1)
-    per_head = gd_attention(ctx, q, k_t, v, bias_term)  # [B, heads, n, d_k]
-    merged_t = dm.reshape(ctx, dm.transpose(ctx, per_head), (B, d, n))
-    out = _linear(ctx, dm.transpose(ctx, merged_t), params, a + "wo", a + "bo")
-    return dm.add(ctx, x, out)
+    # query (part 0), key (1) or value (2)
+    per_head = gd_attention(ctx, dm.split_heads(ctx, qkv, 3 * config.heads), bias_term)
+    return dm.linear(ctx, dm.merge_heads(ctx, per_head), params[a + "wo"], params[a + "bo"], residual=x)
 
 
 def _mlp_sublayer(ctx, params, prefix, x):
     h = dm.layer_norm(ctx, x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    h = _linear(ctx, h, params, f"{prefix}.mlp.w1", f"{prefix}.mlp.b1")
-    h = dm.gelu(ctx, h)
-    h = _linear(ctx, h, params, f"{prefix}.mlp.w2", f"{prefix}.mlp.b2")
-    return dm.add(ctx, x, h)
+    h = dm.gelu(ctx, dm.linear(ctx, h, params[f"{prefix}.mlp.w1"], params[f"{prefix}.mlp.b1"]))
+    return dm.linear(ctx, h, params[f"{prefix}.mlp.w2"], params[f"{prefix}.mlp.b2"], residual=x)
 
 
 def _run_blocks(ctx, params, config, seq, prefix, n_layers, use_gd):
@@ -388,7 +374,7 @@ def embed(ctx: DiffContext, params: ModelParams, config: BackboneConfig, values)
     if patches.ndim != 3:
         raise DimensionError(f"embed needs a [B, L] batch, got {dm.value(values).shape}")
     B, n, _ = patches.shape
-    tok = _linear(ctx, dm.constant(patches), params, "embed.w", "embed.b")
+    tok = dm.linear(ctx, dm.constant(patches), params["embed.w"], params["embed.b"])
     tok = dm.add(ctx, tok, dm.constant(pe_table(n, config.embed_dim)))
     return TokenSequence(tok, _grid(B, n))
 
@@ -451,7 +437,7 @@ def decode(ctx: DiffContext, params: ModelParams, config: BackboneConfig, seq: T
     use_gd = config.gd_placement in ("decoder", "both")
     x = _run_blocks(ctx, params, config, seq, "dec", config.dec_layers, use_gd)
     x = dm.layer_norm(ctx, x, params["dec_norm.g"], params["dec_norm.b"])
-    return _linear(ctx, x, params, "head.w", "head.b")
+    return dm.linear(ctx, x, params["head.w"], params["head.b"])
 
 
 def forward(

@@ -59,6 +59,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _string(value) -> str:
+    """``value`` as given: a JSON string, not a number or a boolean."""
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
 def _int_pair(value) -> tuple:
     lo, hi = value
     return _integer(lo), _integer(hi)
@@ -71,7 +78,7 @@ _CONFIG_KEYS = {
     "sample_rate": _number,
     "segment_len": _integer,
     "backbone": {
-        f.name: {int: _integer, float: _number}.get(type(f.default), type(f.default))
+        f.name: {int: _integer, float: _number, str: _string}[type(f.default)]
         for f in dataclasses.fields(BackboneConfig)
     },
     "synth": {
@@ -86,7 +93,7 @@ _CONFIG_KEYS = {
     "train_de": {
         "n_segments": _integer, "epochs": _integer, "batch_size": _integer, "learn_rate": _number,
         "noise_sigma": _number, "beta": _number, "corruption_gain": _number, "n_snippets": _integer,
-        "weight_share": str,
+        "weight_share": _string,
     },
     "gate": {
         "peak_run": _integer, "quiet_run": _integer,

@@ -6,7 +6,11 @@ gradients. A context made with ``record=False`` runs the same primitives
 for inference and keeps no tape. The primitive set is intentionally small:
 dense matmul, a few pointwise maps, row softmax, layer norm, index
 gather/scatter, and shape plumbing. Everything heavier is composed from
-these.
+these, except the transformer-block ops (:func:`linear`,
+:func:`split_heads`, :func:`merge_heads`, :func:`scores`, :func:`values`):
+each is one tape node in place of a chain of primitives, and runs the same
+numpy calls as that chain, so its outputs and gradients are bit for bit
+those of the chain.
 
 Primitives are batch-first: matmul works on stacks of matrices, softmax
 and layer norm act on the last axis, transpose swaps the last two axes,
@@ -20,6 +24,7 @@ several tapes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +51,9 @@ class Tensor:
 
     def __init__(self, data, _ctx=None, _slot=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        # a finite sum of squares proves every entry finite, in one call
+        # where the entrywise test takes two; only an overflow needs that test
+        if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
             raise ContractError("tensor values must be finite")
         self.data = arr
         self._ctx = _ctx
@@ -355,9 +362,11 @@ def layer_norm(ctx: DiffContext, x, gain, bias) -> Tensor:
             f"layer_norm gain/bias shapes {gv.shape}/{bv.shape} do not match width {d}"
         )
     mu = xv.mean(axis=-1, keepdims=True)
-    var = xv.var(axis=-1, keepdims=True)
+    centered = xv - mu
+    # the variance as np.var computes it, without computing the mean again
+    var = np.square(centered).sum(axis=-1, keepdims=True) / d
     std = np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (xv - mu) / std
+    xhat = centered / std
 
     def vjp(g, keys):
         gx = gg = gb = None
@@ -497,7 +506,13 @@ def gather(ctx: DiffContext, x, idx, axis: int = 0) -> Tensor:
 
     def vjp(g, keys):
         dx = np.zeros(shape)
-        np.add.at(dx, at, g)
+        # checked here, not at record time, so an untaped forward never pays
+        # for it; only repeated indices need the accumulating add
+        ordered = np.sort(idx, axis=-1)
+        if (ordered[..., 1:] != ordered[..., :-1]).all():
+            dx[at] = g
+        else:
+            np.add.at(dx, at, g)
         return (dx,)
 
     return ctx._record(xv[at], vjp, x)
@@ -534,7 +549,7 @@ def concat(ctx: DiffContext, parts, axis: int = 0) -> Tensor:
         raise ContractError("concat needs at least one part")
     vals = [value(p) for p in parts]
     out = np.concatenate(vals, axis=axis)
-    offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
+    offsets = list(itertools.accumulate([v.shape[axis] for v in vals], initial=0))
 
     def vjp(g, keys):
         grads = []
@@ -543,7 +558,7 @@ def concat(ctx: DiffContext, parts, axis: int = 0) -> Tensor:
                 grads.append(None)
             else:
                 sl = [slice(None)] * g.ndim
-                sl[axis] = slice(int(lo), int(hi))
+                sl[axis] = slice(lo, hi)
                 grads.append(g[tuple(sl)])
         return grads
 
@@ -575,6 +590,147 @@ def reshape(ctx: DiffContext, x, shape) -> Tensor:
         return (g.reshape(in_shape),)
 
     return ctx._record(xv.reshape(shape), vjp, x)
+
+
+# ---------------------------------------------------------------------------
+# Transformer-block ops. Each is one tape node for a chain of the primitives
+# above; its vjp runs the numpy calls of that chain's vjps and returns their
+# gradients as the tape would have popped them, so outputs and gradients
+# are bit for bit those of the chain.
+
+
+def linear(ctx: DiffContext, x, w, b, residual=None) -> Tensor:
+    """``x @ w + b``, plus ``residual`` when one is given: the matmul, bias
+    add and residual add as one node.
+
+    ``x`` is ``[..., d_in]``, ``w`` a ``[d_in, d_out]`` matrix shared by
+    every row, ``b`` a ``[d_out]`` bias and ``residual`` of the output's
+    shape.
+    """
+    xv, wv, bv = value(x), value(w), value(b)
+    if xv.ndim < 2 or wv.ndim != 2 or xv.shape[-1] != wv.shape[0] or bv.shape != wv.shape[1:]:
+        raise DimensionError(f"linear shapes {xv.shape}, {wv.shape} and {bv.shape} are incompatible")
+    out = np.matmul(xv, wv) + bv
+    objs = (x, w, b)
+    if residual is not None:
+        rv = value(residual)
+        if rv.shape != out.shape:
+            raise DimensionError(f"linear residual shape {rv.shape} does not match output {out.shape}")
+        out = rv + out
+        objs += (residual,)
+    b_shape = bv.shape
+
+    def vjp(g, keys):
+        gx = gw = gb = None
+        if keys[0] is not None:
+            gx = np.matmul(g, wv.T)
+        if keys[1] is not None:
+            gw = xv.reshape(-1, xv.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        if keys[2] is not None:
+            gb = _unbroadcast(g, b_shape)
+        # the residual's gradient is g itself; zip drops it when there is none
+        return gx, gw, gb, g
+
+    return ctx._record(out, vjp, *objs)
+
+
+def split_heads(ctx: DiffContext, x, heads: int) -> Tensor:
+    """``[B, n, heads * d_k]`` to ``[B, heads, n, d_k]``: column
+    ``h * d_k + j`` of a token becomes entry ``j`` of head ``h``."""
+    xv = value(x)
+    if xv.ndim != 3 or xv.shape[2] % heads != 0:
+        raise DimensionError(f"split_heads cannot cut shape {xv.shape} into {heads} heads")
+    B, n, d = xv.shape
+
+    def vjp(g, keys):
+        return (g.transpose(0, 2, 1, 3).reshape(B, n, d),)
+
+    out = np.ascontiguousarray(xv.reshape(B, n, heads, d // heads).transpose(0, 2, 1, 3))
+    return ctx._record(out, vjp, x)
+
+
+def merge_heads(ctx: DiffContext, x) -> Tensor:
+    """``[B, heads, n, d_k]`` to ``[B, n, heads * d_k]``, the inverse of
+    :func:`split_heads`."""
+    xv = value(x)
+    if xv.ndim != 4:
+        raise DimensionError(f"merge_heads needs [B, heads, n, d_k], got {xv.shape}")
+    B, heads, n, d_k = xv.shape
+
+    def vjp(g, keys):
+        # contiguous, as the transposes of the chain leave it
+        return (np.ascontiguousarray(g.reshape(B, n, heads, d_k).transpose(0, 2, 1, 3)),)
+
+    return ctx._record(xv.transpose(0, 2, 1, 3).reshape(B, n, heads * d_k), vjp, x)
+
+
+def _thirds(stack: np.ndarray, opname: str) -> int:
+    """Heads per part of a ``[B, 3 * heads, ., .]`` query/key/value stack."""
+    if stack.ndim != 4 or stack.shape[1] % 3 != 0:
+        raise DimensionError(f"{opname} needs a [B, 3 * heads, ., .] stack, got {stack.shape}")
+    return stack.shape[1] // 3
+
+
+def scores(ctx: DiffContext, qkv, qkv_t, bias=None) -> Tensor:
+    """Attention logits ``q k_t / sqrt(d_k) + bias``, ``[B, heads, n, n]``.
+
+    ``qkv`` stacks queries, keys and values ``[B, 3 * heads, n, d_k]`` on
+    axis 1 and ``qkv_t`` is its :func:`transpose`; the queries are read
+    from the first third of ``qkv`` and the keys from the middle third of
+    ``qkv_t``. ``bias`` broadcasts against the logits as in :func:`add`,
+    or is None.
+    """
+    sv, tv = value(qkv), value(qkv_t)
+    h = _thirds(sv, "scores")
+    if tv.shape != sv.shape[:2] + (sv.shape[3], sv.shape[2]):
+        raise DimensionError(f"scores needs the transpose of {sv.shape}, got {tv.shape}")
+    q, k_t = sv[:, :h], tv[:, h : 2 * h]
+    c = 1.0 / math.sqrt(sv.shape[-1])
+    out = c * np.matmul(q, k_t)
+    b_shape = None
+    if bias is not None:
+        bv = value(bias)
+        _check_broadcast(out, bv, "scores")
+        out = out + bv
+        b_shape = bv.shape
+    s_shape, t_shape = sv.shape, tv.shape
+
+    def vjp(g, keys):
+        gs = gt = gb = None
+        if keys[2] is not None:
+            gb = _unbroadcast(g, b_shape)
+        g = c * g
+        if keys[0] is not None:
+            gs = np.zeros(s_shape)
+            gs[:, :h] = np.matmul(g, np.swapaxes(k_t, -1, -2))
+        if keys[1] is not None:
+            gt = np.zeros(t_shape)
+            gt[:, h : 2 * h] = np.matmul(np.swapaxes(q, -1, -2), g)
+        return gs, gt, gb
+
+    return ctx._record(out, vjp, qkv, qkv_t, bias)
+
+
+def values(ctx: DiffContext, p, qkv) -> Tensor:
+    """Attention output ``p v``: weights ``[B, heads, n, n]`` times the
+    values, the last third of the :func:`scores` stack ``qkv``."""
+    pv, sv = value(p), value(qkv)
+    h = _thirds(sv, "values")
+    v = sv[:, 2 * h :]
+    if pv.shape != v.shape[:2] + (v.shape[2], v.shape[2]):
+        raise DimensionError(f"values weights {pv.shape} do not fit values {v.shape}")
+    s_shape = sv.shape
+
+    def vjp(g, keys):
+        gp = gs = None
+        if keys[0] is not None:
+            gp = np.matmul(g, np.swapaxes(v, -1, -2))
+        if keys[1] is not None:
+            gs = np.zeros(s_shape)
+            gs[:, 2 * h :] = np.matmul(np.swapaxes(pv, -1, -2), g)
+        return gp, gs
+
+    return ctx._record(np.matmul(pv, v), vjp, p, qkv)
 
 
 # ---------------------------------------------------------------------------

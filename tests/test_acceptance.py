@@ -140,6 +140,22 @@ def _primitive_cases():
          lambda r: [r.normal(size=(2, 2, 3))]),
         ("reshape_3d", lambda c, x: _sq_mean(c, dm.reshape(c, x, (2, 3, 4))),
          lambda r: [r.normal(size=(6, 4))]),
+        # transformer-block ops
+        ("linear_3d", lambda c, x, w, b: _sq_mean(c, dm.linear(c, x, w, b)),
+         lambda r: [r.normal(size=(2, 3, 4)), r.normal(size=(4, 5)), r.normal(size=(5,))]),
+        ("linear_residual", lambda c, x, w, b, s: _sq_mean(c, dm.linear(c, x, w, b, residual=s)),
+         lambda r: [r.normal(size=(2, 3, 4)), r.normal(size=(4, 5)), r.normal(size=(5,)),
+                    r.normal(size=(2, 3, 5))]),
+        ("split_heads", lambda c, x: _sq_mean(c, dm.mul(c, dm.split_heads(c, x, 3), dm.constant(np.arange(36.0).reshape(2, 3, 3, 2)))),
+         lambda r: [r.normal(size=(2, 3, 6))]),
+        ("merge_heads", lambda c, x: _sq_mean(c, dm.mul(c, dm.merge_heads(c, x), dm.constant(np.arange(36.0).reshape(2, 3, 6)))),
+         lambda r: [r.normal(size=(2, 3, 3, 2))]),
+        ("scores_bias", lambda c, s, b: _sq_mean(c, dm.scores(c, s, dm.transpose(c, s), b)),
+         lambda r: [r.normal(size=(2, 6, 4, 3)), r.normal(size=(2, 1, 4, 4))]),
+        ("scores", lambda c, s: _sq_mean(c, dm.scores(c, s, dm.transpose(c, s))),
+         lambda r: [r.normal(size=(2, 6, 4, 3))]),
+        ("values", lambda c, p, s: _sq_mean(c, dm.values(c, p, s)),
+         lambda r: [r.normal(size=(2, 2, 4, 4)), r.normal(size=(2, 6, 4, 3))]),
     ]
 
 
@@ -197,7 +213,7 @@ def test_c02_gd_attention_limit(capsys):
         # the model's attention on one batch row and one head
         ctx = dm.DiffContext(record=False)
         bias = gd_bias(ctx, 1e6, np.arange(6)[None])
-        biased = gd_attention(ctx, q[None, None], k.T[None, None], v[None, None], bias).data[0, 0]
+        biased = gd_attention(ctx, np.stack([q, k, v])[None], bias).data[0, 0]
         worst = max(worst, float(np.abs(biased - plain).max()))
     announce(capsys, "C02", worst <= 1e-9, f"max_abs_diff={worst:.2e} over 20 draws")
 

@@ -1,8 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from gyromoe import backbone as bb
+from gyromoe import diffmath as dm
 from gyromoe.backbone import (
     GD_PLACEMENTS,
     BackboneConfig,
@@ -173,7 +176,7 @@ def bias_values(n_tokens, sigma, positions=None):
 def single_head(q, k, v, bias):
     """:func:`gd_attention` on one head's ``[n, d]`` operands."""
     ctx = DiffContext(record=False)
-    return gd_attention(ctx, q[None, None], k.T[None, None], v[None, None], bias).data[0, 0]
+    return gd_attention(ctx, np.stack([q, k, v])[None], bias).data[0, 0]
 
 
 class TestGaussianBias:
@@ -363,3 +366,59 @@ class TestForward:
         out = forward_values(params, cfg, np.linspace(-1, 1, 16)[None], hide(4, 1)[None])
         assert out.shape == (1, 16)
         assert np.all(np.isfinite(out))
+
+
+def _primitive_linear(ctx, x, w, b, residual=None):
+    out = dm.add(ctx, dm.matmul(ctx, x, w), b)
+    return out if residual is None else dm.add(ctx, residual, out)
+
+
+def _primitive_attention_sublayer(ctx, params, prefix, config, x, bias_term):
+    """The attention sublayer built from primitives only, node for node as
+    it was before the block ops: the reference the block ops must match."""
+    B, n, d = x.shape
+    heads, d_k = config.heads, config.head_dim
+    a = f"{prefix}.attn."
+    h = dm.layer_norm(ctx, x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
+    qkv = dm.concat(
+        ctx, [_primitive_linear(ctx, h, params[a + f"w{p}"], params[a + f"b{p}"]) for p in "qkv"], axis=2
+    )
+    cols = dm.reshape(ctx, dm.transpose(ctx, qkv), (B, 3 * heads, d_k, n))
+    rows = dm.transpose(ctx, cols)
+    q = dm.gather(ctx, rows, np.arange(0, heads), axis=1)
+    k_t = dm.gather(ctx, cols, np.arange(heads, 2 * heads), axis=1)
+    v = dm.gather(ctx, rows, np.arange(2 * heads, 3 * heads), axis=1)
+    logits = dm.scale(ctx, dm.matmul(ctx, q, k_t), 1.0 / math.sqrt(d_k))
+    if bias_term is not None:
+        logits = dm.add(ctx, logits, bias_term)
+    per_head = dm.matmul(ctx, dm.row_softmax(ctx, logits), v)
+    merged_t = dm.reshape(ctx, dm.transpose(ctx, per_head), (B, d, n))
+    out = _primitive_linear(ctx, dm.transpose(ctx, merged_t), params[a + "wo"], params[a + "bo"])
+    return dm.add(ctx, x, out)
+
+
+class TestBlockOps:
+    @pytest.mark.parametrize("placement", GD_PLACEMENTS)
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_block_ops_match_primitive_blocks_bit_for_bit(self, monkeypatch, placement, per_row):
+        cfg = BackboneConfig(patch_len=4, embed_dim=8, enc_layers=2, dec_layers=2, heads=2,
+                             gd_placement=placement, sigma_init=2.0)
+        rng = np.random.default_rng([31, GD_PLACEMENTS.index(placement), per_row])
+        x, target = rng.normal(size=(2, 3, 32))
+        mask = hide(8, 1, 4, 5) if not per_row else np.stack([hide(8, 1, 4, 5), hide(8, 0), hide(8, 2, 7)])
+
+        def run():
+            params = init_params(cfg, np.random.default_rng(7))
+            ctx = DiffContext()
+            pred = forward(ctx, params, cfg, x, mask)
+            backward(mean(ctx, square(ctx, sub(ctx, pred, constant(target)))), ctx)
+            return [pred.data] + [p.grad.data for p in params.all_params()]
+
+        fused = run()
+        with monkeypatch.context() as m:
+            m.setattr(dm, "linear", _primitive_linear)
+            m.setattr(bb, "_attention_sublayer", _primitive_attention_sublayer)
+            reference = run()
+        assert len(fused) == len(reference)
+        for got, want in zip(fused, reference):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

@@ -103,13 +103,17 @@ class TestConfigKeys:
             ({"clip_level": "450"}, "clip_level"),
             ({"train_ore": {"epochs": True}}, "train_ore.epochs"),
             ({"backbone": {"sigma_init": float("inf")}}, "backbone.sigma_init"),
+            # a string key takes a JSON string, not a boolean or a number
+            ({"train_de": {"weight_share": True}}, "train_de.weight_share"),
+            ({"backbone": {"gd_placement": 1}}, "backbone.gd_placement"),
         ],
     )
     def test_unknown_key_rejected(self, tmp_path, capsys, extra, bad):
         cfg = write_config(tmp_path, **extra)
         out = tmp_path / "ore.ckpt"
         assert main(["train-ore", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
-        assert bad in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and bad in err
         assert not out.exists()
 
 
