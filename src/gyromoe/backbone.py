@@ -24,7 +24,8 @@ and the block reduces to plain dot-product attention; sigma is kept inside
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,48 +74,6 @@ class BackboneConfig:
     @property
     def head_dim(self) -> int:
         return self.embed_dim // self.heads
-
-
-# Checkpoint codec: every field is one float scalar of metadata under its own
-# name, with gd_placement stored as its index in GD_PLACEMENTS.
-
-
-def config_to_meta(config: BackboneConfig) -> dict:
-    meta = asdict(config)
-    meta["gd_placement"] = GD_PLACEMENTS.index(config.gd_placement)
-    return meta
-
-
-def _meta_int(meta: dict, key: str) -> int:
-    """The integer stored as float metadata under ``key``; a non-finite or
-    fractional value is a :class:`ConfigError`."""
-    val = meta[key]
-    if not float(val).is_integer():
-        raise ConfigError(f"checkpoint metadata '{key}' = {val} is not an integer")
-    return int(val)
-
-
-def meta_choice(meta: dict, key: str, choices: tuple) -> str:
-    """The entry of ``choices`` whose index is stored under ``key``."""
-    i = _meta_int(meta, key)
-    if not 0 <= i < len(choices):
-        raise ConfigError(f"checkpoint metadata '{key}' = {i} is no index into {choices}")
-    return choices[i]
-
-
-def config_from_meta(meta: dict) -> BackboneConfig:
-    kwargs = {}
-    try:
-        for f in fields(BackboneConfig):
-            if f.name == "gd_placement":
-                kwargs[f.name] = meta_choice(meta, f.name, GD_PLACEMENTS)
-            elif isinstance(f.default, int):
-                kwargs[f.name] = _meta_int(meta, f.name)
-            else:
-                kwargs[f.name] = float(meta[f.name])
-    except KeyError as exc:
-        raise ConfigError(f"checkpoint metadata incomplete: {exc}") from None
-    return BackboneConfig(**kwargs)
 
 
 @dataclass
@@ -168,18 +127,6 @@ class ModelParams:
 
     def to_arrays(self) -> dict:
         return {name: p.tensor.data.copy() for name, p in self.store.items()}
-
-    def load_arrays(self, arrays: dict):
-        for name, p in self.store.items():
-            if name not in arrays:
-                raise ConfigError(f"checkpoint missing parameter '{name}'")
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != p.tensor.data.shape:
-                raise DimensionError(
-                    f"parameter '{name}' shape {arr.shape} does not match expected "
-                    f"{p.tensor.data.shape}"
-                )
-            p.tensor.data[...] = arr
 
 
 def _block_spec(prefix: str, d: int, r: int) -> list:
@@ -245,11 +192,20 @@ def init_param_array(kind: str, shape, rng: np.random.Generator, config: Backbon
     raise ConfigError(f"unknown init kind '{kind}'")
 
 
+def draw_arrays(spec, rng: np.random.Generator, config: BackboneConfig) -> dict:
+    """Fresh arrays for a ``(name, shape, init_kind)`` spec, drawn from ``rng`` in spec order."""
+    return {name: init_param_array(kind, shape, rng, config) for name, shape, kind in spec}
+
+
+def build_params(config: BackboneConfig, fill) -> ModelParams:
+    """One backbone's store: a Param per :func:`param_spec` entry, in spec
+    order, over the array ``fill(spec)`` maps its name to: fresh draws
+    (:func:`draw_arrays`) or a checkpoint's (see ``checkpoint.load_expert``)."""
+    return ModelParams({name: Param(arr) for name, arr in fill(param_spec(config)).items()}, config)
+
+
 def init_params(config: BackboneConfig, rng: np.random.Generator) -> ModelParams:
-    store = {}
-    for name, shape, kind in param_spec(config):
-        store[name] = Param(init_param_array(kind, shape, rng, config))
-    return ModelParams(store, config)
+    return build_params(config, lambda spec: draw_arrays(spec, rng, config))
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +231,10 @@ def mask_from_flags(flags: np.ndarray, patch_len: int) -> np.ndarray:
     return patchify(flags, patch_len).any(axis=-1)
 
 
+@lru_cache(maxsize=32)  # few geometries per process; the bound caps a long-lived one
 def pe_table(n_positions: int, dim: int) -> np.ndarray:
-    """Fixed sinusoidal position codes, [n_positions, dim]."""
+    """Fixed sinusoidal position codes, [n_positions, dim]; computed once per
+    ``(n_positions, dim)`` and returned read-only, since every caller shares it."""
     if dim % 2 != 0:
         raise ConfigError(f"position code width must be even, got {dim}")
     pos = np.arange(n_positions, dtype=np.float64)[:, None]
@@ -285,6 +243,7 @@ def pe_table(n_positions: int, dim: int) -> np.ndarray:
     table = np.zeros((n_positions, dim))
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
+    table.flags.writeable = False
     return table
 
 

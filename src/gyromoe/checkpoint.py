@@ -8,10 +8,13 @@ name order so identical contents give identical bytes.
 
 from __future__ import annotations
 
+from dataclasses import asdict, fields
+from functools import partial
+
 import numpy as np
 
-from .backbone import BackboneConfig, config_from_meta, config_to_meta
-from .errors import CheckpointError, ConfigError
+from .backbone import GD_PLACEMENTS, BackboneConfig
+from .errors import CheckpointError, ConfigError, DimensionError
 from .signal import ClipSpec
 
 FORMAT_TAG = "gyromoe-ckpt-v1"
@@ -109,7 +112,8 @@ def save_checkpoint(path, arrays: dict, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
-    """Inverse of :func:`save_checkpoint`; returns (arrays, meta)."""
+    """Inverse of :func:`save_checkpoint`; returns (arrays, meta). Metadata
+    must be finite, as config values are."""
     raw = load_arrays(path)
     arrays = {}
     meta = {}
@@ -117,6 +121,8 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         if name.startswith("meta."):
             if arr.shape != ():
                 raise CheckpointError(f"metadata entry '{name}' has shape {arr.shape}, not a scalar")
+            if not np.isfinite(arr):
+                raise ConfigError(f"checkpoint metadata '{name[5:]}' = {float(arr)} is not a finite number")
             meta[name[5:]] = float(arr)
         else:
             arrays[name] = arr
@@ -124,24 +130,72 @@ def load_checkpoint(path) -> tuple[dict, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Expert checkpoints. The backbone geometry and clip level ride along as
-# metadata so inference needs nothing beyond the file; ``kind`` tells the
-# experts' files apart.
+# Expert checkpoints: the one codec from an expert file to its config and
+# parameter store. The metadata holds all the config inference needs, each
+# value one finite float, a choice stored as its index in its table (so the
+# tables are part of the format).
+
+# which backbone stacks the noise expert's two branches share
+SHARE_MODES = ("none", "encoder", "decoder", "both")
+_CHOICES = {"gd_placement": GD_PLACEMENTS, "weight_share": SHARE_MODES}
+# each expert's kind tag and the choices its file adds
+_EXPERTS = {"peak-expert": (1.0, ()), "noise-expert": (2.0, ("weight_share",))}
 
 
-def save_expert(
-    path, arrays: dict, kind: float, backbone: BackboneConfig, clip: ClipSpec, extra: dict | None = None
-) -> None:
-    meta = config_to_meta(backbone)
-    meta.update(kind=kind, clip_level=clip.level, **(extra or {}))
-    save_checkpoint(path, arrays, meta)
+def _meta_int(meta: dict, key: str) -> int:
+    """The whole number stored under ``key``; a fractional one is a :class:`ConfigError`."""
+    val = meta[key]
+    if not val.is_integer():
+        raise ConfigError(f"checkpoint metadata '{key}' = {val} is not an integer")
+    return int(val)
 
 
-def load_expert(path, kind: float, expert: str) -> tuple[dict, BackboneConfig, ClipSpec, dict]:
-    """Load an expert checkpoint; returns (arrays, backbone, clip, meta)."""
+def meta_choice(meta: dict, key: str) -> str:
+    """The entry of ``key``'s table whose index is stored under ``key``."""
+    i = _meta_int(meta, key)
+    if not 0 <= i < len(_CHOICES[key]):
+        raise ConfigError(f"checkpoint metadata '{key}' = {i} is no index into {_CHOICES[key]}")
+    return _CHOICES[key][i]
+
+
+def save_expert(path, arrays: dict, expert: str, backbone: BackboneConfig, clip: ClipSpec,
+                choices: dict) -> None:
+    """Write an expert's arrays and metadata; ``choices`` holds the choices its file adds."""
+    meta = dict(asdict(backbone), **choices, kind=_EXPERTS[expert][0], clip_level=clip.level)
+    save_checkpoint(path, arrays, {k: _CHOICES[k].index(v) if k in _CHOICES else v
+                                   for k, v in meta.items()})
+
+
+def _spec_arrays(arrays: dict, spec) -> dict:
+    """The arrays that a spec of ``(name, shape, init_kind)`` triples names,
+    in spec order, once the file holds exactly those names in those shapes."""
+    names = [name for name, _, _ in spec]
+    if set(names) != arrays.keys():
+        raise ConfigError(f"checkpoint parameters {sorted(arrays.keys() ^ set(names))[:3]} "
+                          "disagree with its metadata")
+    for name, shape, _ in spec:
+        if arrays[name].shape != shape:
+            raise DimensionError(f"parameter '{name}' shape {arrays[name].shape} does not match {shape}")
+    return {name: arrays[name] for name in names}
+
+
+def load_expert(path, expert: str) -> tuple:
+    """Read an expert checkpoint into ``(backbone, clip, picks, fill)``:
+    ``picks`` holds the choices the expert's file adds, and ``fill`` hands
+    the file's arrays to :func:`~gyromoe.backbone.build_params` or the
+    denoise store once their names match the spec it is given
+    (:class:`ConfigError` if not) and their shapes too (:class:`DimensionError`).
+    Bad metadata or a file of another kind is a :class:`ConfigError`."""
+    kind, choices = _EXPERTS[expert]
     arrays, meta = load_checkpoint(path)
     if meta.get("kind") != kind:
         raise ConfigError(f"checkpoint at {path} is not a {expert} checkpoint")
-    if "clip_level" not in meta:
-        raise ConfigError("checkpoint metadata incomplete: 'clip_level'")
-    return arrays, config_from_meta(meta), ClipSpec(meta["clip_level"]), meta
+    try:
+        read = {int: _meta_int, float: dict.__getitem__, str: meta_choice}  # by field type
+        backbone = BackboneConfig(**{f.name: read[type(f.default)](meta, f.name)
+                                     for f in fields(BackboneConfig)})
+        clip = ClipSpec(meta["clip_level"])
+        picks = tuple(meta_choice(meta, key) for key in choices)
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint metadata incomplete: {exc}") from None
+    return backbone, clip, picks, partial(_spec_arrays, arrays)

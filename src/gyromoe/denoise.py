@@ -21,14 +21,11 @@ import numpy as np
 
 from . import backbone as bb
 from . import diffmath as dm
-from .checkpoint import load_expert, save_expert
+from .checkpoint import SHARE_MODES, load_expert, save_expert
 from .diffmath import DiffContext, Param, Tensor
 from .errors import ConfigError, ContractError, DimensionError
 from .optim import TrainTrace, fit
 from .signal import ClipSpec, SampleSeries, SpectralDensity, psd
-
-SHARE_MODES = ("none", "encoder", "decoder", "both")
-
 
 @dataclass
 class AugmentConfig:
@@ -49,12 +46,14 @@ class AugmentConfig:
 
 @dataclass
 class DeConfig:
+    """The denoise expert's settings; its checkpoint keeps ``clip``,
+    ``backbone`` and ``weight_share`` (one of :data:`SHARE_MODES`)."""
+
     clip: ClipSpec
-    backbone: bb.BackboneConfig = field(default_factory=lambda: bb.BackboneConfig(gd_placement="decoder"))
+    backbone: bb.BackboneConfig = field(default_factory=bb.BackboneConfig)
     weight_share: str = "both"
     learn_rate: float = 1e-3
     batch_size: int = 32
-    grad_clip: float = 1.0
 
     def __post_init__(self):
         if self.weight_share not in SHARE_MODES:
@@ -78,35 +77,33 @@ class DeParams(bb.ModelParams):
         self.branch_b = branch_b
 
 
-def _share_predicate(mode: str):
-    if mode == "both":
-        return lambda name: True
-    if mode == "none":
-        return lambda name: False
-    if mode == "encoder":
-        return bb.is_encoder_param
-    return lambda name: not bb.is_encoder_param(name)
+def _de_store(config: DeConfig, fill) -> DeParams:
+    """Both branches' store over the arrays ``fill`` gives for its spec:
+    backbone spec order, each unshared B buffer right after its A twin (the
+    order training draws them in). The store keeps the A-side entries in that
+    order, then the B-only ones: the order Adam visits them in."""
+    cfg = config.backbone
+    backbone_spec = bb.param_spec(cfg)
+    spec = []
+    for name, shape, kind in backbone_spec:
+        # shared when the mode covers the stack the buffer sits in
+        if config.weight_share in ("both", "encoder" if bb.is_encoder_param(name) else "decoder"):
+            spec.append((name, shape, kind))
+        else:
+            spec += [(f"{side}.{name}", shape, kind) for side in "ab"]
+    params = {key: Param(arr) for key, arr in fill(spec).items()}
+
+    def branch(side):
+        return bb.ModelParams({n: params[n] if n in params else params[f"{side}.{n}"]
+                               for n, _, _ in backbone_spec}, cfg)
+
+    store = dict(sorted(params.items(), key=lambda item: item[0].startswith("b.")))
+    return DeParams(store, cfg, branch("a"), branch("b"))
 
 
 def build_de_params(config: DeConfig, rng: np.random.Generator) -> DeParams:
-    """Initialize both branches, sharing the buffers weight_share selects.
-
-    Draws run in spec order, each unshared B buffer right after its A twin.
-    The store holds every A-side entry in spec order, then the B-only ones;
-    that order is the order Adam visits the buffers in.
-    """
-    cfg = config.backbone
-    shared = _share_predicate(config.weight_share)
-    store, b_only, view_a, view_b = {}, {}, {}, {}
-    for name, shape, kind in bb.param_spec(cfg):
-        p = Param(bb.init_param_array(kind, shape, rng, cfg))
-        if shared(name):
-            store[name] = view_a[name] = view_b[name] = p
-        else:
-            store[f"a.{name}"] = view_a[name] = p
-            b_only[f"b.{name}"] = view_b[name] = Param(bb.init_param_array(kind, shape, rng, cfg))
-    store.update(b_only)
-    return DeParams(store, cfg, bb.ModelParams(view_a, cfg), bb.ModelParams(view_b, cfg))
+    """Initialize both branches, sharing the buffers weight_share selects."""
+    return _de_store(config, lambda spec: bb.draw_arrays(spec, rng, config.backbone))
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +355,12 @@ def make_noise_fn(de_params: DeParams, config: DeConfig):
 # ---------------------------------------------------------------------------
 # Checkpoint glue.
 
-_KIND_DE = 2.0
-
-
 def save_de(path, de_params: DeParams, config: DeConfig) -> None:
-    share = {"weight_share": SHARE_MODES.index(config.weight_share)}
-    save_expert(path, de_params.to_arrays(), _KIND_DE, config.backbone, config.clip, extra=share)
+    save_expert(path, de_params.to_arrays(), "noise-expert", config.backbone, config.clip,
+                {"weight_share": config.weight_share})
 
 
 def load_de(path) -> tuple[DeParams, DeConfig]:
-    arrays, backbone_cfg, clip_spec, meta = load_expert(path, _KIND_DE, "noise-expert")
-    try:
-        share = bb.meta_choice(meta, "weight_share", SHARE_MODES)
-    except KeyError:
-        raise ConfigError("checkpoint metadata is missing the weight-share mode") from None
-    config = DeConfig(clip=clip_spec, backbone=backbone_cfg, weight_share=share)
-    de_params = build_de_params(config, np.random.default_rng(0))
-    de_params.load_arrays(arrays)
-    return de_params, config
+    backbone, clip_spec, (share,), fill = load_expert(path, "noise-expert")
+    config = DeConfig(clip=clip_spec, backbone=backbone, weight_share=share)
+    return _de_store(config, fill), config

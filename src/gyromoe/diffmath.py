@@ -685,6 +685,8 @@ def scores(ctx: DiffContext, qkv, qkv_t, bias=None) -> Tensor:
     if tv.shape != sv.shape[:2] + (sv.shape[3], sv.shape[2]):
         raise DimensionError(f"scores needs the transpose of {sv.shape}, got {tv.shape}")
     q, k_t = sv[:, :h], tv[:, h : 2 * h]
+    if ctx.record:  # copies, so the tape keeps a third of each stack, not all of both
+        q, k_t = q.copy(), k_t.copy()
     c = 1.0 / math.sqrt(sv.shape[-1])
     out = c * np.matmul(q, k_t)
     b_shape = None
@@ -719,6 +721,8 @@ def values(ctx: DiffContext, p, qkv) -> Tensor:
     v = sv[:, 2 * h :]
     if pv.shape != v.shape[:2] + (v.shape[2], v.shape[2]):
         raise DimensionError(f"values weights {pv.shape} do not fit values {v.shape}")
+    if ctx.record:  # a copy, so the tape keeps the values, not the whole stack
+        v = v.copy()
     s_shape = sv.shape
 
     def vjp(g, keys):

@@ -20,6 +20,9 @@ log = logging.getLogger("gyromoe.optim")
 # numpy calls but keeps more activations alive until its backward
 TRAIN_CHUNK = 8
 
+# global gradient-norm limit fit clips each step's gradients to
+GRAD_CLIP = 1.0
+
 # Adam's moment decay rates and the guard added to the second-moment root
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -120,7 +123,7 @@ def fit(params, config, n_items: int, chunk_loss, epochs: int, rng: np.random.Ge
     """Minibatch Adam over ``n_items`` training items.
 
     ``params`` offers ``all_params()``, ``clamp_sigma()`` and ``sigmas()``;
-    ``config`` supplies ``learn_rate``, ``grad_clip`` and ``batch_size``.
+    ``config`` supplies ``learn_rate`` and ``batch_size``; the clip norm is :data:`GRAD_CLIP`.
     Each epoch visits the items in a fresh ``rng`` permutation. A minibatch
     is cut in order into chunks of at most :data:`TRAIN_CHUNK` items, and
     ``chunk_loss(ctx, chunk, rng)`` records the mean loss of the item
@@ -130,7 +133,7 @@ def fit(params, config, n_items: int, chunk_loss, epochs: int, rng: np.random.Ge
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
-    opt = Adam(params.all_params(), lr=config.learn_rate, clip_norm=config.grad_clip)
+    opt = Adam(params.all_params(), lr=config.learn_rate, clip_norm=GRAD_CLIP)
     trace = TrainTrace([], [])
     B = config.batch_size
     for epoch in range(epochs):

@@ -27,24 +27,22 @@ from .signal import ClipSpec, clip, saturated_mask
 log = logging.getLogger("gyromoe.ore")
 
 
+# weights of the correlation and energy-barrier terms in ore_total_loss
+LAMBDA_CORR = 0.5
+LAMBDA_PINN = 0.2
+
+
 @dataclass
 class OreConfig:
+    """The peak expert's settings; its checkpoint keeps ``clip`` and
+    ``backbone``. Loss weights and gradient clip are module constants."""
+
     clip: ClipSpec
-    backbone: bb.BackboneConfig = field(default_factory=lambda: bb.BackboneConfig(gd_placement="decoder"))
-    lambda_corr: float = 0.5
-    lambda_pinn: float = 0.2
-    lambda_sign: float = 1.0
-    kappa: float = 1.0
+    backbone: bb.BackboneConfig = field(default_factory=bb.BackboneConfig)
     learn_rate: float = 1e-3
     batch_size: int = 32
-    grad_clip: float = 1.0
 
     def __post_init__(self):
-        for name in ("lambda_corr", "lambda_pinn", "lambda_sign"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.kappa <= 0.0:
-            raise ConfigError(f"kappa must be positive, got {self.kappa}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -134,18 +132,14 @@ def pinn_loss(x_hat, hidden, kappa: float = 1.0, ctx: DiffContext | None = None)
     return dm.mean(ctx, dm.add(ctx, barrier_lo, barrier_hi))
 
 
-def ore_total_loss(x, x_hat, hidden, config: OreConfig, ctx: DiffContext | None = None) -> Tensor:
-    """Masked L2 plus weighted correlation and energy-barrier terms."""
+def ore_total_loss(x, x_hat, hidden, ctx: DiffContext | None = None) -> Tensor:
+    """Masked L2 plus the correlation and energy-barrier terms, weighted by
+    :data:`LAMBDA_CORR` and :data:`LAMBDA_PINN`."""
     ctx = dm.resolve_ctx(ctx, x_hat)
     xh, flags, xv = _loss_rows(ctx, x, x_hat, hidden, "ore_total_loss")
     total = _masked_mean(ctx, dm.square(ctx, dm.sub(ctx, dm.constant(xv), xh)), flags)
-    if config.lambda_corr > 0.0:
-        c = corr_loss(xv, xh, flags, lambda_sign=config.lambda_sign, ctx=ctx)
-        total = dm.add(ctx, total, dm.scale(ctx, c, config.lambda_corr))
-    if config.lambda_pinn > 0.0:
-        p = pinn_loss(xh, flags, kappa=config.kappa, ctx=ctx)
-        total = dm.add(ctx, total, dm.scale(ctx, p, config.lambda_pinn))
-    return total
+    total = dm.add(ctx, total, dm.scale(ctx, corr_loss(xv, xh, flags, ctx=ctx), LAMBDA_CORR))
+    return dm.add(ctx, total, dm.scale(ctx, pinn_loss(xh, flags, ctx=ctx), LAMBDA_PINN))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +198,7 @@ def train_ore(
     def chunk_loss(ctx, chunk, rng):
         # one forward and one loss over the chunk's segments, each row with its own mask
         pred = bb.forward(ctx, params, config.backbone, x_in[chunk], hidden[chunk])
-        return ore_total_loss(x_tgt[chunk], pred, flags[chunk], config, ctx=ctx)
+        return ore_total_loss(x_tgt[chunk], pred, flags[chunk], ctx=ctx)
 
     trace = fit(params, config, len(x_in), chunk_loss, epochs, rng, "ore")
     trace.skipped_segments = skipped
@@ -244,16 +238,11 @@ def make_peak_fn(params: bb.ModelParams, config: OreConfig):
 # ---------------------------------------------------------------------------
 # Checkpoint glue.
 
-_KIND_ORE = 1.0
-
-
 def save_ore(path, params: bb.ModelParams, config: OreConfig) -> None:
-    save_expert(path, params.to_arrays(), _KIND_ORE, config.backbone, config.clip)
+    save_expert(path, params.to_arrays(), "peak-expert", config.backbone, config.clip, {})
 
 
 def load_ore(path) -> tuple[bb.ModelParams, OreConfig]:
-    arrays, backbone_cfg, clip_spec, _ = load_expert(path, _KIND_ORE, "peak-expert")
-    config = OreConfig(clip=clip_spec, backbone=backbone_cfg)
-    params = bb.init_params(backbone_cfg, np.random.default_rng(0))
-    params.load_arrays(arrays)
-    return params, config
+    backbone, clip_spec, _, fill = load_expert(path, "peak-expert")
+    config = OreConfig(clip=clip_spec, backbone=backbone)
+    return bb.build_params(backbone, fill), config

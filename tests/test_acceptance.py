@@ -170,12 +170,11 @@ def test_c01_gradient_correctness(capsys):
             assert rep.passed, f"{name} seed {seed}: rel err {rep.max_rel_err:.2e}"
 
     # composite 1: full reconstruction loss wrt the prediction
-    ore_cfg = OreConfig(clip=ClipSpec(1.0), backbone=SMALL_BB)
     for seed in range(10):
         rng = np.random.default_rng([911, seed])
         x = rng.normal(0.0, 0.6, 16)
         mask = np.isin(np.arange(16), np.arange(2, 14))
-        fn = lambda c, xh: ore_total_loss(x, xh, mask, ore_cfg, ctx=c)
+        fn = lambda c, xh: ore_total_loss(x, xh, mask, ctx=c)
         rep = dm.grad_check(fn, [rng.normal(0.0, 0.6, 16)])
         worst = max(worst, rep.max_rel_err)
         assert rep.passed, f"ore_total_loss seed {seed}: rel err {rep.max_rel_err:.2e}"

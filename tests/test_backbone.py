@@ -10,6 +10,7 @@ from gyromoe.backbone import (
     GD_PLACEMENTS,
     BackboneConfig,
     apply_mask,
+    build_params,
     embed,
     forward,
     forward_values,
@@ -22,9 +23,11 @@ from gyromoe.backbone import (
     patchify,
     pe_table,
 )
+from gyromoe.checkpoint import load_expert, save_expert
 from gyromoe.diffmath import DiffContext, backward, constant, gather, mean, square, sub
 from gyromoe.errors import ConfigError, DimensionError, MaskError
 from gyromoe.optim import Adam
+from gyromoe.signal import ClipSpec
 
 SMALL = BackboneConfig(
     patch_len=4, embed_dim=8, enc_layers=1, dec_layers=1, heads=2, mlp_ratio=2
@@ -165,6 +168,12 @@ class TestPositionalEncoding:
         t = pe_table(3, 4)
         np.testing.assert_allclose(t[0], [0.0, 1.0, 0.0, 1.0], atol=1e-15)
 
+    def test_computed_once_and_read_only(self):
+        t = pe_table(5, 6)
+        assert pe_table(5, 6) is t
+        with pytest.raises(ValueError):
+            t[0, 0] = 1.0
+
 
 def bias_values(n_tokens, sigma, positions=None):
     """The ``[n, n]`` penalty of one row of positions (default 0..n-1)."""
@@ -255,20 +264,28 @@ class TestParamStore:
         assert not is_encoder_param("head.w")
         assert not is_encoder_param("mask_token")
 
-    def test_array_round_trip(self):
-        params = small_params(3)
-        arrays = params.to_arrays()
-        clone = small_params(4)
-        clone.load_arrays(arrays)
+    @staticmethod
+    def file_fill(tmp_path, arrays):
+        """The parameter source a checkpoint of ``arrays`` at SMALL geometry loads into."""
+        path = tmp_path / "params.ckpt"
+        save_expert(path, arrays, "peak-expert", SMALL, ClipSpec(1.0), {})
+        config, _, _, fill = load_expert(path, "peak-expert")
+        assert config == SMALL
+        return fill
+
+    def test_array_round_trip(self, tmp_path):
+        arrays = small_params(3).to_arrays()
+        clone = build_params(SMALL, self.file_fill(tmp_path, arrays))
+        assert list(clone.store) == list(arrays)
         for name, arr in arrays.items():
             np.testing.assert_array_equal(clone[name].tensor.data, arr)
 
-    def test_load_shape_mismatch(self):
-        params = small_params()
-        arrays = params.to_arrays()
+    def test_load_shape_mismatch(self, tmp_path):
+        arrays = small_params().to_arrays()
         arrays["embed.w"] = np.zeros((2, 2))
+        fill = self.file_fill(tmp_path, arrays)
         with pytest.raises(DimensionError):
-            params.load_arrays(arrays)
+            build_params(SMALL, fill)
 
 
 class TestSigmaClamp:

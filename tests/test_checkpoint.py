@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gyromoe import backbone as bb
 from gyromoe.backbone import GD_PLACEMENTS, BackboneConfig, init_params
 from gyromoe.checkpoint import (
     FORMAT_TAG,
@@ -13,7 +15,7 @@ from gyromoe.checkpoint import (
     save_checkpoint,
 )
 from gyromoe.denoise import SHARE_MODES, DeConfig, build_de_params, load_de, save_de
-from gyromoe.errors import CheckpointError, ConfigError
+from gyromoe.errors import CheckpointError, ConfigError, ContractError, DimensionError
 from gyromoe.ore import OreConfig, load_ore, save_ore
 from gyromoe.signal import ClipSpec
 
@@ -116,6 +118,23 @@ ODD_BACKBONE = BackboneConfig(
 )
 
 
+# the geometry of the C11 pipeline's experts
+C11_BACKBONE = BackboneConfig(patch_len=4, embed_dim=8, enc_layers=1, dec_layers=1, heads=2, mlp_ratio=2)
+LOADERS = {"ore": load_ore, "de": load_de}
+
+
+def write_expert(tmp_path, expert: str, backbone: BackboneConfig):
+    """An untrained ``expert`` checkpoint at ``backbone`` geometry; returns its path."""
+    path = tmp_path / f"{expert}.ckpt"
+    rng = np.random.default_rng(4)
+    if expert == "ore":
+        save_ore(path, init_params(backbone, rng), OreConfig(clip=ClipSpec(1.0), backbone=backbone))
+    else:
+        cfg = DeConfig(clip=ClipSpec(1.0), backbone=backbone)
+        save_de(path, build_de_params(cfg, rng), cfg)
+    return path
+
+
 def assert_same_arrays(a: dict, b: dict):
     assert a.keys() == b.keys()
     for name in a:
@@ -166,23 +185,62 @@ class TestExpertCodec:
             ("ore", "patch_len", math.nan, ConfigError),
             ("ore", "patch_len", 2.7, ConfigError),
             ("ore", "heads", math.inf, ConfigError),
+            ("ore", "sigma_max", math.inf, ConfigError),
             ("ore", "gd_placement", -1.0, ConfigError),
             ("de", "weight_share", math.nan, ConfigError),
             ("de", "weight_share", -1.0, ConfigError),
         ],
-        ids=["non-scalar", "nan-int", "fractional-int", "inf-int", "negative-placement",
+        ids=["non-scalar", "nan-int", "fractional-int", "inf-int", "inf-float", "negative-placement",
              "nan-share", "negative-share"],
     )
     def test_corrupt_metadata_is_a_named_error(self, tmp_path, expert, key, value, error):
-        path = tmp_path / f"{expert}.ckpt"
-        if expert == "ore":
-            save_ore(path, init_params(ODD_BACKBONE, np.random.default_rng(4)),
-                     OreConfig(clip=ClipSpec(1.0), backbone=ODD_BACKBONE))
-        else:
-            cfg = DeConfig(clip=ClipSpec(1.0), backbone=ODD_BACKBONE)
-            save_de(path, build_de_params(cfg, np.random.default_rng(4)), cfg)
+        path = write_expert(tmp_path, expert, ODD_BACKBONE)
         arrays = load_arrays(path)
         arrays[f"meta.{key}"] = np.asarray(value)
         save_arrays(path, arrays)
         with pytest.raises(error):
-            (load_ore if expert == "ore" else load_de)(path)
+            LOADERS[expert](path)
+
+    @pytest.mark.parametrize("expert", ["ore", "de"])
+    def test_non_finite_weight_is_a_contract_error(self, tmp_path, expert):
+        path = write_expert(tmp_path, expert, ODD_BACKBONE)
+        arrays = load_arrays(path)
+        name = next(n for n in sorted(arrays) if n.endswith("attn.wq"))
+        arrays[name][1, 2] = math.nan
+        save_arrays(path, arrays)
+        with pytest.raises(ContractError):
+            LOADERS[expert](path)
+
+    @pytest.mark.parametrize("expert", ["ore", "de"])
+    @pytest.mark.parametrize(
+        "key, value, error",
+        [("embed_dim", 256.0, DimensionError), ("gd_placement", 0.0, ConfigError),
+         ("enc_layers", 2.0, ConfigError)],
+        ids=["wider", "array-unknown", "array-missing"],
+    )
+    def test_arrays_that_disagree_with_metadata_fail_first(self, tmp_path, expert, key, value, error):
+        # C11 geometry; the metadata claims another, so the arrays no longer fit it
+        path = write_expert(tmp_path, expert, C11_BACKBONE)
+        arrays = load_arrays(path)
+        arrays[f"meta.{key}"] = np.asarray(value)
+        save_arrays(path, arrays)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                LOADERS[expert](path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("expert", ["ore", "de"])
+    def test_loading_draws_no_parameters(self, tmp_path, monkeypatch, expert):
+        path = write_expert(tmp_path, expert, ODD_BACKBONE)
+        want = load_arrays(path)
+
+        def refuse(*args):
+            raise AssertionError("a loader drew a parameter")
+
+        monkeypatch.setattr(bb, "init_param_array", refuse)
+        params, _ = LOADERS[expert](path)
+        assert_same_arrays(params.to_arrays(), {k: v for k, v in want.items() if not k.startswith("meta.")})

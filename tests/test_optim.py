@@ -88,7 +88,7 @@ class TestTrainChunks:
     def test_fit_cuts_each_minibatch_in_order(self):
         p = Param(np.ones(2))
         store = types.SimpleNamespace(all_params=lambda: [p], clamp_sigma=lambda: None, sigmas=lambda: {})
-        config = types.SimpleNamespace(learn_rate=1e-3, grad_clip=1.0, batch_size=12)
+        config = types.SimpleNamespace(learn_rate=1e-3, batch_size=12)
         chunks = []
 
         def chunk_loss(ctx, chunk, rng):

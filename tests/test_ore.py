@@ -6,7 +6,7 @@ from scipy.optimize import minimize_scalar
 
 import gyromoe.backbone as bb
 import gyromoe.diffmath as dm
-from gyromoe import ore
+from gyromoe import optim, ore
 from gyromoe.backbone import BackboneConfig, mask_from_flags
 from gyromoe.diffmath import DiffContext
 from gyromoe.errors import ConfigError, ContractError, DimensionError
@@ -153,40 +153,39 @@ class TestPinnLoss:
 
 
 class TestTotalLoss:
-    def test_reduces_to_masked_mse(self):
-        cfg = tiny_config(lambda_corr=0.0, lambda_pinn=0.0)
+    def test_reduces_to_masked_mse(self, monkeypatch):
+        monkeypatch.setattr(ore, "LAMBDA_CORR", 0.0)
+        monkeypatch.setattr(ore, "LAMBDA_PINN", 0.0)
         rng = np.random.default_rng(1)
         x, xh = rng.normal(size=16), rng.normal(size=16)
         m = np.array([4, 5, 6, 7])
-        loss = ore_total_loss(x, xh, hide(16, m), cfg, ctx=DiffContext())
+        loss = ore_total_loss(x, xh, hide(16, m), ctx=DiffContext())
         assert float(loss.data) == pytest.approx(np.mean((x[m] - xh[m]) ** 2), rel=1e-12)
 
     def test_composition_identity(self):
-        cfg = tiny_config()
         rng = np.random.default_rng(2)
         x, xh = rng.normal(size=16), rng.normal(size=16)
         m = hide(16, np.arange(2, 14))
-        total = float(ore_total_loss(x, xh, m, cfg, ctx=DiffContext()).data)
+        total = float(ore_total_loss(x, xh, m, ctx=DiffContext()).data)
         l2 = np.mean((x[m] - xh[m]) ** 2)
-        c = float(corr_loss(x, xh, m, lambda_sign=cfg.lambda_sign, ctx=DiffContext()).data)
-        p = float(pinn_loss(xh, m, kappa=cfg.kappa, ctx=DiffContext()).data)
-        assert total == pytest.approx(l2 + cfg.lambda_corr * c + cfg.lambda_pinn * p, rel=1e-12)
+        c = float(corr_loss(x, xh, m, ctx=DiffContext()).data)
+        p = float(pinn_loss(xh, m, ctx=DiffContext()).data)
+        assert total == pytest.approx(l2 + ore.LAMBDA_CORR * c + ore.LAMBDA_PINN * p, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_wrt_prediction(self, seed):
-        cfg = tiny_config()
         rng = np.random.default_rng(seed)
         x = rng.normal(size=16)
         m = hide(16, rng.choice(np.arange(2, 14), size=6, replace=False))
         rep = dm.grad_check(
-            lambda ctx, xh: ore_total_loss(x, xh, m, cfg, ctx=ctx),
+            lambda ctx, xh: ore_total_loss(x, xh, m, ctx=ctx),
             [rng.normal(size=16)],
         )
         assert rep.passed, f"max rel err {rep.max_rel_err:.3e}"
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ContractError):
-            ore_total_loss(np.zeros(8), np.zeros(8), hide(8, []), tiny_config(), ctx=DiffContext())
+            ore_total_loss(np.zeros(8), np.zeros(8), hide(8, []), ctx=DiffContext())
 
 
 class TestBatchedLoss:
@@ -206,11 +205,10 @@ class TestBatchedLoss:
 
     @pytest.mark.parametrize("term", ["total", "corr", "pinn"])
     def test_batch_is_the_mean_of_its_rows(self, term):
-        cfg = tiny_config()
         loss = {
-            "total": lambda x, xh, m: ore_total_loss(x, xh, m, cfg, ctx=DiffContext()),
-            "corr": lambda x, xh, m: corr_loss(x, xh, m, lambda_sign=cfg.lambda_sign, ctx=DiffContext()),
-            "pinn": lambda x, xh, m: pinn_loss(xh, m, kappa=cfg.kappa, ctx=DiffContext()),
+            "total": lambda x, xh, m: ore_total_loss(x, xh, m, ctx=DiffContext()),
+            "corr": lambda x, xh, m: corr_loss(x, xh, m, ctx=DiffContext()),
+            "pinn": lambda x, xh, m: pinn_loss(xh, m, ctx=DiffContext()),
         }[term]
         x, xh, flags = self.batch()
         assert len({int(n) for n in flags.sum(axis=1)}) == 4
@@ -218,9 +216,8 @@ class TestBatchedLoss:
         assert float(loss(x, xh, flags).data) == pytest.approx(np.mean(rows), rel=1e-12, abs=1e-12)
 
     def test_gradient_wrt_prediction(self):
-        cfg = tiny_config()
         x, xh, flags = self.batch()
-        rep = dm.grad_check(lambda ctx, p: ore_total_loss(x, p, flags, cfg, ctx=ctx), [xh])
+        rep = dm.grad_check(lambda ctx, p: ore_total_loss(x, p, flags, ctx=ctx), [xh])
         assert rep.passed, f"max rel err {rep.max_rel_err:.3e}"
 
     @pytest.mark.parametrize("case", ["index_array", "shape_mismatch", "row_without_hidden", "only_t0_hidden"])
@@ -236,7 +233,7 @@ class TestBatchedLoss:
         else:
             flags[1] = hide(16, [0])
         with pytest.raises(ContractError):
-            ore_total_loss(x, xh, flags, tiny_config(), ctx=DiffContext())
+            ore_total_loss(x, xh, flags, ctx=DiffContext())
 
 
 def peaky_segments(rng, n, seg_len=32, level=1.0):
@@ -319,7 +316,7 @@ class TestChunkedTapes:
         for x_in, x_tgt, mask, flags in prepared:
             ctx = DiffContext()
             pred = bb.forward(ctx, params, cfg.backbone, x_in[None], mask[None])
-            loss = ore_total_loss(x_tgt, dm.reshape(ctx, pred, x_tgt.shape), flags, cfg, ctx=ctx)
+            loss = ore_total_loss(x_tgt, dm.reshape(ctx, pred, x_tgt.shape), flags, ctx=ctx)
             dm.backward(dm.scale(ctx, loss, 1.0 / len(prepared)), ctx)
         assert_grads_close(seen[0], [p.grad.data for p in params.all_params()])
 
@@ -345,9 +342,10 @@ class TestChunkedTapes:
         assert all(len(rows) <= TRAIN_CHUNK for rows, _ in calls)
         assert any(len(set(hidden)) > 1 for _, hidden in calls)
 
-    def test_trace_keeps_norms_clips_and_sigma(self):
+    def test_trace_keeps_norms_clips_and_sigma(self, monkeypatch):
+        monkeypatch.setattr(optim, "GRAD_CLIP", 0.05)
         segs = peaky_segments(np.random.default_rng(4), 12)
-        cfg = tiny_config(batch_size=4, grad_clip=0.05)
+        cfg = tiny_config(batch_size=4)
         _, trace = train_ore(segs, cfg, epochs=2, seed=1)
         steps = len(trace.step_losses)
         assert steps == 6
