@@ -7,13 +7,22 @@ the full grid, with a learned mask token standing in at hidden positions,
 and predicts every patch.
 
 The pass is batch-first over a ``[B, L]`` batch. A mask is a boolean array
-that flags the hidden patches. One ``[n]`` mask shared by every row drops
-the hidden tokens before the encoder; a ``[B, n]`` array, one mask per row,
-keeps every row on the full grid, and a key-padding bias hides each row's
-hidden tokens from encoder attention. Rows never mix, so a row's output
-does not depend on its batch-mates. Training records the pass on a tape;
-inference runs the same pass on a context that records none
-(:func:`forward_values`).
+that flags the hidden patches, in one of three forms:
+
+* ``[n]``: one mask shared by every row. The hidden tokens are dropped
+  before the encoder (compact gather/scatter, as in MAE).
+* ``[G, n]`` with a ``[G, B, L]`` stack of G groups of B rows: one mask
+  per group, shared by its rows, every mask hiding the same number of
+  patches. The groups run as one batch on the compact path and the
+  prediction keeps the ``[G, B, L]`` shape; ``[n]`` is the one-group case.
+  (:func:`apply_mask` and :func:`pad_with_mask_tokens` see the stack's
+  rows flattened, with the masks as ``[G, 1, n]``.)
+* ``[B, n]``: one mask per row. Every row stays on the full grid, and a
+  key-padding bias hides each row's hidden tokens from encoder attention.
+
+Rows never mix, so a row's output does not depend on its batch-mates.
+Training records the pass on a tape; inference runs the same pass on a
+context that records none (:func:`forward_values`).
 
 Attention logits can carry an additive distance penalty
 ``B[i, j] = -(pos_i - pos_j)^2 / (2 sigma^2)`` with a single learnable
@@ -106,10 +115,6 @@ class ModelParams:
 
     def all_params(self):
         return list(self.store.values())
-
-    def n_scalars(self) -> int:
-        """Total trainable scalar count."""
-        return sum(p.tensor.data.size for p in self.store.values())
 
     def clamp_sigma(self):
         """Clip every learned attention width that :meth:`sigmas` names."""
@@ -338,24 +343,39 @@ def embed(ctx: DiffContext, params: ModelParams, config: BackboneConfig, values)
     return TokenSequence(tok, _grid(B, n))
 
 
+def _row_index(hidden: np.ndarray, rows: int, flag: bool) -> np.ndarray:
+    """``[rows, k]`` patch indices where a shared mask (``[n]``, or ``[G, 1, n]``
+    for G groups of ``rows // G`` rows) equals ``flag``, repeated over each
+    group's rows. Raises :class:`DimensionError` unless every mask hides the
+    same number of patches."""
+    groups = hidden.reshape(-1, hidden.shape[-1])
+    counts = groups.sum(axis=1)
+    if (counts != counts[0]).any():
+        raise DimensionError(f"stacked masks hide different patch counts {counts.tolist()}")
+    idx = np.nonzero(groups == flag)[1].reshape(len(groups), -1)
+    return np.repeat(idx, rows // len(groups), axis=0)
+
+
 def apply_mask(ctx: DiffContext, seq: TokenSequence, hidden: np.ndarray) -> TokenSequence:
     """Keep each row's hidden-position tokens out of the encoder.
 
     ``hidden`` flags the hidden patches: a ``[n]`` array is one mask for the
-    whole batch, whose hidden tokens are dropped; a ``[B, n]`` array holds
+    whole batch, and a ``[G, 1, n]`` stack one mask per group of ``B // G``
+    consecutive rows; both drop the hidden tokens. A ``[B, n]`` array holds
     one mask per row, whose hidden tokens stay on the grid flagged in the
     result's ``hidden``. Raises :class:`MaskError` if a row keeps nothing
     visible.
     """
     B, n = seq.positions.shape
-    if hidden.shape not in ((n,), (B, n)):
+    stacked = hidden.ndim == 3 and hidden.shape[1:] == (1, n) and B % len(hidden) == 0
+    if hidden.shape not in ((n,), (B, n)) and not stacked:
         raise DimensionError(f"mask of shape {hidden.shape} does not fit a batch of {B} x {n} patches")
     if hidden.all(axis=-1).any():
         raise MaskError("mask hides every patch; encoder needs at least one visible token")
-    if hidden.ndim == 1:
-        vis = np.broadcast_to(np.flatnonzero(~hidden), (B, n - int(hidden.sum())))
-        return TokenSequence(dm.gather(ctx, seq.tokens, vis, axis=1), vis)
-    return TokenSequence(seq.tokens, seq.positions, hidden)
+    if hidden.ndim == 2:
+        return TokenSequence(seq.tokens, seq.positions, hidden)
+    vis = _row_index(hidden, B, False)
+    return TokenSequence(dm.gather(ctx, seq.tokens, vis, axis=1), vis)
 
 
 def encode(ctx: DiffContext, params: ModelParams, config: BackboneConfig, seq: TokenSequence) -> TokenSequence:
@@ -371,12 +391,13 @@ def pad_with_mask_tokens(
     latent: TokenSequence,
     hidden: np.ndarray,
 ) -> TokenSequence:
-    """Re-expand latents to the full grid, mask token at hidden slots."""
+    """Re-expand latents to the full grid, mask token at hidden slots; the
+    mask forms are those of :func:`apply_mask`."""
     B, d = latent.positions.shape[0], config.embed_dim
     n_total = hidden.shape[-1]
-    if hidden.ndim == 1:
+    if hidden.ndim != 2:
         full = dm.scatter(ctx, latent.tokens, latent.positions, n_total, axis=1)
-        slots = np.broadcast_to(np.flatnonzero(hidden), (B, int(hidden.sum())))
+        slots = _row_index(hidden, B, True)
         if slots.shape[1]:
             ones = dm.constant(np.ones((B, slots.shape[1], 1)))
             tiled = dm.matmul(ctx, ones, params["mask_token"])
@@ -406,12 +427,18 @@ def forward(
     values,
     hidden,
 ) -> Tensor:
-    """Full masked-autoencoder pass over a ``[B, L]`` batch with a shared
-    ``[n]`` or per-row ``[B, n]`` mask of hidden patches (see
-    :func:`apply_mask`); returns the ``[B, L]`` prediction."""
+    """Full masked-autoencoder pass: a ``[B, L]`` batch with a shared ``[n]``
+    or per-row ``[B, n]`` mask of hidden patches, or a ``[G, B, L]`` stack
+    with one ``[G, n]`` mask per group (see the module docstring). Returns
+    the prediction in the shape of ``values``."""
     vals = dm.value(values)
     hidden = np.asarray(hidden, dtype=bool)
-    seq = embed(ctx, params, config, vals)
+    rows = vals
+    if vals.ndim == 3:
+        if hidden.shape[:-1] != vals.shape[:1]:
+            raise DimensionError(f"a stack of {vals.shape[0]} groups needs one mask each, got {hidden.shape}")
+        rows, hidden = vals.reshape(-1, vals.shape[-1]), hidden[:, None]
+    seq = embed(ctx, params, config, rows)
     visible = apply_mask(ctx, seq, hidden)
     latent = encode(ctx, params, config, visible)
     full = pad_with_mask_tokens(ctx, params, config, latent, hidden)

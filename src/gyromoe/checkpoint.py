@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from .backbone import GD_PLACEMENTS, BackboneConfig
-from .errors import CheckpointError, ConfigError, DimensionError
+from .errors import CheckpointError, ConfigError, ContractError, DimensionError
 from .signal import ClipSpec
 
 FORMAT_TAG = "gyromoe-ckpt-v1"
@@ -166,9 +166,10 @@ def save_expert(path, arrays: dict, expert: str, backbone: BackboneConfig, clip:
                                    for k, v in meta.items()})
 
 
-def _spec_arrays(arrays: dict, spec) -> dict:
+def _spec_arrays(path, arrays: dict, spec) -> dict:
     """The arrays that a spec of ``(name, shape, init_kind)`` triples names,
-    in spec order, once the file holds exactly those names in those shapes."""
+    in spec order, once the file at ``path`` holds exactly those names in
+    those shapes, every entry finite."""
     names = [name for name, _, _ in spec]
     if set(names) != arrays.keys():
         raise ConfigError(f"checkpoint parameters {sorted(arrays.keys() ^ set(names))[:3]} "
@@ -176,6 +177,8 @@ def _spec_arrays(arrays: dict, spec) -> dict:
     for name, shape, _ in spec:
         if arrays[name].shape != shape:
             raise DimensionError(f"parameter '{name}' shape {arrays[name].shape} does not match {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise ContractError(f"checkpoint {path}: parameter '{name}' holds a non-finite value")
     return {name: arrays[name] for name in names}
 
 
@@ -184,7 +187,9 @@ def load_expert(path, expert: str) -> tuple:
     ``picks`` holds the choices the expert's file adds, and ``fill`` hands
     the file's arrays to :func:`~gyromoe.backbone.build_params` or the
     denoise store once their names match the spec it is given
-    (:class:`ConfigError` if not) and their shapes too (:class:`DimensionError`).
+    (:class:`ConfigError` if not), their shapes too (:class:`DimensionError`)
+    and every entry is finite (:class:`ContractError`, naming the file and
+    the parameter).
     Bad metadata or a file of another kind is a :class:`ConfigError`."""
     kind, choices = _EXPERTS[expert]
     arrays, meta = load_checkpoint(path)
@@ -198,4 +203,4 @@ def load_expert(path, expert: str) -> tuple:
         picks = tuple(meta_choice(meta, key) for key in choices)
     except KeyError as exc:
         raise ConfigError(f"checkpoint metadata incomplete: {exc}") from None
-    return backbone, clip, picks, partial(_spec_arrays, arrays)
+    return backbone, clip, picks, partial(_spec_arrays, path, arrays)

@@ -253,10 +253,19 @@ def dual_forward(
     mask_a: np.ndarray,
     mask_b: np.ndarray,
 ) -> tuple[Tensor, Tensor]:
-    """Both branches over a ``[B, L]`` batch; each branch's mask is shared by every row."""
-    pred_a = bb.forward(ctx, de_params.branch_a, config.backbone, values_norm, mask_a)
-    pred_b = bb.forward(ctx, de_params.branch_b, config.backbone, values_norm, mask_b)
-    return pred_a, pred_b
+    """Both branches over a ``[B, L]`` batch; each branch's mask is shared by every row.
+
+    When the branches share every buffer (``weight_share="both"``) and the
+    masks hide the same number of patches (an even patch count), this is one
+    backbone pass over the ``[2, B, L]`` stack ``[x; x]`` with one mask per
+    branch, split afterwards. Otherwise each branch makes its own pass.
+    """
+    x = dm.value(values_norm)
+    if config.weight_share != "both" or mask_a.sum() != mask_b.sum():
+        return (bb.forward(ctx, de_params.branch_a, config.backbone, x, mask_a),
+                bb.forward(ctx, de_params.branch_b, config.backbone, x, mask_b))
+    pred = bb.forward(ctx, de_params.branch_a, config.backbone, np.stack([x, x]), np.stack([mask_a, mask_b]))
+    return tuple(dm.reshape(ctx, dm.gather(ctx, pred, np.array([g]), axis=0), x.shape) for g in (0, 1))
 
 
 def branch_loss(target, pred, mask: np.ndarray, patch_len: int, ctx: DiffContext | None = None) -> Tensor:

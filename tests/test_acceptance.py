@@ -448,12 +448,12 @@ def test_c09_mask_algebra(capsys):
 
     rng = np.random.default_rng([990, 0])
     single = sum(p.tensor.data.size for p in init_params(SMALL_BB, rng).all_params())
-    shared = build_de_params(
+    shared = sum(p.tensor.data.size for p in build_de_params(
         DeConfig(clip=ClipSpec(1.0), backbone=SMALL_BB, weight_share="both"), rng
-    ).n_scalars()
-    split = build_de_params(
+    ).all_params())
+    split = sum(p.tensor.data.size for p in build_de_params(
         DeConfig(clip=ClipSpec(1.0), backbone=SMALL_BB, weight_share="none"), rng
-    ).n_scalars()
+    ).all_params())
     ok = shared == single and split > single
     announce(capsys, "C09", ok,
              f"masks 2..64 complementary, params shared={shared} single={single} split={split}")

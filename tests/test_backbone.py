@@ -157,6 +157,36 @@ class TestMasks:
             assert max(rel(got, want) for got, want in zip(per_row, shared)) <= 1e-12
 
 
+class TestMaskStack:
+    @pytest.mark.parametrize("placement", GD_PLACEMENTS)
+    def test_each_group_equals_its_own_shared_mask_forward(self, placement):
+        cfg = dataclasses.replace(SMALL, gd_placement=placement)
+        params = small_params(GD_PLACEMENTS.index(placement), cfg)
+        rng = np.random.default_rng(30)
+        for masks in ([hide(4, 1, 3), hide(4, 0, 2), hide(4, 0, 1)], [hide(4, 2)]):
+            x = rng.normal(size=(len(masks), 2, 16))
+            stacked = forward_values(params, cfg, x, np.stack(masks))
+            assert stacked.shape == x.shape
+            for group, mask, got in zip(x, masks, stacked):
+                alone = forward_values(params, cfg, group, mask)
+                np.testing.assert_array_equal(got.view(np.int64), alone.view(np.int64))
+
+    def test_masks_hiding_different_counts_rejected(self):
+        x = np.zeros((2, 1, 16))
+        with pytest.raises(DimensionError):
+            forward_values(small_params(), SMALL, x, np.stack([hide(4, 1, 3), hide(4, 0)]))
+        ctx = DiffContext()
+        seq = embed(ctx, small_params(), SMALL, x[:, 0])
+        with pytest.raises(DimensionError):
+            apply_mask(ctx, seq, np.stack([hide(4, 1), hide(4)])[:, None])
+
+    def test_one_mask_per_group_required(self):
+        x = np.zeros((2, 3, 16))
+        for bad in (hide(4, 1), np.stack([hide(4, 1)] * 3), np.zeros((2, 3, 4), dtype=bool)):
+            with pytest.raises(DimensionError):
+                forward_values(small_params(), SMALL, x, bad)
+
+
 class TestPositionalEncoding:
     def test_shape_and_range(self):
         t = pe_table(10, 8)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -208,7 +209,7 @@ class TestExpertCodec:
         name = next(n for n in sorted(arrays) if n.endswith("attn.wq"))
         arrays[name][1, 2] = math.nan
         save_arrays(path, arrays)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=f"{re.escape(str(path))}.*'{re.escape(name)}'"):
             LOADERS[expert](path)
 
     @pytest.mark.parametrize("expert", ["ore", "de"])

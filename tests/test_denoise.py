@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+import gyromoe.backbone as bb
 import gyromoe.diffmath as dm
 from gyromoe.backbone import BackboneConfig, init_params, is_encoder_param, param_spec
 from gyromoe.denoise import (
@@ -206,25 +207,29 @@ class TestSpectralCorruption:
             )
 
 
+def scalar_count(params) -> int:
+    return sum(p.tensor.data.size for p in params.all_params())
+
+
 class TestWeightSharing:
     def test_full_share_matches_single_backbone(self):
         rng = np.random.default_rng(6)
         single = init_params(TINY_BB, np.random.default_rng(6))
         dp = build_de_params(tiny_config(weight_share="both"), rng)
-        assert dp.n_scalars() == single.n_scalars()
+        assert scalar_count(dp) == scalar_count(single)
 
     def test_no_share_doubles_the_count(self):
         rng = np.random.default_rng(7)
         single = init_params(TINY_BB, np.random.default_rng(7))
         dp = build_de_params(tiny_config(weight_share="none"), rng)
-        assert dp.n_scalars() == 2 * single.n_scalars()
+        assert scalar_count(dp) == 2 * scalar_count(single)
 
     def test_partial_modes_sit_strictly_between(self):
-        single = init_params(TINY_BB, np.random.default_rng(8)).n_scalars()
+        single = scalar_count(init_params(TINY_BB, np.random.default_rng(8)))
         counts = {}
         for mode in ("encoder", "decoder"):
             dp = build_de_params(tiny_config(weight_share=mode), np.random.default_rng(8))
-            counts[mode] = dp.n_scalars()
+            counts[mode] = scalar_count(dp)
             assert single < counts[mode] < 2 * single
         assert counts["encoder"] + counts["decoder"] == 3 * single
 
@@ -322,6 +327,50 @@ class TestTraining:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
             train_de([], 100.0, AugmentConfig([np.ones(2)]), tiny_config(), 1, 0)
+
+
+class TestDualForward:
+    @pytest.mark.parametrize("n_patches", [8, 5])
+    @pytest.mark.parametrize("mode", SHARE_MODES)
+    def test_matches_one_forward_per_branch(self, monkeypatch, mode, n_patches):
+        # the reference is two separate backbone passes, one per branch
+        cfg = tiny_config(weight_share=mode)
+        x, target = np.random.default_rng(40).normal(size=(2, 3, 4 * n_patches))
+        mask_a, mask_b = cross_masks(n_patches)
+        params = build_de_params(cfg, np.random.default_rng(41))
+
+        def reference(ctx, params):
+            return (bb.forward(ctx, params.branch_a, TINY_BB, x, mask_a),
+                    bb.forward(ctx, params.branch_b, TINY_BB, x, mask_b))
+
+        want = reference(DiffContext(record=False), params)
+        passes = []
+        forward = bb.forward
+
+        def counted(*args):
+            passes.append(np.shape(args[3]))
+            return forward(*args)
+
+        monkeypatch.setattr(bb, "forward", counted)
+        got = dual_forward(DiffContext(record=False), params, cfg, x, mask_a, mask_b)
+        # one stacked pass when the branches share every buffer and hide as many patches each
+        assert passes == ([(2, *x.shape)] if mode == "both" and n_patches % 2 == 0 else [x.shape] * 2)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == x.shape
+            np.testing.assert_array_equal(g.data.view(np.int64), w.data.view(np.int64))
+
+        def grads(run):
+            params = build_de_params(cfg, np.random.default_rng(41))
+            ctx = DiffContext()
+            pred_a, pred_b = run(ctx, params)
+            dm.backward(de_pair_loss(target, pred_a, pred_b, mask_a, mask_b, 4, ctx=ctx), ctx)
+            return [p.grad.data for p in params.all_params()]
+
+        got = grads(lambda ctx, params: dual_forward(ctx, params, cfg, x, mask_a, mask_b))
+        want = grads(reference)
+        # relative to the largest entry of all, as in TestChunkedTapes
+        scale = max(np.abs(w).max() for w in want)
+        assert max(np.abs(g - w).max() for g, w in zip(got, want)) <= 1e-12 * scale
 
 
 class TestChunkedTapes:
