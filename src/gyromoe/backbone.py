@@ -80,10 +80,6 @@ class BackboneConfig:
                 f"({self.sigma_min}, {self.sigma_init}, {self.sigma_max})"
             )
 
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.heads
-
 
 @dataclass
 class TokenSequence:

@@ -59,6 +59,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _positive_integer(value) -> int:
+    """``value`` as an int of at least 1."""
+    n = _integer(value)
+    if n < 1:
+        raise ValueError(f"{value!r} is not a positive whole number")
+    return n
+
+
 def _string(value) -> str:
     """``value`` as given: a JSON string, not a number or a boolean."""
     if not isinstance(value, str):
@@ -76,7 +84,7 @@ def _int_pair(value) -> tuple:
 _CONFIG_KEYS = {
     "clip_level": _number,
     "sample_rate": _number,
-    "segment_len": _integer,
+    "segment_len": _positive_integer,
     "backbone": {
         f.name: {int: _integer, float: _number, str: _string}[type(f.default)]
         for f in dataclasses.fields(BackboneConfig)

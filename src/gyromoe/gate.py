@@ -1,27 +1,28 @@
-"""Window gate: route windows to the range or noise expert and splice.
+"""Window gate: route each window's samples to the range or noise expert and splice.
 
 ``signal.segment`` cuts the stream into a ``[n, L]`` array, one fixed-length
 window per row, and routing is rule-based per window. The peak route fires
 when at least ``peak_run`` consecutive samples sit on the clip rail by
 ``signal.saturated_mask``, the one rail rule, whose samples are the ones the
 peak expert hides and replaces; the noise route fires when some run of
-``quiet_run`` consecutive samples stays below the quiet threshold. Splicing
-walks the window left to right: a saturated sample takes the peak expert's
-value and advances by one; a fully quiet block of ``quiet_run`` samples
-takes the noise expert's values and advances by the block length;
-everything else passes through.
+``quiet_run`` consecutive samples stays below the quiet threshold. A route
+decision is two disjoint boolean sample masks, the samples each expert
+replaces, as a left-to-right walk over the window assigns them: a saturated
+sample goes to the peak expert and advances by one; a fully quiet block of
+``quiet_run`` samples goes to the noise expert and advances by the block
+length; everything else passes through.
 
-The implementation vectorizes the rail replacement and walks only the
-quiet runs, but is sample-for-sample identical to the scalar procedure
-above. Experts are batched too: every window is routed first, then each
-expert is called once per chunk of up to ``EXPERT_CHUNK`` windows its route
-fired on.
+``route`` vectorizes the rail mask and walks only the quiet runs, but its
+masks are sample-for-sample those of the scalar walk above. ``enhance``
+routes every window first, then calls each expert once per chunk of up to
+``EXPERT_CHUNK`` windows its route fired on, and splices each expert's
+output into the whole window array with one ``np.where``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,23 +65,29 @@ class GateConfig:
 
 @dataclass
 class RouteDecision:
+    """One window's routing flags and the disjoint boolean masks of the samples
+    each expert replaces. A mask is all False when its route did not fire, and
+    can be when it did: with the quiet threshold above the rail, quiet blocks
+    can take every rail sample, or start on none."""
+
     peak: bool
     noise: bool
-    clipped_ranges: list = field(default_factory=list)
-    quiet_ranges: list = field(default_factory=list)
+    peak_samples: np.ndarray
+    noise_samples: np.ndarray
 
 
 def route(values: np.ndarray, config: GateConfig) -> RouteDecision:
-    """Routing flags and the runs that produced them, for one window."""
+    """Routing flags and the sample masks they replace, for one window."""
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ContractError("route needs a nonempty 1-D window")
     sat = saturated_mask(x, config.clip)
+    peak = any(e - s >= config.peak_run for s, e in true_runs(sat))
     quiet = np.abs(x) < config.quiet_tau
-    clipped_ranges = true_runs(sat)
-    peak = any(e - s >= config.peak_run for s, e in clipped_ranges)
     quiet_ranges = [(s, e) for s, e in true_runs(quiet) if e - s >= config.quiet_run]
-    return RouteDecision(peak, bool(quiet_ranges), clipped_ranges, quiet_ranges)
+    covered = _quiet_blocks(quiet_ranges, x.size, sat if peak else None, config.quiet_run)
+    peak_samples = sat & ~covered if peak else np.zeros(x.size, dtype=bool)
+    return RouteDecision(peak, bool(quiet_ranges), peak_samples, covered)
 
 
 def _quiet_blocks(quiet_ranges: list, n: int, sat: np.ndarray | None, q: int) -> np.ndarray:
@@ -102,37 +109,17 @@ def _quiet_blocks(quiet_ranges: list, n: int, sat: np.ndarray | None, q: int) ->
     return covered
 
 
-def _splice(
-    x: np.ndarray,
-    decision: RouteDecision,
-    config: GateConfig,
-    p_hat: np.ndarray | None,
-    n_hat: np.ndarray | None,
-) -> np.ndarray:
-    y = x.copy()
-    sat = saturated_mask(x, config.clip) if decision.peak else None
-    if decision.noise:
-        covered = _quiet_blocks(decision.quiet_ranges, x.size, sat, config.quiet_run)
-        y[covered] = n_hat[: x.size][covered]
-    else:
-        covered = np.zeros(x.size, dtype=bool)
-    if decision.peak:
-        repl = sat & ~covered
-        y[repl] = p_hat[: x.size][repl]
-    return y
-
-
-def _expert_outputs(fn, windows: np.ndarray, name: str) -> list:
-    """``fn`` over the rows of ``windows`` in chunks of EXPERT_CHUNK; one
-    output row per window."""
-    rows = []
+def _expert_outputs(fn, windows: np.ndarray, name: str) -> np.ndarray:
+    """``fn`` over the rows of ``windows`` in chunks of EXPERT_CHUNK, as one
+    ``[k, L]`` array of output rows, one per window."""
+    outs = []
     for start in range(0, len(windows), EXPERT_CHUNK):
         chunk = windows[start : start + EXPERT_CHUNK]
         out = np.asarray(fn(chunk), dtype=np.float64)
         if out.shape != chunk.shape:
             raise ContractError(f"{name} expert returned shape {out.shape}, expected {chunk.shape}")
-        rows.extend(out)
-    return rows
+        outs.append(out)
+    return np.concatenate(outs)
 
 
 def enhance(
@@ -148,19 +135,21 @@ def enhance(
     consulted on windows where its route fires, once per chunk of up to
     ``EXPERT_CHUNK`` such windows; if a route fires and its expert is
     missing, that is a configuration error, raised before any expert runs.
-    Windows where nothing fires pass through untouched. Only a window's
-    real samples are routed and spliced; the zero padding that ``segment``
-    adds past the end of the stream is not.
+    Each expert's output replaces exactly the samples of its route's mask;
+    the rest pass through untouched. Only a window's real samples are
+    routed and spliced; the zero padding that ``segment`` adds past the end
+    of the stream is not.
     """
     n = len(series)
     L = config.segment_len
     windows = segment(series, L)
-    out = windows.copy()
-    # window w holds min(L, n - w * L) real samples; the rest is zero padding
-    real = [windows[w, : min(L, n - w * L)] for w in range(len(windows))]
-    decisions = []
-    for w, x in enumerate(real):
-        decision = route(x, config)
+    # per expert (peak, noise): the windows its route fired on, and the
+    # samples it replaces, False on the zero padding
+    fired = np.zeros((2, len(windows)), dtype=bool)
+    replace = np.zeros((2, *windows.shape), dtype=bool)
+    for w, row in enumerate(windows):
+        real = min(L, n - w * L)
+        decision = route(row[:real], config)
         if decision.peak and peak_fn is None:
             raise ConfigError(
                 f"peak route fired on segment at {w * L} but no peak expert is loaded"
@@ -169,16 +158,13 @@ def enhance(
             raise ConfigError(
                 f"noise route fired on segment at {w * L} but no noise expert is loaded"
             )
-        decisions.append(decision)
-    p_rows = iter(_expert_outputs(peak_fn, windows[[d.peak for d in decisions]], "peak"))
-    n_rows = iter(_expert_outputs(noise_fn, windows[[d.noise for d in decisions]], "noise"))
-    for w, (x, decision) in enumerate(zip(real, decisions)):
-        p_hat = next(p_rows) if decision.peak else None
-        n_hat = next(n_rows) if decision.noise else None
-        out[w, : x.size] = _splice(x, decision, config, p_hat, n_hat)
-    n_peak = sum(d.peak for d in decisions)
-    n_noise = sum(d.noise for d in decisions)
-    log.info(
-        "enhance: %d segments, %d peak-routed, %d noise-routed", len(windows), n_peak, n_noise
-    )
+        fired[:, w] = decision.peak, decision.noise
+        replace[:, w, :real] = decision.peak_samples, decision.noise_samples
+    out = windows
+    for fn, rows, samples, name in zip((peak_fn, noise_fn), fired, replace, ("peak", "noise")):
+        if rows.any():
+            hat = np.zeros(windows.shape)
+            hat[rows] = _expert_outputs(fn, windows[rows], name)
+            out = np.where(samples, hat, out)
+    log.info("enhance: %d segments, %d peak-routed, %d noise-routed", len(windows), *fired.sum(axis=1))
     return SampleSeries(stitch(out, n), series.sample_rate)

@@ -46,9 +46,6 @@ def hide(n, *idx):
 
 
 class TestConfig:
-    def test_head_dim(self):
-        assert SMALL.head_dim == 4
-
     def test_embed_dim_must_divide(self):
         with pytest.raises(ConfigError):
             BackboneConfig(embed_dim=10, heads=4)
@@ -424,7 +421,7 @@ def _primitive_attention_sublayer(ctx, params, prefix, config, x, bias_term):
     """The attention sublayer built from primitives only, node for node as
     it was before the block ops: the reference the block ops must match."""
     B, n, d = x.shape
-    heads, d_k = config.heads, config.head_dim
+    heads, d_k = config.heads, config.embed_dim // config.heads
     a = f"{prefix}.attn."
     h = dm.layer_norm(ctx, x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     qkv = dm.concat(

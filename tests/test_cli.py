@@ -1,3 +1,4 @@
+import ast
 import json
 from pathlib import Path
 
@@ -106,6 +107,9 @@ class TestConfigKeys:
             # a string key takes a JSON string, not a boolean or a number
             ({"train_de": {"weight_share": True}}, "train_de.weight_share"),
             ({"backbone": {"gd_placement": 1}}, "backbone.gd_placement"),
+            # a window holds at least one sample
+            ({"segment_len": 0}, "segment_len"),
+            ({"segment_len": -8}, "segment_len"),
         ],
     )
     def test_unknown_key_rejected(self, tmp_path, capsys, extra, bad):
@@ -408,6 +412,17 @@ class TestBench:
         assert code == 2
         assert "bench needs --out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("segment_len", [0, -5])
+    def test_bad_segment_len_fails_before_reading_inputs(self, tmp_path, capsys, segment_len):
+        cfg = write_config(tmp_path, segment_len=segment_len)
+        missing = str(tmp_path / "absent.csv")
+        out = tmp_path / "report.json"
+        code = main(["bench", "--config", cfg, "--raw", missing, "--enhanced", missing, "--truth", missing,
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: config value segment_len = {segment_len} ")
+        assert not out.exists()
+
 
 class TestAllan:
     def test_curve_csv(self, tmp_path):
@@ -437,6 +452,25 @@ class TestPublicApi:
         namespace = {}
         exec("from gyromoe import *", namespace)
         assert sorted(gyromoe.__all__) == sorted(n for n in namespace if n != "__builtins__")
+
+    def test_no_module_imports_a_name_it_never_reads(self):
+        import gyromoe
+
+        # __init__ imports names only to re-export them
+        unread = []
+        for path in sorted(Path(gyromoe.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {}
+            for node in tree.body:
+                if isinstance(node, ast.Import):
+                    imported.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    imported.update({(a.asname or a.name): node.lineno for a in node.names})
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unread += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+        assert unread == []
 
 
 class TestLogging:

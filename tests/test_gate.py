@@ -80,14 +80,15 @@ class TestRoute:
         x[4:7] = LEVEL
         d = route(x, gate_config())
         assert d.peak and not d.noise
-        assert (4, 7) in d.clipped_ranges
+        np.testing.assert_array_equal(np.flatnonzero(d.peak_samples), [4, 5, 6])
+        assert not d.noise_samples.any()
 
     def test_two_rail_samples_do_not(self):
         x = np.full(16, 0.5)
         x[4:6] = -LEVEL
         d = route(x, gate_config())
         assert not d.peak
-        assert (4, 6) in d.clipped_ranges  # run is still reported
+        assert not d.peak_samples.any()  # a rail run too short to fire replaces nothing
 
     def test_quiet_run_fires_noise(self):
         cfg = gate_config()
@@ -95,7 +96,8 @@ class TestRoute:
         x[10:18] = 0.01
         d = route(x, cfg)
         assert d.noise and not d.peak
-        assert d.quiet_ranges == [(10, 18)]
+        np.testing.assert_array_equal(np.flatnonzero(d.noise_samples), np.arange(10, 18))
+        assert not d.peak_samples.any()
 
     def test_short_quiet_run_does_not(self):
         cfg = gate_config()
@@ -103,7 +105,7 @@ class TestRoute:
         x[10:17] = 0.01
         d = route(x, cfg)
         assert not d.noise
-        assert d.quiet_ranges == []
+        assert not d.noise_samples.any()
 
     def test_both_routes_can_fire(self):
         cfg = gate_config()
@@ -228,6 +230,13 @@ class TestEnhance:
             enhance(SampleSeries(x, 100.0), cfg, peak_fn=lambda windows: np.zeros(3))
 
 
+def assert_masks_are_the_walk(decision, x, walked):
+    """The decision's two masks are disjoint and together are exactly the
+    samples the scalar walk changed."""
+    assert not (decision.peak_samples & decision.noise_samples).any()
+    np.testing.assert_array_equal(decision.peak_samples | decision.noise_samples, walked != x)
+
+
 class TestScalarWalkEquivalence:
     @pytest.mark.parametrize("seed", range(30))
     def test_random_mixed_segments(self, seed):
@@ -239,7 +248,9 @@ class TestScalarWalkEquivalence:
         out = enhance(
             SampleSeries(x, 100.0), cfg, peak_fn=const_expert(p_hat), noise_fn=const_expert(n_hat)
         )
-        np.testing.assert_array_equal(out.values, scalar_walk(x, cfg, p_hat, n_hat))
+        want = scalar_walk(x, cfg, p_hat, n_hat)
+        np.testing.assert_array_equal(out.values, want)
+        assert_masks_are_the_walk(route(x, cfg), x, want)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_pathological_quiet_threshold_above_rail(self, seed):
@@ -253,7 +264,9 @@ class TestScalarWalkEquivalence:
         out = enhance(
             SampleSeries(x, 100.0), cfg, peak_fn=const_expert(p_hat), noise_fn=const_expert(n_hat)
         )
-        np.testing.assert_array_equal(out.values, scalar_walk(x, cfg, p_hat, n_hat))
+        want = scalar_walk(x, cfg, p_hat, n_hat)
+        np.testing.assert_array_equal(out.values, want)
+        assert_masks_are_the_walk(route(x, cfg), x, want)
 
     def test_block_never_starts_inside_consumed_window(self):
         # quiet run of 12 with q=8: exactly one block, tail passes through

@@ -380,9 +380,7 @@ class TestReconstruct:
         railed[30] = level * (1 - 2 * CLIP_EPS)
         # the expert must change exactly the samples the gate counts as on the rail
         decision = route(railed, GateConfig(clip=cfg.clip, segment_len=32))
-        on_rail = np.zeros(railed.size, dtype=bool)
-        for s, e in decision.clipped_ranges:
-            on_rail[s:e] = True
+        on_rail = decision.peak_samples
         assert decision.peak and on_rail[1] and not on_rail[30]
         out = reconstruct(railed[None], params, cfg)[0]
         changed = out.view(np.int64) != railed.view(np.int64)
