@@ -74,9 +74,12 @@ def _string(value) -> str:
     return value
 
 
-def _int_pair(value) -> tuple:
-    lo, hi = value
-    return _integer(lo), _integer(hi)
+def _sample_range(value) -> tuple:
+    """``value`` as a half-open sample range ``(lo, hi)`` with ``0 <= lo < hi``."""
+    lo, hi = map(_integer, value)
+    if lo < 0 or hi <= lo:
+        raise ValueError(f"{value!r} is not a sample range [lo, hi) with 0 <= lo < hi")
+    return lo, hi
 
 
 # the keys the config accepts, each with the cast that reads its value or,
@@ -86,7 +89,7 @@ _CONFIG_KEYS = {
     "sample_rate": _number,
     "segment_len": _positive_integer,
     "backbone": {
-        f.name: {int: _integer, float: _number, str: _string}[type(f.default)]
+        f.name: {int: _positive_integer, float: _number, str: _string}[type(f.default)]
         for f in dataclasses.fields(BackboneConfig)
     },
     "synth": {
@@ -94,20 +97,20 @@ _CONFIG_KEYS = {
         "peak_events": lambda events: [tuple(map(_number, event)) for event in events],
     },
     "train_ore": {
-        "n_segments": _integer, "epochs": _integer, "batch_size": _integer, "learn_rate": _number,
-        "amp_lo_x": _number, "amp_hi_x": _number, "width_lo_s": _number, "width_hi_s": _number,
-        "noise_sigma": _number,
+        "n_segments": _positive_integer, "epochs": _positive_integer, "batch_size": _positive_integer,
+        "learn_rate": _number, "amp_lo_x": _number, "amp_hi_x": _number, "width_lo_s": _number,
+        "width_hi_s": _number, "noise_sigma": _number,
     },
     "train_de": {
-        "n_segments": _integer, "epochs": _integer, "batch_size": _integer, "learn_rate": _number,
-        "noise_sigma": _number, "beta": _number, "corruption_gain": _number, "n_snippets": _integer,
-        "weight_share": _string,
+        "n_segments": _positive_integer, "epochs": _positive_integer, "batch_size": _positive_integer,
+        "learn_rate": _number, "noise_sigma": _number, "beta": _number, "corruption_gain": _number,
+        "n_snippets": _positive_integer, "weight_share": _string,
     },
     "gate": {
-        "peak_run": _integer, "quiet_run": _integer,
+        "peak_run": _positive_integer, "quiet_run": _positive_integer,
         "quiet_threshold": lambda tau: None if tau is None else _number(tau),
     },
-    "bench": {"static_region": _int_pair},
+    "bench": {"static_region": _sample_range},
 }
 
 # sample rate, in Hz, of the synthetic streams and training corpora when the

@@ -67,14 +67,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        if self.data.shape != ():
-            raise ContractError(f"item() needs a scalar, got shape {self.data.shape}")
-        return float(self.data)
-
-    def __float__(self):
-        return self.item()
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 

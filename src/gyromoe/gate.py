@@ -1,22 +1,19 @@
 """Window gate: route each window's samples to the range or noise expert and splice.
 
 ``signal.segment`` cuts the stream into a ``[n, L]`` array, one fixed-length
-window per row, and routing is rule-based per window. The peak route fires
-when at least ``peak_run`` consecutive samples sit on the clip rail by
-``signal.saturated_mask``, the one rail rule, whose samples are the ones the
-peak expert hides and replaces; the noise route fires when some run of
-``quiet_run`` consecutive samples stays below the quiet threshold. A route
-decision is two disjoint boolean sample masks, the samples each expert
-replaces, as a left-to-right walk over the window assigns them: a saturated
-sample goes to the peak expert and advances by one; a fully quiet block of
-``quiet_run`` samples goes to the noise expert and advances by the block
-length; everything else passes through.
+window per row, and routing is rule-based per window. A route decision is
+two disjoint boolean sample masks, the samples each expert replaces. The
+peak mask is every sample on the clip rail by ``signal.saturated_mask``, the
+one rail rule, when some run of them reaches ``peak_run`` samples, and
+nothing otherwise. The noise mask covers each run of samples below the
+quiet threshold with as many back-to-back blocks of ``quiet_run`` samples
+as fit from the run's start; the run's tail shorter than a block passes
+through. The quiet threshold must sit below the rail, so no sample is both
+quiet and saturated.
 
-``route`` vectorizes the rail mask and walks only the quiet runs, but its
-masks are sample-for-sample those of the scalar walk above. ``enhance``
-routes every window first, then calls each expert once per chunk of up to
-``EXPERT_CHUNK`` windows its route fired on, and splices each expert's
-output into the whole window array with one ``np.where``.
+``enhance`` routes every window first, then calls each expert once per
+chunk of up to ``EXPERT_CHUNK`` windows whose mask is not empty, and splices
+each expert's output into the whole window array with one ``np.where``.
 """
 
 from __future__ import annotations
@@ -55,6 +52,8 @@ class GateConfig:
             raise ConfigError(
                 f"quiet_threshold must be positive and finite, got {self.quiet_threshold}"
             )
+        if saturated_mask(self.quiet_tau, self.clip):
+            raise ConfigError(f"quiet_threshold {self.quiet_tau} must sit below the clip rail at {self.clip.level}")
 
     @property
     def quiet_tau(self) -> float:
@@ -65,48 +64,34 @@ class GateConfig:
 
 @dataclass
 class RouteDecision:
-    """One window's routing flags and the disjoint boolean masks of the samples
-    each expert replaces. A mask is all False when its route did not fire, and
-    can be when it did: with the quiet threshold above the rail, quiet blocks
-    can take every rail sample, or start on none."""
+    """The disjoint boolean masks of the samples of one window that each
+    expert replaces; a route fires when its mask is not empty."""
 
-    peak: bool
-    noise: bool
     peak_samples: np.ndarray
     noise_samples: np.ndarray
 
+    @property
+    def peak(self) -> bool:
+        return bool(self.peak_samples.any())
+
+    @property
+    def noise(self) -> bool:
+        return bool(self.noise_samples.any())
+
 
 def route(values: np.ndarray, config: GateConfig) -> RouteDecision:
-    """Routing flags and the sample masks they replace, for one window."""
+    """The samples of one window that each expert replaces."""
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ContractError("route needs a nonempty 1-D window")
-    sat = saturated_mask(x, config.clip)
-    peak = any(e - s >= config.peak_run for s, e in true_runs(sat))
-    quiet = np.abs(x) < config.quiet_tau
-    quiet_ranges = [(s, e) for s, e in true_runs(quiet) if e - s >= config.quiet_run]
-    covered = _quiet_blocks(quiet_ranges, x.size, sat if peak else None, config.quiet_run)
-    peak_samples = sat & ~covered if peak else np.zeros(x.size, dtype=bool)
-    return RouteDecision(peak, bool(quiet_ranges), peak_samples, covered)
-
-
-def _quiet_blocks(quiet_ranges: list, n: int, sat: np.ndarray | None, q: int) -> np.ndarray:
-    """Samples of an ``n``-sample window consumed as noise-expert blocks by
-    the left-to-right walk over the quiet runs of at least ``q`` samples.
-
-    ``sat`` is the rail mask when the peak route fired (rail samples take
-    single steps in the walk and so can shift block starts), or None.
-    """
-    covered = np.zeros(n, dtype=bool)
-    for s, e in quiet_ranges:
-        t = s
-        while t < e:
-            if (sat is None or not sat[t]) and t + q <= e:
-                covered[t : t + q] = True
-                t += q
-            else:
-                t += 1
-    return covered
+    peak = saturated_mask(x, config.clip)
+    if not any(e - s >= config.peak_run for s, e in true_runs(peak)):
+        peak = np.zeros(x.size, dtype=bool)
+    q = config.quiet_run
+    noise = np.zeros(x.size, dtype=bool)
+    for s, e in true_runs(np.abs(x) < config.quiet_tau):
+        noise[s : s + q * ((e - s) // q)] = True
+    return RouteDecision(peak, noise)
 
 
 def _expert_outputs(fn, windows: np.ndarray, name: str) -> np.ndarray:
@@ -143,9 +128,7 @@ def enhance(
     n = len(series)
     L = config.segment_len
     windows = segment(series, L)
-    # per expert (peak, noise): the windows its route fired on, and the
-    # samples it replaces, False on the zero padding
-    fired = np.zeros((2, len(windows)), dtype=bool)
+    # per expert (peak, noise): the samples it replaces, False on the zero padding
     replace = np.zeros((2, *windows.shape), dtype=bool)
     for w, row in enumerate(windows):
         real = min(L, n - w * L)
@@ -158,8 +141,8 @@ def enhance(
             raise ConfigError(
                 f"noise route fired on segment at {w * L} but no noise expert is loaded"
             )
-        fired[:, w] = decision.peak, decision.noise
         replace[:, w, :real] = decision.peak_samples, decision.noise_samples
+    fired = replace.any(axis=2)
     out = windows
     for fn, rows, samples, name in zip((peak_fn, noise_fn), fired, replace, ("peak", "noise")):
         if rows.any():

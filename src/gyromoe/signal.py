@@ -59,10 +59,6 @@ class SampleSeries:
     def __len__(self):
         return self.values.size
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.sample_rate
-
     def times(self) -> np.ndarray:
         return np.arange(len(self), dtype=np.float64) / self.sample_rate
 

@@ -110,6 +110,20 @@ class TestConfigKeys:
             # a window holds at least one sample
             ({"segment_len": 0}, "segment_len"),
             ({"segment_len": -8}, "segment_len"),
+            # every count is a positive whole number
+            ({"gate": {"peak_run": 0}}, "gate.peak_run"),
+            ({"gate": {"quiet_run": -4}}, "gate.quiet_run"),
+            ({"train_ore": {"n_segments": 0}}, "train_ore.n_segments"),
+            ({"train_ore": {"epochs": 0}}, "train_ore.epochs"),
+            ({"train_ore": {"batch_size": 0}}, "train_ore.batch_size"),
+            ({"train_de": {"n_segments": 0}}, "train_de.n_segments"),
+            ({"train_de": {"epochs": -1}}, "train_de.epochs"),
+            ({"train_de": {"batch_size": 0}}, "train_de.batch_size"),
+            ({"train_de": {"n_snippets": 0}}, "train_de.n_snippets"),
+            ({"backbone": {**TINY_BACKBONE, "dec_layers": 0}}, "backbone.dec_layers"),
+            # a static region is a half-open range [lo, hi) with 0 <= lo < hi
+            ({"bench": {"static_region": [300, 100]}}, "bench.static_region"),
+            ({"bench": {"static_region": [-1, 100]}}, "bench.static_region"),
         ],
     )
     def test_unknown_key_rejected(self, tmp_path, capsys, extra, bad):
@@ -119,6 +133,16 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         assert err.startswith("error:") and bad in err
         assert not out.exists()
+
+
+    def test_readme_config_block_matches_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        assert set(block) == set(cli._CONFIG_KEYS)
+        for key, casts in cli._CONFIG_KEYS.items():
+            if isinstance(casts, dict):
+                assert set(block[key]) == set(casts), key
+        cli._read(block, cli._CONFIG_KEYS, None)  # every value shown passes its cast
 
 
 class TestTraining:
@@ -271,6 +295,13 @@ class TestEnhanceStartupChecks:
         assert self.run(tmp_path, cfg, {flag: ckpt[flag]}) == 2
         assert "clip_level" in capsys.readouterr().err
 
+    def test_quiet_threshold_on_the_rail_fails_before_reading_input(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, gate={"quiet_run": 8, "quiet_threshold": 450.0})  # clip_level 450
+        out = tmp_path / "out.csv"
+        code = main(["enhance", "--config", cfg, "--input", str(tmp_path / "absent.csv"), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith("error: quiet_threshold ")
+
     def test_stream_rate_must_match_the_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path)  # sample_rate 100
         src = tmp_path / "in.csv"
@@ -412,15 +443,21 @@ class TestBench:
         assert code == 2
         assert "bench needs --out" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("segment_len", [0, -5])
-    def test_bad_segment_len_fails_before_reading_inputs(self, tmp_path, capsys, segment_len):
-        cfg = write_config(tmp_path, segment_len=segment_len)
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("segment_len", 0, id="0"),
+        pytest.param("segment_len", -5, id="-5"),
+        pytest.param("gate.peak_run", 0, id="gate.peak_run"),
+        pytest.param("bench.static_region", [300, 100], id="bench.static_region"),
+    ])
+    def test_bad_segment_len_fails_before_reading_inputs(self, tmp_path, capsys, key, value):
+        section, _, name = key.rpartition(".")
+        cfg = write_config(tmp_path, **({section: {name: value}} if section else {name: value}))
         missing = str(tmp_path / "absent.csv")
         out = tmp_path / "report.json"
         code = main(["bench", "--config", cfg, "--raw", missing, "--enhanced", missing, "--truth", missing,
                      "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: config value segment_len = {segment_len} ")
+        assert capsys.readouterr().err.startswith(f"error: config value {key} = {value!r} ")
         assert not out.exists()
 
 

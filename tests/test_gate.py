@@ -7,7 +7,7 @@ from gyromoe import backbone as bb
 from gyromoe import ore
 from gyromoe.errors import ConfigError, ContractError, MaskError
 from gyromoe.gate import EXPERT_CHUNK, GateConfig, RouteDecision, enhance, route
-from gyromoe.signal import ClipSpec, SampleSeries, saturated_mask
+from gyromoe.signal import CLIP_EPS, ClipSpec, SampleSeries, saturated_mask
 
 de = importlib.import_module("gyromoe.denoise")
 
@@ -65,6 +65,9 @@ class TestConfig:
 
     def test_quiet_tau_override(self):
         assert gate_config(quiet_threshold=0.25).quiet_tau == 0.25
+        below_rail = np.nextafter(LEVEL * (1 - CLIP_EPS), 0.0)  # the largest threshold off the rail
+        assert not saturated_mask(below_rail, ClipSpec(LEVEL))
+        assert gate_config(quiet_threshold=below_rail).quiet_tau == below_rail
 
     def test_validation(self):
         # a NaN threshold would compare false everywhere and silently disable the noise route
@@ -72,6 +75,10 @@ class TestConfig:
                    {"quiet_threshold": np.nan}, {"quiet_threshold": np.inf}):
             with pytest.raises(ConfigError):
                 gate_config(**kw)
+        # a threshold on or above the rail would make rail samples quiet too
+        for tau in (LEVEL * (1 - CLIP_EPS), LEVEL, 1.5 * LEVEL):
+            with pytest.raises(ConfigError, match="quiet_threshold"):
+                gate_config(quiet_threshold=tau)
 
 
 class TestRoute:
@@ -240,8 +247,9 @@ def assert_masks_are_the_walk(decision, x, walked):
 class TestScalarWalkEquivalence:
     @pytest.mark.parametrize("seed", range(30))
     def test_random_mixed_segments(self, seed):
-        cfg = gate_config()
         rng = np.random.default_rng(seed)
+        tau = None if seed % 3 == 0 else float(rng.uniform(0.02, 0.7)) * LEVEL
+        cfg = gate_config(peak_run=int(rng.integers(1, 6)), quiet_run=int(rng.integers(1, 17)), quiet_threshold=tau)
         x = mixed_segment(rng, 64, cfg)
         p_hat = np.full(64, 7.0)
         n_hat = -np.arange(64, dtype=np.float64)
@@ -250,23 +258,10 @@ class TestScalarWalkEquivalence:
         )
         want = scalar_walk(x, cfg, p_hat, n_hat)
         np.testing.assert_array_equal(out.values, want)
-        assert_masks_are_the_walk(route(x, cfg), x, want)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_pathological_quiet_threshold_above_rail(self, seed):
-        # with tau above the rail, saturated samples are also "quiet" and the
-        # walk's step priority matters
-        cfg = gate_config(quiet_threshold=1.5, quiet_run=4)
-        rng = np.random.default_rng(seed)
-        x = np.where(rng.random(64) < 0.3, LEVEL, rng.uniform(-0.5, 0.5, size=64))
-        p_hat = np.full(64, 7.0)
-        n_hat = -np.arange(64, dtype=np.float64)
-        out = enhance(
-            SampleSeries(x, 100.0), cfg, peak_fn=const_expert(p_hat), noise_fn=const_expert(n_hat)
-        )
-        want = scalar_walk(x, cfg, p_hat, n_hat)
-        np.testing.assert_array_equal(out.values, want)
-        assert_masks_are_the_walk(route(x, cfg), x, want)
+        decision = route(x, cfg)
+        assert_masks_are_the_walk(decision, x, want)
+        assert decision.peak == decision.peak_samples.any()
+        assert decision.noise == decision.noise_samples.any()
 
     def test_block_never_starts_inside_consumed_window(self):
         # quiet run of 12 with q=8: exactly one block, tail passes through
