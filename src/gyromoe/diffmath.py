@@ -332,9 +332,9 @@ def row_softmax(ctx: DiffContext, a) -> Tensor:
     av = value(a)
     if av.ndim < 1:
         raise DimensionError(f"row_softmax needs at least one axis, got {av.shape}")
-    shifted = av - av.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = av - np.maximum.reduce(av, axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
 
     def vjp(g, keys):
         inner = (g * out).sum(axis=-1, keepdims=True)
@@ -353,12 +353,16 @@ def layer_norm(ctx: DiffContext, x, gain, bias) -> Tensor:
         raise DimensionError(
             f"layer_norm gain/bias shapes {gv.shape}/{bv.shape} do not match width {d}"
         )
-    mu = xv.mean(axis=-1, keepdims=True)
-    centered = xv - mu
-    # the variance as np.var computes it, without computing the mean again
-    var = np.square(centered).sum(axis=-1, keepdims=True) / d
-    std = np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered / std
+    # the mean and variance as ndarray.mean and np.var compute them, with
+    # the reductions called directly and the temporaries reused in place
+    mu = np.add.reduce(xv, axis=-1, keepdims=True)
+    mu /= d
+    xhat = xv - mu
+    std = np.add.reduce(np.square(xhat), axis=-1, keepdims=True)
+    std /= d
+    std += LAYER_NORM_EPS
+    np.sqrt(std, out=std)
+    xhat /= std
 
     def vjp(g, keys):
         gx = gg = gb = None
@@ -372,13 +376,18 @@ def layer_norm(ctx: DiffContext, x, gain, bias) -> Tensor:
             gb = g.reshape(-1, d).sum(axis=0)
         return gx, gg, gb
 
-    return ctx._record(xhat * gv + bv, vjp, x, gain, bias)
+    out = xhat * gv
+    out += bv
+    return ctx._record(out, vjp, x, gain, bias)
 
 
 def gelu(ctx: DiffContext, x) -> Tensor:
     """Exact Gaussian-error linear unit."""
     xv = value(x)
-    cdf = 0.5 * (1.0 + sp_special.erf(xv * _INV_SQRT2))
+    cdf = xv * _INV_SQRT2
+    sp_special.erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def vjp(g, keys):
         pdf = np.exp(-0.5 * xv * xv) * _INV_SQRT_2PI
@@ -485,6 +494,12 @@ def _check_indices(x: np.ndarray, idx, axis: int, opname: str, bound: int | None
     return idx
 
 
+def _distinct(idx: np.ndarray) -> bool:
+    """True when no row of ``idx`` repeats an index."""
+    ordered = np.sort(idx, axis=-1)
+    return bool((ordered[..., 1:] != ordered[..., :-1]).all())
+
+
 def gather(ctx: DiffContext, x, idx, axis: int = 0) -> Tensor:
     """Select entries along ``axis`` by integer index.
 
@@ -500,8 +515,7 @@ def gather(ctx: DiffContext, x, idx, axis: int = 0) -> Tensor:
         dx = np.zeros(shape)
         # checked here, not at record time, so an untaped forward never pays
         # for it; only repeated indices need the accumulating add
-        ordered = np.sort(idx, axis=-1)
-        if (ordered[..., 1:] != ordered[..., :-1]).all():
+        if _distinct(idx):
             dx[at] = g
         else:
             np.add.at(dx, at, g)
@@ -526,7 +540,11 @@ def scatter(ctx: DiffContext, x, idx, size: int, axis: int = 0) -> Tensor:
     shape[axis] = size
     out = np.zeros(shape, dtype=np.float64)
     at = _index_at(idx, axis)
-    np.add.at(out, at, xv)
+    if _distinct(idx):
+        # adding zero turns -0.0 into 0.0, as accumulating into the zeros does
+        out[at] = xv + 0.0
+    else:
+        np.add.at(out, at, xv)
 
     def vjp(g, keys):
         return (g[at],)
@@ -574,7 +592,7 @@ def transpose(ctx: DiffContext, x) -> Tensor:
 def reshape(ctx: DiffContext, x, shape) -> Tensor:
     xv = value(x)
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != xv.size:
+    if math.prod(shape) != xv.size:
         raise DimensionError(f"cannot reshape {xv.shape} to {shape}")
     in_shape = xv.shape
 
@@ -602,13 +620,14 @@ def linear(ctx: DiffContext, x, w, b, residual=None) -> Tensor:
     xv, wv, bv = value(x), value(w), value(b)
     if xv.ndim < 2 or wv.ndim != 2 or xv.shape[-1] != wv.shape[0] or bv.shape != wv.shape[1:]:
         raise DimensionError(f"linear shapes {xv.shape}, {wv.shape} and {bv.shape} are incompatible")
-    out = np.matmul(xv, wv) + bv
+    out = np.matmul(xv, wv)
+    out += bv
     objs = (x, w, b)
     if residual is not None:
         rv = value(residual)
         if rv.shape != out.shape:
             raise DimensionError(f"linear residual shape {rv.shape} does not match output {out.shape}")
-        out = rv + out
+        out += rv
         objs += (residual,)
     b_shape = bv.shape
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .signal import ClipSpec, SampleSeries, saturated_mask, segment, stitch, true_runs
+from .signal import ClipSpec, SampleSeries, saturated_mask, segment, stitch
 
 log = logging.getLogger("gyromoe.gate")
 
@@ -79,18 +79,38 @@ class RouteDecision:
         return bool(self.noise_samples.any())
 
 
+def _runs(mask: np.ndarray):
+    """Starts and stops of the maximal True runs of a 1-D boolean mask, as
+    two index arrays. Rows of a 2-D mask, each padded with a False column
+    and raveled, give runs that never cross a row."""
+    padded = np.zeros(mask.size + 2, dtype=bool)
+    padded[1:-1] = mask
+    edges = np.nonzero(padded[1:] != padded[:-1])[0]
+    return edges[::2], edges[1::2]
+
+
+def _cover(size: int, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """A boolean mask of ``size`` samples, True on ``[start, start + length)``
+    for each pair. Starts must be distinct, and so must stops, and spans
+    must not overlap."""
+    marks = np.zeros(size + 1, dtype=np.int8)
+    marks[starts] = 1
+    marks[starts + lengths] -= 1
+    return np.cumsum(marks[:-1], dtype=np.int8).astype(bool)
+
+
 def route(values: np.ndarray, config: GateConfig) -> RouteDecision:
     """The samples of one window that each expert replaces."""
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ContractError("route needs a nonempty 1-D window")
     peak = saturated_mask(x, config.clip)
-    if not any(e - s >= config.peak_run for s, e in true_runs(peak)):
+    starts, stops = _runs(peak)
+    if (stops - starts).max(initial=0) < config.peak_run:
         peak = np.zeros(x.size, dtype=bool)
     q = config.quiet_run
-    noise = np.zeros(x.size, dtype=bool)
-    for s, e in true_runs(np.abs(x) < config.quiet_tau):
-        noise[s : s + q * ((e - s) // q)] = True
+    starts, stops = _runs(np.abs(x) < config.quiet_tau)
+    noise = _cover(x.size, starts, q * ((stops - starts) // q))
     return RouteDecision(peak, noise)
 
 

@@ -155,23 +155,46 @@ def allan_deviation(series: SampleSeries, cluster_sizes=None) -> AllanCurve:
     and the deviation is sqrt(sum((mean_{i+1} - mean_i)^2) / (2 (M - 1)))
     at tau = m / fs. Cluster sizes leaving fewer than two blocks are
     skipped and recorded.
+
+    The block means of size m are built from those of the largest size
+    k already computed that divides m (the samples themselves when none
+    does): r = m / k strided column adds over the first M r means of size
+    k, divided by r. Default sizes are powers of two, so each level halves
+    the previous one and the whole curve costs O(n), not O(n log n). Means
+    of a size are kept only while a later size is a multiple of it. Means
+    of means equal block means in exact arithmetic; only the summation
+    order differs.
     """
     x = series.values
     n = x.size
     if cluster_sizes is None:
         cluster_sizes = default_cluster_sizes(n)
+    sizes = [int(m) for m in cluster_sizes]
+    for m in sizes:
+        if m < 1:
+            raise ContractError(f"cluster size must be >= 1, got {m}")
+    # the position of the last size that each size divides
+    last_use = {k: max(i for i, m in enumerate(sizes) if m % k == 0) for k in set(sizes)}
+    levels = {1: x}  # block means by cluster size
     taus = []
     devs = []
     skipped = []
-    for m in cluster_sizes:
-        m = int(m)
-        if m < 1:
-            raise ContractError(f"cluster size must be >= 1, got {m}")
+    for i, m in enumerate(sizes):
         big_m = n // m
         if big_m < 2:
             skipped.append(m)
             continue
-        means = x[: big_m * m].reshape(big_m, m).mean(axis=1)
+        k = max(s for s in levels if m % s == 0)
+        r = m // k
+        base = levels[k][: big_m * r]
+        means = base[::r]
+        if r > 1:
+            means = means + base[1::r]
+            for j in range(2, r):
+                means += base[j::r]
+            means /= r
+        levels[m] = means
+        levels = {s: v for s, v in levels.items() if s == 1 or last_use[s] > i}
         d = np.diff(means)
         var = float((d * d).sum()) / (2.0 * (big_m - 1))
         taus.append(m / series.sample_rate)

@@ -229,6 +229,50 @@ class TestOpSemantics:
             want = (x - mu) / np.sqrt(x.var(axis=-1, keepdims=True) + dm.LAYER_NORM_EPS) * g + b
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize(
+        "idx, axis",
+        [
+            (np.array([4, 0, 2]), 0),  # distinct: assigned
+            (np.array([1, 1, 3]), 0),  # repeated: accumulated
+            (np.array([5, 2]), 1),
+            (np.array([[0, 3], [2, 1]]), 1),  # per-row, distinct
+            (np.array([[0, 3], [2, 2]]), 1),  # per-row, one row repeats
+        ],
+    )
+    def test_scatter_equals_add_at_bit_for_bit(self, idx, axis):
+        rng = np.random.default_rng(idx.size)
+        shape = [2, 3, 2]
+        shape[axis] = idx.shape[-1]
+        x = rng.normal(size=shape)
+        x.reshape(-1)[::3] = -0.0  # 0.0 + -0.0 is 0.0
+        want = np.zeros([2, 6, 2] if axis else [6, 3, 2])
+        at = (np.arange(2)[:, None], idx) if idx.ndim == 2 else (slice(None),) * axis + (idx,)
+        np.add.at(want, at, x)
+        got = dm.scatter(DiffContext(record=False), x, idx, 6, axis=axis).data
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_forward_ops_equal_their_plain_numpy_forms_bit_for_bit(self):
+        from scipy import special
+
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 5, 8)) * 3.0
+        w, b, r = rng.normal(size=(8, 8)), rng.normal(size=8), rng.normal(size=(2, 5, 8))
+        ctx = DiffContext(record=False)
+        shifted = np.exp(x - x.max(axis=-1, keepdims=True))
+        cases = [
+            (dm.row_softmax(ctx, x), shifted / shifted.sum(axis=-1, keepdims=True)),
+            (dm.gelu(ctx, x), x * (0.5 * (1.0 + special.erf(x * (1.0 / np.sqrt(2.0)))))),
+            (dm.linear(ctx, x, w, b), np.matmul(x, w) + b),
+            (dm.linear(ctx, x, w, b, residual=r), r + (np.matmul(x, w) + b)),
+        ]
+        for got, want in cases:
+            np.testing.assert_array_equal(got.data.view(np.int64), want.view(np.int64))
+        inputs = (x.copy(), w.copy(), b.copy(), r.copy())
+        dm.linear(ctx, x, w, b, residual=r)
+        dm.layer_norm(ctx, x, b, b)
+        for before, after in zip(inputs, (x, w, b, r)):
+            np.testing.assert_array_equal(before, after)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ContractError):
             Tensor(np.array([1.0, np.inf]))

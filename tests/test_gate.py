@@ -7,7 +7,7 @@ from gyromoe import backbone as bb
 from gyromoe import ore
 from gyromoe.errors import ConfigError, ContractError, MaskError
 from gyromoe.gate import EXPERT_CHUNK, GateConfig, RouteDecision, enhance, route
-from gyromoe.signal import CLIP_EPS, ClipSpec, SampleSeries, saturated_mask
+from gyromoe.signal import CLIP_EPS, ClipSpec, SampleSeries, saturated_mask, true_runs
 
 de = importlib.import_module("gyromoe.denoise")
 
@@ -242,6 +242,47 @@ def assert_masks_are_the_walk(decision, x, walked):
     samples the scalar walk changed."""
     assert not (decision.peak_samples & decision.noise_samples).any()
     np.testing.assert_array_equal(decision.peak_samples | decision.noise_samples, walked != x)
+
+
+def route_by_run_lists(x, config):
+    """``route`` as one Python list of runs per mask: the reference that
+    the array form must equal."""
+    peak = saturated_mask(x, config.clip)
+    if not any(e - s >= config.peak_run for s, e in true_runs(peak)):
+        peak = np.zeros(x.size, dtype=bool)
+    q = config.quiet_run
+    noise = np.zeros(x.size, dtype=bool)
+    for s, e in true_runs(np.abs(x) < config.quiet_tau):
+        noise[s : s + q * ((e - s) // q)] = True
+    return peak, noise
+
+
+class TestRouteMasks:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_masks_equal_the_run_list_form(self, seed):
+        rng = np.random.default_rng([16, seed])
+        for _ in range(50):
+            # None, or any threshold off the rail
+            tau = None if rng.random() < 0.25 else float(rng.uniform(1e-3, 1.0 - CLIP_EPS)) * LEVEL
+            cfg = gate_config(peak_run=int(rng.integers(1, 9)), quiet_run=int(rng.integers(1, 21)), quiet_threshold=tau)
+            # runs of quiet, mid-band and rail samples, any threshold up to the rail
+            n = int(rng.integers(1, 200))
+            lo = [0.0, cfg.quiet_tau, LEVEL * (1 - CLIP_EPS)]
+            hi = [cfg.quiet_tau, LEVEL * (1 - CLIP_EPS), LEVEL]
+            kinds = np.repeat(rng.integers(0, 3, n), rng.integers(1, 25, n))[:n]
+            x = rng.uniform(np.take(lo, kinds), np.take(hi, kinds)) * rng.choice([-1.0, 1.0], n)
+            decision = route(x, cfg)
+            peak, noise = route_by_run_lists(x, cfg)
+            for got, want in ((decision.peak_samples, peak), (decision.noise_samples, noise)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+
+    def test_runs_touching_both_ends(self):
+        cfg = gate_config(peak_run=2, quiet_run=3)
+        x = np.array([LEVEL, LEVEL, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        decision = route(x, cfg)
+        np.testing.assert_array_equal(decision.peak_samples, [1, 1, 0, 0, 0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(decision.noise_samples, [0, 0, 0, 1, 1, 1, 1, 1, 1])
 
 
 class TestScalarWalkEquivalence:

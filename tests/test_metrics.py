@@ -153,6 +153,40 @@ class TestAllan:
         np.testing.assert_allclose(curve.taus, taus, atol=1e-15)
         np.testing.assert_allclose(curve.devs, devs, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, sizes",
+        [
+            (4096, [1, 3, 4, 6, 12, 5, 60, 7]),  # no divisor chain
+            (4096, [64, 2, 16, 1, 8, 32, 4, 128]),  # unsorted powers of two
+            (4099, [1, 2, 4, 8, 16, 3, 9, 27, 81]),  # odd n
+            (1001, [2, 600, 4, 1, 500, 8, 250, 10]),  # skipped sizes among kept ones
+            (777, [6, 6, 3, 12, 2]),  # a repeated size
+        ],
+    )
+    def test_custom_sizes_match_double_loop_oracle(self, n, sizes):
+        x = np.random.default_rng(n).normal(size=n)
+        curve = allan_deviation(SampleSeries(x, 50.0), cluster_sizes=sizes)
+        taus, devs = allan_oracle(x, 50.0, sizes)
+        assert curve.skipped_m == [m for m in sizes if n // m < 2]
+        np.testing.assert_allclose(curve.taus, taus, atol=1e-15)
+        np.testing.assert_allclose(curve.devs, devs, atol=1e-12)
+
+    def test_long_biased_walk_matches_block_mean_formula(self):
+        # block means built from smaller blocks' means agree with reshaping
+        # the samples into blocks, on a 0.5 deg/s bias plus white noise and
+        # a rate random walk
+        n = 2**20
+        rng = np.random.default_rng(952)
+        x = 0.5 + rng.normal(0.0, 0.1, n) + np.cumsum(rng.normal(0.0, 1e-3, n))
+        sizes = default_cluster_sizes(n)
+        curve = allan_deviation(SampleSeries(x, 100.0))
+        want = []
+        for m in sizes:
+            big_m = n // m
+            d = np.diff(x[: big_m * m].reshape(big_m, m).mean(axis=1))
+            want.append(math.sqrt(float((d * d).sum()) / (2.0 * (big_m - 1))))
+        np.testing.assert_allclose(curve.devs, want, rtol=1e-12, atol=0.0)
+
     def test_white_noise_scaling(self):
         rng = np.random.default_rng(10)
         sigma = 0.1
