@@ -3,10 +3,11 @@
 Subcommands: ``synth`` (generate a synthetic stream), ``train-ore`` and
 ``train-de`` (desk-scale expert training), ``enhance`` (gate + experts over
 a CSV stream), ``bench`` (metric report), and ``allan`` (deviation curve).
-Configuration is one JSON file shared by all commands; a command checks
-every key and the type of every value in it at startup. ``--seed`` makes
-every data-dependent step reproducible, and the ``GYROMOE_LOG`` environment
-variable (debug/info/warning/error) controls verbosity.
+Configuration is one JSON file shared by every command but ``allan``; each
+of them reads and checks the whole file, cross-field rules included, at
+startup. ``--seed`` makes every data-dependent step reproducible, and the
+``GYROMOE_LOG`` environment variable (debug/info/warning/error) controls
+verbosity.
 """
 
 from __future__ import annotations
@@ -113,11 +114,6 @@ _CONFIG_KEYS = {
     "bench": {"static_region": _sample_range},
 }
 
-# sample rate, in Hz, of the synthetic streams and training corpora when the
-# config gives none
-_DEFAULT_SAMPLE_RATE = 100.0
-
-
 def _setup_logging():
     name = os.environ.get("GYROMOE_LOG", "warning").lower()
     if name not in _LOG_LEVELS:
@@ -131,7 +127,28 @@ def _setup_logging():
     )
 
 
-def _load_config(path) -> dict:
+@dataclasses.dataclass(frozen=True)
+class _Config:
+    """A config file read and checked once: every object the commands build
+    from it. ``sample_rate`` is None when the file gives none; synthetic data
+    then runs at ``synth.sample_rate``, 100 Hz. ``synth.rng_seed`` (0) and
+    ``augment.snippet_pool`` (empty) are set by the command that uses them.
+    ``train_ore`` and ``train_de`` hold every data-recipe default."""
+
+    sample_rate: float | None
+    gate: gate_mod.GateConfig
+    ore: ore_mod.OreConfig
+    de: DeConfig
+    augment: AugmentConfig
+    synth: SynthConfig
+    train_ore: dict
+    train_de: dict
+    static_region: tuple | None
+
+
+def _load_config(path) -> _Config:
+    """The config file at ``path`` with every check run, cross-field ones
+    included, so a file fails the same way on every command that reads it."""
     if path is None:
         raise ConfigError("this command needs --config")
     try:
@@ -141,7 +158,35 @@ def _load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    return _read(cfg, _CONFIG_KEYS, None)
+    cfg = _read(cfg, _CONFIG_KEYS, None)
+    if "clip_level" not in cfg:
+        raise ConfigError("config is missing 'clip_level'")
+    spec = ClipSpec(cfg["clip_level"])
+    backbone = BackboneConfig(**cfg.get("backbone", {}))
+    ore = {"n_segments": 400, "epochs": 4, "amp_lo_x": 1.25, "amp_hi_x": 2.0, "width_lo_s": 0.15,
+           "width_hi_s": 0.45, "noise_sigma": 0.01, **cfg.get("train_ore", {})}
+    de = {"n_segments": 300, "epochs": 4, "noise_sigma": 2.0, "n_snippets": 32, **cfg.get("train_de", {})}
+    for lo, hi in (("amp_lo_x", "amp_hi_x"), ("width_lo_s", "width_hi_s")):
+        if not 0.0 < ore[lo] <= ore[hi]:
+            raise ConfigError(f"config values train_ore.{lo} = {ore[lo]!r} and train_ore.{hi} = {ore[hi]!r} "
+                              f"are invalid: need 0 < {lo} <= {hi}")
+    for section, recipe in (("train_ore", ore), ("train_de", de)):
+        if recipe["noise_sigma"] < 0.0:
+            raise ConfigError(f"config value {section}.noise_sigma = {recipe['noise_sigma']!r} is invalid: "
+                              f"need noise_sigma >= 0")
+    return _Config(
+        sample_rate=cfg.get("sample_rate"),
+        gate=gate_mod.GateConfig(spec, cfg.get("segment_len", gate_mod.GateConfig.segment_len),
+                                 **cfg.get("gate", {})),
+        ore=ore_mod.OreConfig(spec, backbone, **_fields(ore_mod.OreConfig, ore)),
+        de=DeConfig(spec, backbone, **_fields(DeConfig, de)),
+        augment=AugmentConfig([], **_fields(AugmentConfig, de)),
+        synth=SynthConfig(**{"duration_s": 60.0, **cfg.get("synth", {})},
+                          sample_rate=cfg.get("sample_rate", 100.0)),
+        train_ore=ore,
+        train_de=de,
+        static_region=cfg.get("bench", {}).get("static_region"),
+    )
 
 
 def _read(mapping, casts: dict, section: str | None) -> dict:
@@ -165,28 +210,10 @@ def _read(mapping, casts: dict, section: str | None) -> dict:
     return out
 
 
-def _present(values: dict, *keys) -> dict:
-    """The entries of ``values`` under ``keys``; absent keys are left out,
-    so the dataclass default applies."""
-    return {key: values[key] for key in keys if key in values}
-
-
-def _clip_spec(cfg: dict) -> ClipSpec:
-    if "clip_level" not in cfg:
-        raise ConfigError("config is missing 'clip_level'")
-    return ClipSpec(cfg["clip_level"])
-
-
-def _backbone_config(cfg: dict) -> BackboneConfig:
-    return BackboneConfig(**cfg.get("backbone", {}))
-
-
-def _segment_len(cfg: dict) -> int:
-    return cfg.get("segment_len", gate_mod.GateConfig.segment_len)
-
-
-def _sample_rate(cfg: dict) -> float:
-    return cfg.get("sample_rate", _DEFAULT_SAMPLE_RATE)
+def _fields(cls, section: dict) -> dict:
+    """The entries of ``section`` that name fields of the dataclass ``cls``;
+    a field the section leaves out keeps its default."""
+    return {f.name: section[f.name] for f in dataclasses.fields(cls) if f.name in section}
 
 
 def _require_seed(args) -> int:
@@ -218,18 +245,13 @@ def _write_text(path, text: str):
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args.config)
-    spec = _clip_spec(cfg)
-    synth_cfg = SynthConfig(
-        **{"duration_s": 60.0, **cfg.get("synth", {})},
-        sample_rate=_sample_rate(cfg),
-        rng_seed=_require_seed(args),
-    )
+    synth_cfg = dataclasses.replace(cfg.synth, rng_seed=_require_seed(args))
     if args.out is None:
         raise ConfigError("synth needs --out <directory>")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     series = synth_motion(synth_cfg)
-    clipped = SampleSeries(clip(series.values, spec), series.sample_rate)
+    clipped = SampleSeries(clip(series.values, cfg.gate.clip), series.sample_rate)
     save_csv(series, out_dir / "clean.csv")
     save_csv(clipped, out_dir / "clipped.csv")
     log.info("synth: wrote %d samples to %s", len(series), out_dir)
@@ -248,30 +270,18 @@ def cmd_train_ore(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args)
     _check_outputs(args, "checkpoint path")
-    section = cfg.get("train_ore", {})
-    spec = _clip_spec(cfg)
-    seg_len = _segment_len(cfg)
-    fs = _sample_rate(cfg)
-    ore_cfg = ore_mod.OreConfig(
-        clip=spec,
-        backbone=_backbone_config(cfg),
-        **_present(section, "learn_rate", "batch_size"),
-    )
-    data_rng = np.random.default_rng([seed, 0])
-    rail = spec.level
+    recipe, rail = cfg.train_ore, cfg.gate.clip.level
     segments = synth_peak_segments(
-        data_rng,
-        n_segments=section.get("n_segments", 400),
-        seg_len=seg_len,
-        sample_rate=fs,
-        amp_range=(section.get("amp_lo_x", 1.25) * rail, section.get("amp_hi_x", 2.0) * rail),
-        width_range=(section.get("width_lo_s", 0.15), section.get("width_hi_s", 0.45)),
-        noise_sigma=section.get("noise_sigma", 0.01) * rail,
+        np.random.default_rng([seed, 0]),
+        n_segments=recipe["n_segments"],
+        seg_len=cfg.gate.segment_len,
+        sample_rate=cfg.synth.sample_rate,
+        amp_range=(recipe["amp_lo_x"] * rail, recipe["amp_hi_x"] * rail),
+        width_range=(recipe["width_lo_s"], recipe["width_hi_s"]),
+        noise_sigma=recipe["noise_sigma"] * rail,
     )
-    params, trace = ore_mod.train_ore(
-        segments, ore_cfg, epochs=section.get("epochs", 4), seed=[seed, 1]
-    )
-    ore_mod.save_ore(args.out, params, ore_cfg)
+    params, trace = ore_mod.train_ore(segments, cfg.ore, epochs=recipe["epochs"], seed=[seed, 1])
+    ore_mod.save_ore(args.out, params, cfg.ore)
     if args.trace is not None:
         _write_text(args.trace, _trace_csv(trace.step_losses))
     print(f"trained peak expert on {len(segments)} segments, checkpoint at {args.out}")
@@ -282,33 +292,20 @@ def cmd_train_de(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args)
     _check_outputs(args, "checkpoint path")
-    section = cfg.get("train_de", {})
-    spec = _clip_spec(cfg)
-    seg_len = _segment_len(cfg)
-    fs = _sample_rate(cfg)
-    de_cfg = DeConfig(
-        clip=spec,
-        backbone=_backbone_config(cfg),
-        **_present(section, "weight_share", "learn_rate", "batch_size"),
-    )
+    recipe, seg_len, fs = cfg.train_de, cfg.gate.segment_len, cfg.synth.sample_rate
     data_rng = np.random.default_rng([seed, 0])
     noise_segments = synth_noise_segments(
-        data_rng,
-        n_segments=section.get("n_segments", 300),
-        seg_len=seg_len,
-        sigma=section.get("noise_sigma", 2.0),
+        data_rng, n_segments=recipe["n_segments"], seg_len=seg_len, sigma=recipe["noise_sigma"]
     )
     pool = make_snippet_pool(
         data_rng,
-        n_snippets=section.get("n_snippets", 32),
+        n_snippets=recipe["n_snippets"],
         len_range=(seg_len // 4, max(seg_len // 4, (3 * seg_len) // 4)),
         sample_rate=fs,
     )
-    aug = AugmentConfig(snippet_pool=pool, **_present(section, "beta", "corruption_gain"))
-    de_params, trace = train_de(
-        noise_segments, fs, aug, de_cfg, epochs=section.get("epochs", 4), seed=[seed, 1]
-    )
-    save_de(args.out, de_params, de_cfg)
+    aug = dataclasses.replace(cfg.augment, snippet_pool=pool)
+    de_params, trace = train_de(noise_segments, fs, aug, cfg.de, epochs=recipe["epochs"], seed=[seed, 1])
+    save_de(args.out, de_params, cfg.de)
     if args.trace is not None:
         _write_text(args.trace, _trace_csv(trace.step_losses))
     print(f"trained noise expert on {len(noise_segments)} segments, checkpoint at {args.out}")
@@ -331,13 +328,11 @@ def _check_expert(expert: str, expert_cfg, gate_cfg: gate_mod.GateConfig, min_pa
         )
 
 
-def _check_sample_rate(cfg: dict, series: SampleSeries):
+def _check_sample_rate(cfg: _Config, series: SampleSeries):
     """Reject a stream whose CSV-derived rate differs from the config's
     ``sample_rate``, within the uniformity tolerance ``load_csv`` allows."""
-    if "sample_rate" not in cfg:
-        return
-    want = _sample_rate(cfg)
-    if abs(series.sample_rate - want) > 1e-6 * want:
+    want = cfg.sample_rate
+    if want is not None and abs(series.sample_rate - want) > 1e-6 * want:
         raise ConfigError(
             f"input stream is sampled at {series.sample_rate!r} Hz, config sample_rate is {want!r} Hz"
         )
@@ -346,21 +341,19 @@ def _check_sample_rate(cfg: dict, series: SampleSeries):
 def cmd_enhance(args) -> int:
     cfg = _load_config(args.config)
     _check_outputs(args, "csv path")
-    spec = _clip_spec(cfg)
-    gate_cfg = gate_mod.GateConfig(clip=spec, segment_len=_segment_len(cfg), **cfg.get("gate", {}))
     peak_fn = None
     noise_fn = None
     if args.ore_ckpt is not None:
         params, ore_cfg = ore_mod.load_ore(args.ore_ckpt)
-        _check_expert("peak-expert", ore_cfg, gate_cfg, min_patches=1)
+        _check_expert("peak-expert", ore_cfg, cfg.gate, min_patches=1)
         peak_fn = ore_mod.make_peak_fn(params, ore_cfg)
     if args.de_ckpt is not None:
         de_params, de_cfg = load_de(args.de_ckpt)
-        _check_expert("noise-expert", de_cfg, gate_cfg, min_patches=2)
+        _check_expert("noise-expert", de_cfg, cfg.gate, min_patches=2)
         noise_fn = make_noise_fn(de_params, de_cfg)
     series = load_csv(args.input)
     _check_sample_rate(cfg, series)
-    enhanced = gate_mod.enhance(series, gate_cfg, peak_fn=peak_fn, noise_fn=noise_fn)
+    enhanced = gate_mod.enhance(series, cfg.gate, peak_fn=peak_fn, noise_fn=noise_fn)
     save_csv(enhanced, args.out)
     print(f"enhanced {len(series)} samples into {args.out}")
     return 0
@@ -369,8 +362,6 @@ def cmd_enhance(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
     _check_outputs(args, "json path")
-    spec = _clip_spec(cfg)
-    static_region = cfg.get("bench", {}).get("static_region")
     raw = load_csv(args.raw)
     enhanced = load_csv(args.enhanced)
     truth = load_csv(args.truth)
@@ -378,9 +369,9 @@ def cmd_bench(args) -> int:
         raw,
         enhanced,
         truth,
-        spec,
-        segment_len=_segment_len(cfg),
-        static_region=static_region,
+        cfg.gate.clip,
+        segment_len=cfg.gate.segment_len,
+        static_region=cfg.static_region,
     )
     _write_text(args.out, rep.to_json())
     print(rep.to_json(), end="")
@@ -407,33 +398,35 @@ def cmd_allan(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON configuration file")
-    shared.add_argument("--seed", type=int, help="master seed for data and training")
-    shared.add_argument("--out", help="output path (file or directory, per command)")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON configuration file")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, help="master seed for data and training")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output path (file or directory, per command)")
 
     parser = argparse.ArgumentParser(prog="gyromoe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("synth", parents=[shared], help="generate a synthetic stream")
+    sub.add_parser("synth", parents=[config, seed, out], help="generate a synthetic stream")
 
-    p = sub.add_parser("train-ore", parents=[shared], help="train the peak expert")
+    p = sub.add_parser("train-ore", parents=[config, seed, out], help="train the peak expert")
     p.add_argument("--trace", help="optional loss-trace CSV path")
 
-    p = sub.add_parser("train-de", parents=[shared], help="train the noise expert")
+    p = sub.add_parser("train-de", parents=[config, seed, out], help="train the noise expert")
     p.add_argument("--trace", help="optional loss-trace CSV path")
 
-    p = sub.add_parser("enhance", parents=[shared], help="run the gate over a CSV stream")
+    p = sub.add_parser("enhance", parents=[config, out], help="run the gate over a CSV stream")
     p.add_argument("--input", required=True, help="input CSV (t,omega)")
     p.add_argument("--ore-ckpt", help="peak-expert checkpoint")
     p.add_argument("--de-ckpt", help="noise-expert checkpoint")
 
-    p = sub.add_parser("bench", parents=[shared], help="metric report for an enhanced stream")
+    p = sub.add_parser("bench", parents=[config, out], help="metric report for an enhanced stream")
     p.add_argument("--raw", required=True, help="raw (clipped) CSV")
     p.add_argument("--enhanced", required=True, help="enhanced CSV")
     p.add_argument("--truth", required=True, help="ground-truth CSV")
 
-    p = sub.add_parser("allan", parents=[shared], help="Allan deviation curve of a CSV stream")
+    p = sub.add_parser("allan", parents=[out], help="Allan deviation curve of a CSV stream")
     p.add_argument("--input", required=True, help="input CSV (t,omega)")
 
     return parser

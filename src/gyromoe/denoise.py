@@ -29,15 +29,15 @@ from .signal import ClipSpec, SampleSeries, SpectralDensity, psd
 
 @dataclass
 class AugmentConfig:
-    """Knobs for the weak-signal injection and spectral corruption."""
+    """Knobs for the weak-signal injection and spectral corruption. The
+    snippet pool may be empty here; :func:`augment_segment` rejects an empty
+    one when it draws from it."""
 
     snippet_pool: list
     beta: float = 8.0
     corruption_gain: float = 1.0
 
     def __post_init__(self):
-        if not self.snippet_pool:
-            raise ConfigError("augmentation needs a nonempty snippet pool")
         if self.beta <= 0.0:
             raise ConfigError(f"beta must be positive, got {self.beta}")
         if self.corruption_gain < 0.0:
@@ -60,6 +60,8 @@ class DeConfig:
             raise ConfigError(
                 f"weight_share must be one of {SHARE_MODES}, got {self.weight_share!r}"
             )
+        if self.learn_rate <= 0.0:
+            raise ConfigError(f"learn_rate must be positive, got {self.learn_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -233,6 +235,8 @@ def augment_segment(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, InjectionResult]:
     """Full augmentation chain: inject a weak snippet, then corrupt the mix."""
+    if not aug.snippet_pool:
+        raise ConfigError("augmentation needs a nonempty snippet pool")
     density = psd(noise)
     floor = noise_floor(density)
     snippet = aug.snippet_pool[int(rng.integers(0, len(aug.snippet_pool)))]

@@ -43,6 +43,8 @@ class OreConfig:
     batch_size: int = 32
 
     def __post_init__(self):
+        if self.learn_rate <= 0.0:
+            raise ConfigError(f"learn_rate must be positive, got {self.learn_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 

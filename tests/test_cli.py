@@ -381,6 +381,63 @@ class TestEnhanceStartupChecks:
             assert not any(existing_dir.iterdir())
 
 
+# config files whose every value passes its own cast but that break a rule a
+# config object or a data recipe checks, with the key the error names
+_INVALID_FILES = [
+    ({"gate.quiet_threshold": 450.0}, "quiet_threshold"),  # on the rail at clip_level 450
+    ({"backbone.heads": 3}, "heads 3"),  # embed_dim 8
+    ({"backbone.sigma_min": 9.0}, "sigma_min"),  # above sigma_init 8
+    ({"backbone.gd_placement": "x"}, "gd_placement"),
+    ({"train_de.beta": -1}, "beta"),
+    ({"train_de.weight_share": "x"}, "weight_share"),
+    ({"synth.duration_s": -1}, "duration_s"),
+    ({"sample_rate": -5}, "sample_rate"),
+    ({"train_de.noise_sigma": -1}, "train_de.noise_sigma"),
+    ({"train_ore.amp_lo_x": 3, "train_ore.amp_hi_x": 1.5}, "train_ore.amp_lo_x"),
+    ({"train_ore.width_lo_s": 0, "train_ore.width_hi_s": 0}, "train_ore.width_lo_s"),
+    ({"train_ore.noise_sigma": -1}, "train_ore.noise_sigma"),
+    ({"train_ore.learn_rate": 0}, "learn_rate"),
+    ({"train_de.learn_rate": -0.001}, "learn_rate"),
+]
+
+
+class TestEveryCommandChecksTheWholeConfig:
+    @pytest.mark.parametrize("changes, named", _INVALID_FILES,
+                             ids=["+".join(c) for c, _ in _INVALID_FILES])
+    def test_invalid_file_fails_alike_before_any_input(self, tmp_path, capsys, monkeypatch, changes, named):
+        work = {command: name for command, name, _ in _OUTPUT_CASES} | {"synth": "synth_motion"}
+        for command, name in work.items():
+            owner, _, attr = name.rpartition(".")
+
+            def work_ran(*args, command=command, **kwargs):
+                pytest.fail(f"{command} did its work on an invalid config")
+
+            monkeypatch.setattr(getattr(cli, owner) if owner else cli, attr, work_ran)
+        cfg = json.loads(Path(write_config(tmp_path)).read_text())
+        for key, value in changes.items():
+            section, _, name = key.rpartition(".")
+            (cfg[section] if section else cfg)[name] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        made = set(tmp_path.iterdir())
+        missing = str(tmp_path / "absent.csv")
+        out = ["--out", str(tmp_path / "out.file")]
+        argv = {
+            "synth": ["--seed", "1"] + out,
+            "train-ore": ["--seed", "1", "--trace", str(tmp_path / "trace.csv")] + out,
+            "train-de": ["--seed", "1", "--trace", str(tmp_path / "trace.csv")] + out,
+            "enhance": ["--input", missing, "--ore-ckpt", missing, "--de-ckpt", missing] + out,
+            "bench": ["--raw", missing, "--enhanced", missing, "--truth", missing] + out,
+        }
+        errors = set()
+        for command, args in argv.items():
+            assert main([command, "--config", str(path)] + args) == 2, command
+            errors.add(capsys.readouterr().err)
+            assert set(tmp_path.iterdir()) == made, command
+        (err,) = errors
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 class TestBench:
     def test_identity_report(self, tmp_path):
         cfg = write_config(tmp_path, bench={"static_region": [0, 256]})
@@ -480,6 +537,16 @@ class TestAllan:
         save_csv(SampleSeries(rng.normal(size=64), 10.0), tmp_path / "in.csv")
         assert main(["allan", "--input", str(tmp_path / "in.csv")]) == 0
         assert capsys.readouterr().out.startswith("tau_s,sigma")
+
+    @pytest.mark.parametrize("command, flag", [("allan", "--config"), ("allan", "--seed"),
+                                               ("enhance", "--seed"), ("bench", "--seed")])
+    def test_flags_the_command_does_not_read_are_rejected(self, tmp_path, command, flag):
+        src = str(tmp_path / "in.csv")
+        argv = {"allan": ["--input", src], "enhance": ["--config", "c.json", "--input", src],
+                "bench": ["--config", "c.json", "--raw", src, "--enhanced", src, "--truth", src]}[command]
+        with pytest.raises(SystemExit) as exit_:
+            main([command] + argv + [flag, "9"])
+        assert exit_.value.code == 2
 
 
 class TestPublicApi:

@@ -267,6 +267,11 @@ class TestWeightSharing:
         with pytest.raises(ConfigError):
             tiny_config(weight_share="all")
 
+    @pytest.mark.parametrize("learn_rate", [0.0, -1e-3])
+    def test_nonpositive_learn_rate_rejected(self, learn_rate):
+        with pytest.raises(ConfigError, match="learn_rate"):
+            tiny_config(learn_rate=learn_rate)
+
 
 class TestBranchLoss:
     def test_masked_mse_oracle(self):
@@ -327,6 +332,14 @@ class TestTraining:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
             train_de([], 100.0, AugmentConfig([np.ones(2)]), tiny_config(), 1, 0)
+
+    def test_empty_snippet_pool_rejected(self):
+        rng = np.random.default_rng(15)
+        series = SampleSeries(rng.normal(size=32), 100.0)
+        with pytest.raises(ConfigError, match="snippet pool"):
+            augment_segment(series, AugmentConfig([]), rng)
+        with pytest.raises(ConfigError, match="snippet pool"):
+            train_de(noise_corpus(rng, 2), 100.0, AugmentConfig([]), tiny_config(), 1, 0)
 
 
 class TestDualForward:

@@ -271,6 +271,11 @@ class TestTraining:
         with pytest.raises(ConfigError):
             train_ore([np.zeros(32)], tiny_config(), epochs=1, seed=0)
 
+    @pytest.mark.parametrize("learn_rate", [0.0, -1e-3])
+    def test_nonpositive_learn_rate_rejected(self, learn_rate):
+        with pytest.raises(ConfigError, match="learn_rate"):
+            tiny_config(learn_rate=learn_rate)
+
 
 def first_step_grads(monkeypatch):
     """Patch Adam.step to keep a copy of every gradient it is handed."""
