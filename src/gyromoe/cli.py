@@ -114,6 +114,7 @@ _CONFIG_KEYS = {
     "bench": {"static_region": _sample_range},
 }
 
+
 def _setup_logging():
     name = os.environ.get("GYROMOE_LOG", "warning").lower()
     if name not in _LOG_LEVELS:
@@ -131,9 +132,9 @@ def _setup_logging():
 class _Config:
     """A config file read and checked once: every object the commands build
     from it. ``sample_rate`` is None when the file gives none; synthetic data
-    then runs at ``synth.sample_rate``, 100 Hz. ``synth.rng_seed`` (0) and
-    ``augment.snippet_pool`` (empty) are set by the command that uses them.
-    ``train_ore`` and ``train_de`` hold every data-recipe default."""
+    always runs at ``synth.sample_rate``, 100 Hz by default. ``synth.rng_seed``
+    (0) and ``augment.snippet_pool`` (empty) are set by the command that uses
+    them. ``train_ore`` and ``train_de`` hold every data-recipe default."""
 
     sample_rate: float | None
     gate: gate_mod.GateConfig
