@@ -32,6 +32,7 @@ from .signal import (
     ClipSpec,
     SampleSeries,
     SynthConfig,
+    _csv_text,
     clip,
     load_csv,
     make_snippet_pool,
@@ -175,6 +176,9 @@ def _load_config(path) -> _Config:
         if recipe["noise_sigma"] < 0.0:
             raise ConfigError(f"config value {section}.noise_sigma = {recipe['noise_sigma']!r} is invalid: "
                               f"need noise_sigma >= 0")
+        if recipe.get("learn_rate", 1.0) <= 0.0:
+            raise ConfigError(f"config value {section}.learn_rate = {recipe['learn_rate']!r} is invalid: "
+                              f"need learn_rate > 0")
     return _Config(
         sample_rate=cfg.get("sample_rate"),
         gate=gate_mod.GateConfig(spec, cfg.get("segment_len", gate_mod.GateConfig.segment_len),
@@ -260,13 +264,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _trace_csv(step_losses) -> str:
-    lines = ["step,loss"]
-    for i, loss in enumerate(step_losses):
-        lines.append(f"{i},{loss!r}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_train_ore(args) -> int:
     cfg = _load_config(args.config)
     seed = _require_seed(args)
@@ -284,7 +281,7 @@ def cmd_train_ore(args) -> int:
     params, trace = ore_mod.train_ore(segments, cfg.ore, epochs=recipe["epochs"], seed=[seed, 1])
     ore_mod.save_ore(args.out, params, cfg.ore)
     if args.trace is not None:
-        _write_text(args.trace, _trace_csv(trace.step_losses))
+        _write_text(args.trace, _csv_text("step,loss", range(len(trace.step_losses)), trace.step_losses))
     print(f"trained peak expert on {len(segments)} segments, checkpoint at {args.out}")
     return 0
 
@@ -294,6 +291,8 @@ def cmd_train_de(args) -> int:
     seed = _require_seed(args)
     _check_outputs(args, "checkpoint path")
     recipe, seg_len, fs = cfg.train_de, cfg.gate.segment_len, cfg.synth.sample_rate
+    if seg_len < 16:  # the motion snippets span seg_len // 4 to 3 * seg_len // 4 samples, at least 4
+        raise ConfigError(f"train-de needs segment_len >= 16, got segment_len {seg_len}")
     data_rng = np.random.default_rng([seed, 0])
     noise_segments = synth_noise_segments(
         data_rng, n_segments=recipe["n_segments"], seg_len=seg_len, sigma=recipe["noise_sigma"]
@@ -301,14 +300,14 @@ def cmd_train_de(args) -> int:
     pool = make_snippet_pool(
         data_rng,
         n_snippets=recipe["n_snippets"],
-        len_range=(seg_len // 4, max(seg_len // 4, (3 * seg_len) // 4)),
+        len_range=(seg_len // 4, (3 * seg_len) // 4),
         sample_rate=fs,
     )
     aug = dataclasses.replace(cfg.augment, snippet_pool=pool)
     de_params, trace = train_de(noise_segments, fs, aug, cfg.de, epochs=recipe["epochs"], seed=[seed, 1])
     save_de(args.out, de_params, cfg.de)
     if args.trace is not None:
-        _write_text(args.trace, _trace_csv(trace.step_losses))
+        _write_text(args.trace, _csv_text("step,loss", range(len(trace.step_losses)), trace.step_losses))
     print(f"trained noise expert on {len(noise_segments)} segments, checkpoint at {args.out}")
     return 0
 
@@ -383,10 +382,7 @@ def cmd_allan(args) -> int:
     _check_outputs(args, None)
     series = load_csv(args.input)
     curve = me.allan_deviation(series)
-    lines = ["tau_s,sigma"]
-    for tau, dev in zip(curve.taus, curve.devs):
-        lines.append(f"{float(tau)!r},{float(dev)!r}")
-    text = "\n".join(lines) + "\n"
+    text = _csv_text("tau_s,sigma", curve.taus.tolist(), curve.devs.tolist())
     if args.out is not None:
         _write_text(args.out, text)
     else:

@@ -11,11 +11,12 @@ returns a clean series.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, CsvFormatError, CsvParseError
+from .errors import ContractError, CsvFormatError, CsvParseError, GyroMoeError
 
 CSV_HEADER = "t,omega"
 
@@ -165,23 +166,29 @@ def psd(series: SampleSeries) -> SpectralDensity:
 # CSV interface: header "t,omega", UTF-8, LF line endings.
 
 
+def _csv_text(header: str, a, b) -> str:
+    """Two-column CSV text: ``header``, then one ``a,b`` row per pair, every
+    line LF ended. ``a`` and ``b`` hold plain Python numbers, rendered by
+    ``repr``: a float gets its shortest round-trip form."""
+    return header + "\n" + "".join([f"{x!r},{y!r}\n" for x, y in zip(a, b)])
+
+
 def save_csv(series: SampleSeries, path) -> None:
     """Write a series as ``t,omega`` rows.
 
     Floats are rendered with shortest round-trip precision, so save/load
     reproduces values exactly and identical series produce identical bytes.
     """
-    times = series.times()
-    lines = [CSV_HEADER]
-    for t, v in zip(times, series.values):
-        lines.append(f"{float(t)!r},{float(v)!r}")
-    data = "\n".join(lines) + "\n"
+    text = _csv_text(CSV_HEADER, series.times().tolist(), series.values.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(data)
+        fh.write(text)
 
 
 def load_csv(path) -> SampleSeries:
     """Read a ``t,omega`` CSV back into a series.
+
+    numpy's reader parses the body in one pass. It skips empty lines and
+    accepts LF, CRLF and CR line ends.
 
     Raises
     ------
@@ -189,45 +196,64 @@ def load_csv(path) -> SampleSeries:
         Not UTF-8, wrong header, fewer than 2 rows, or a non-uniform/non-increasing
         time column (relative jitter above 1e-6).
     CsvParseError
-        A row that does not parse as two floats; the message names the
+        A row that does not parse as two finite floats; the message names the
         1-based line number.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise CsvFormatError(f"file is not UTF-8: {exc}") from None
-    if not raw_lines or raw_lines[0].strip() != CSV_HEADER:
-        got = raw_lines[0].strip() if raw_lines else "<empty file>"
-        raise CsvFormatError(f"expected header '{CSV_HEADER}', got '{got}'")
-    times = []
-    values = []
-    for lineno, line in enumerate(raw_lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise CsvParseError(f"line {lineno}: expected 2 fields, got {len(parts)}")
-        try:
-            t = float(parts[0])
-            v = float(parts[1])
-        except ValueError:
-            raise CsvParseError(f"line {lineno}: could not parse '{line}'") from None
-        if not (math.isfinite(t) and math.isfinite(v)):
-            raise CsvParseError(f"line {lineno}: non-finite entry '{line}'")
-        times.append(t)
-        values.append(v)
-    if len(times) < 2:
-        raise CsvFormatError(f"need at least 2 data rows, got {len(times)}")
-    t_arr = np.asarray(times)
-    dt = np.diff(t_arr)
+            header = fh.readline()
+        if header.strip() != CSV_HEADER:
+            got = header.strip() if header else "<empty file>"
+            raise CsvFormatError(f"expected header '{CSV_HEADER}', got '{got}'")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
+            rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2, encoding="utf-8")
+    except ValueError as exc:  # a UnicodeDecodeError is one too
+        raise _rejection(path, str(exc)) from None
+    if rows.size and (rows.shape[1] != 2 or not np.isfinite(rows).all()):
+        raise _rejection(path, "the body is not two columns of finite floats")
+    if len(rows) < 2:
+        raise CsvFormatError(f"need at least 2 data rows, got {len(rows)}")
+    dt = np.diff(rows[:, 0])
     if (dt <= 0).any():
         bad = int(np.nonzero(dt <= 0)[0][0]) + 3  # +2 header/first row, +1 diff offset
         raise CsvFormatError(f"time column not strictly increasing at line {bad}")
     med = float(np.median(dt))
     if np.abs(dt - med).max() > 1e-6 * med:
         raise CsvFormatError("time column is not uniformly spaced")
-    return SampleSeries(np.asarray(values), 1.0 / med)
+    return SampleSeries(rows[:, 1].copy(), 1.0 / med)
+
+
+def _rejection(path, reason: str) -> GyroMoeError:
+    """The error for a file ``load_csv`` could not read: CsvFormatError if it
+    is not UTF-8, else CsvParseError naming the first 1-based line that is
+    not two finite floats, or giving ``reason`` if no line is at fault."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        return CsvFormatError(f"file is not UTF-8: {exc}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            return CsvParseError(f"line {lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            t, v = map(_reader_float, parts)
+        except ValueError:
+            return CsvParseError(f"line {lineno}: could not parse '{line}'")
+        if not (math.isfinite(t) and math.isfinite(v)):
+            return CsvParseError(f"line {lineno}: non-finite entry '{line}'")
+    return CsvParseError(reason)
+
+
+def _reader_float(field: str) -> float:
+    """``float(field)``, but rejecting what numpy's reader rejects and
+    ``float`` takes: digit separators and non-ASCII digits."""
+    if "_" in field or not field.strip().isascii():
+        raise ValueError(field)
+    return float(field)
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,18 @@ class TestTraining:
         assert de_cfg.weight_share == "both"
         assert de_cfg.backbone.patch_len == 4
 
+    def test_de_segment_len_below_16_fails_before_drawing_data(self, tmp_path, capsys, monkeypatch):
+        def drew(*args, **kwargs):
+            pytest.fail("train-de drew its noise corpus before checking segment_len")
+
+        monkeypatch.setattr(cli, "synth_noise_segments", drew)
+        cfg = write_config(tmp_path, segment_len=8)
+        out = tmp_path / "de.ckpt"
+        assert main(["train-de", "--config", cfg, "--seed", "6", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "segment_len >= 16" in err
+        assert not out.exists()
+
 
 class TestEnhance:
     def test_pass_through_without_checkpoints(self, tmp_path):
@@ -281,6 +293,18 @@ class TestEnhanceStartupChecks:
         ckpt = untrained_checkpoints(tmp_path)
         assert self.run(tmp_path, cfg, {"--ore-ckpt": ckpt["--ore-ckpt"]}) == 2
         assert "segment_len" in capsys.readouterr().err
+
+    def test_segment_len_8_runs_a_patch_4_noise_expert(self, tmp_path):
+        # two patches of 4 per window: train-de needs 16, enhance does not
+        cfg = write_config(tmp_path, segment_len=8)
+        vals = np.random.default_rng(3).normal(0.0, 1.0, 64)  # quiet, so every window routes to noise
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        save_csv(SampleSeries(vals, 100.0), src)
+        ckpt = untrained_checkpoints(tmp_path)["--de-ckpt"]
+        argv = ["enhance", "--config", cfg, "--input", str(src), "--de-ckpt", ckpt, "--out", str(out)]
+        assert main(argv) == 0
+        enhanced = load_csv(out).values
+        assert enhanced.shape == vals.shape and not np.array_equal(enhanced, vals)
 
     def test_noise_expert_needs_two_patches(self, tmp_path, capsys):
         cfg = write_config(tmp_path, segment_len=4)
@@ -396,8 +420,8 @@ _INVALID_FILES = [
     ({"train_ore.amp_lo_x": 3, "train_ore.amp_hi_x": 1.5}, "train_ore.amp_lo_x"),
     ({"train_ore.width_lo_s": 0, "train_ore.width_hi_s": 0}, "train_ore.width_lo_s"),
     ({"train_ore.noise_sigma": -1}, "train_ore.noise_sigma"),
-    ({"train_ore.learn_rate": 0}, "learn_rate"),
-    ({"train_de.learn_rate": -0.001}, "learn_rate"),
+    ({"train_ore.learn_rate": 0}, "train_ore.learn_rate"),
+    ({"train_de.learn_rate": -0.001}, "train_de.learn_rate"),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -183,6 +184,57 @@ class TestCsv:
         path.write_text("t,omega\n0,1\n0.02,2\n0.01,3\n")
         with pytest.raises(CsvFormatError):
             load_csv(path)
+
+    def test_extreme_values_round_trip_bit_exact(self, tmp_path):
+        values = np.array([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 1e16, 1e-05, 0.1])
+        path = tmp_path / "s.csv"
+        save_csv(SampleSeries(values, 100.0), path)
+        back = load_csv(path)
+        np.testing.assert_array_equal(back.values.view(np.int64), values.view(np.int64))
+        assert back.sample_rate == pytest.approx(100.0, rel=1e-9)
+
+    def test_blank_lines_and_crlf_accepted(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"t,omega\r\n0,1.0\r\n\r\n0.01,2.0\r\n\n0.02,3.0\r\n\r\n")
+        back = load_csv(path)
+        np.testing.assert_array_equal(back.values, [1.0, 2.0, 3.0])
+        assert back.sample_rate == pytest.approx(100.0)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["0.02,3.O", "0.02", "0.02,3.0,4.0", "0.02,3.0,", "0.02,nan", "0.02,-inf", "   ", "0.02,3_000.0"],
+        ids=["bad_float", "one_field", "three_fields", "trailing_comma", "nan", "inf", "whitespace_only",
+             "digit_separator"],
+    )
+    def test_rejected_row_names_its_line(self, tmp_path, row):
+        # the blank line 3 is skipped but still counted
+        path = tmp_path / "s.csv"
+        path.write_text(f"t,omega\n0,1.0\n\n{row}\n0.03,4.0\n0.04,5.0\n")
+        with pytest.raises(CsvParseError, match="^line 4: "):
+            load_csv(path)
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "0,1.0\n"], ids=["no_rows", "blank_rows", "one_row"])
+    def test_fewer_than_two_rows(self, tmp_path, body):
+        path = tmp_path / "s.csv"
+        path.write_text("t,omega\n" + body)
+        with pytest.raises(CsvFormatError, match="need at least 2 data rows"):
+            load_csv(path)
+
+    def test_non_utf8_byte_deep_in_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        save_csv(SampleSeries(np.zeros(5000), 100.0), path)
+        with open(path, "ab") as fh:
+            fh.write(b"50.0,\xff\n")
+        with pytest.raises(CsvFormatError, match="UTF-8"):
+            load_csv(path)
+
+    def test_byte_format_pinned(self, tmp_path):
+        # shortest round-trip floats, LF line ends, times i / sample_rate
+        path = tmp_path / "s.csv"
+        save_csv(SampleSeries(np.random.default_rng(4096).normal(0.0, 100.0, 4096), 100.0), path)
+        data = path.read_bytes()
+        assert data.startswith(b"t,omega\n0.0,91.84255692870084\n0.01,-74.61803753752208\n")
+        assert hashlib.sha256(data).hexdigest() == "1bec2d5863bfbf98c4348ac8bb80ada63b7e8621fd306813281b44369a717e6f"
 
 
 class TestSynth:
