@@ -32,7 +32,6 @@ from .signal import (
     ClipSpec,
     SampleSeries,
     SynthConfig,
-    _csv_text,
     clip,
     load_csv,
     make_snippet_pool,
@@ -40,6 +39,7 @@ from .signal import (
     synth_motion,
     synth_noise_segments,
     synth_peak_segments,
+    write_csv,
 )
 
 log = logging.getLogger("gyromoe.cli")
@@ -239,9 +239,14 @@ def _check_outputs(args, out_kind: str | None) -> None:
             raise ConfigError(f"--{flag} {path} is not a file path in an existing directory")
 
 
-def _write_text(path, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _open_out(path):
+    """``path`` opened for writing UTF-8 text with LF line ends."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _write_trace(path, losses):
+    with _open_out(path) as fh:
+        write_csv(fh, "step,loss", range(len(losses)), losses)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +286,7 @@ def cmd_train_ore(args) -> int:
     params, trace = ore_mod.train_ore(segments, cfg.ore, epochs=recipe["epochs"], seed=[seed, 1])
     ore_mod.save_ore(args.out, params, cfg.ore)
     if args.trace is not None:
-        _write_text(args.trace, _csv_text("step,loss", range(len(trace.step_losses)), trace.step_losses))
+        _write_trace(args.trace, trace.step_losses)
     print(f"trained peak expert on {len(segments)} segments, checkpoint at {args.out}")
     return 0
 
@@ -307,7 +312,7 @@ def cmd_train_de(args) -> int:
     de_params, trace = train_de(noise_segments, fs, aug, cfg.de, epochs=recipe["epochs"], seed=[seed, 1])
     save_de(args.out, de_params, cfg.de)
     if args.trace is not None:
-        _write_text(args.trace, _csv_text("step,loss", range(len(trace.step_losses)), trace.step_losses))
+        _write_trace(args.trace, trace.step_losses)
     print(f"trained noise expert on {len(noise_segments)} segments, checkpoint at {args.out}")
     return 0
 
@@ -373,7 +378,8 @@ def cmd_bench(args) -> int:
         segment_len=cfg.gate.segment_len,
         static_region=cfg.static_region,
     )
-    _write_text(args.out, rep.to_json())
+    with _open_out(args.out) as fh:
+        fh.write(rep.to_json())
     print(rep.to_json(), end="")
     return 0
 
@@ -382,11 +388,11 @@ def cmd_allan(args) -> int:
     _check_outputs(args, None)
     series = load_csv(args.input)
     curve = me.allan_deviation(series)
-    text = _csv_text("tau_s,sigma", curve.taus.tolist(), curve.devs.tolist())
-    if args.out is not None:
-        _write_text(args.out, text)
+    if args.out is None:
+        write_csv(sys.stdout, "tau_s,sigma", curve.taus, curve.devs)
     else:
-        print(text, end="")
+        with _open_out(args.out) as fh:
+            write_csv(fh, "tau_s,sigma", curve.taus, curve.devs)
     return 0
 
 

@@ -10,6 +10,8 @@ returns a clean series.
 
 from __future__ import annotations
 
+import codecs
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -59,9 +61,6 @@ class SampleSeries:
 
     def __len__(self):
         return self.values.size
-
-    def times(self) -> np.ndarray:
-        return np.arange(len(self), dtype=np.float64) / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -165,23 +164,45 @@ def psd(series: SampleSeries) -> SpectralDensity:
 # ---------------------------------------------------------------------------
 # CSV interface: header "t,omega", UTF-8, LF line endings.
 
+# rows per block of write_csv, and bytes per block of the UTF-8 check: what
+# a write or a rejection scan holds at once, whatever the length of the file
+_CSV_BLOCK = 1 << 14
+_SCAN_BLOCK = 1 << 16
 
-def _csv_text(header: str, a, b) -> str:
-    """Two-column CSV text: ``header``, then one ``a,b`` row per pair, every
-    line LF ended. ``a`` and ``b`` hold plain Python numbers, rendered by
-    ``repr``: a float gets its shortest round-trip form."""
-    return header + "\n" + "".join([f"{x!r},{y!r}\n" for x, y in zip(a, b)])
+
+def write_csv(stream, header: str, a, b) -> None:
+    """Write two-column CSV text to the text ``stream``: ``header``, then one
+    ``a,b`` row per pair, LF ended, 16 384 rows at a time.
+
+    ``b`` is a list, range or 1-D array. ``a`` is one too, or a function of
+    ``(lo, hi)`` that returns rows ``lo:hi``, so a computed column is never
+    built whole. Each value is the ``repr`` of a plain Python number: a
+    float's shortest round-trip form, an int's digits. The bytes equal those
+    of all rows formatted in one pass, whatever the block size.
+    """
+    stream.write(header + "\n")
+    n = len(b)
+    for lo in range(0, n, _CSV_BLOCK):
+        hi = min(lo + _CSV_BLOCK, n)
+        xs = a(lo, hi) if callable(a) else a[lo:hi]
+        stream.write("".join([f"{x!r},{y!r}\n" for x, y in zip(_plain(xs), _plain(b[lo:hi]))]))
+
+
+def _plain(block):
+    return block.tolist() if isinstance(block, np.ndarray) else block
 
 
 def save_csv(series: SampleSeries, path) -> None:
-    """Write a series as ``t,omega`` rows.
+    """Write a series as ``t,omega`` rows through ``write_csv``.
 
-    Floats are rendered with shortest round-trip precision, so save/load
-    reproduces values exactly and identical series produce identical bytes.
+    Row ``i`` holds the time ``i / sample_rate``, computed a block at a time,
+    and the sample value, both in shortest round-trip form. So save/load
+    reproduces values exactly, identical series produce identical bytes, and
+    the memory a write takes does not grow with the series.
     """
-    text = _csv_text(CSV_HEADER, series.times().tolist(), series.values.tolist())
+    fs = series.sample_rate
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        write_csv(fh, CSV_HEADER, lambda lo, hi: np.arange(lo, hi, dtype=np.float64) / fs, series.values)
 
 
 def load_csv(path) -> SampleSeries:
@@ -216,36 +237,68 @@ def load_csv(path) -> SampleSeries:
         raise CsvFormatError(f"need at least 2 data rows, got {len(rows)}")
     dt = np.diff(rows[:, 0])
     if (dt <= 0).any():
-        bad = int(np.nonzero(dt <= 0)[0][0]) + 3  # +2 header/first row, +1 diff offset
-        raise CsvFormatError(f"time column not strictly increasing at line {bad}")
+        row = int(np.nonzero(dt <= 0)[0][0]) + 1  # the later row of the first bad step
+        with open(path, "r", encoding="utf-8") as fh:
+            line = next(itertools.islice(_data_lines(fh), row, None))[0]
+        raise CsvFormatError(f"time column not strictly increasing at line {line}")
     med = float(np.median(dt))
     if np.abs(dt - med).max() > 1e-6 * med:
         raise CsvFormatError("time column is not uniformly spaced")
     return SampleSeries(rows[:, 1].copy(), 1.0 / med)
 
 
+def _data_lines(fh):
+    """``(lineno, line)`` for every non-empty line after the header of the
+    text file ``fh``, read a line at a time: the rows numpy's reader parses,
+    with their 1-based file lines. LF, CRLF and CR end a line."""
+    for lineno, line in enumerate(fh, start=1):
+        line = line[:-1] if line.endswith("\n") else line
+        if lineno > 1 and line:
+            yield lineno, line
+
+
 def _rejection(path, reason: str) -> GyroMoeError:
     """The error for a file ``load_csv`` could not read: CsvFormatError if it
     is not UTF-8, else CsvParseError naming the first 1-based line that is
-    not two finite floats, or giving ``reason`` if no line is at fault."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        return CsvFormatError(f"file is not UTF-8: {exc}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            return CsvParseError(f"line {lineno}: expected 2 fields, got {len(parts)}")
-        try:
-            t, v = map(_reader_float, parts)
-        except ValueError:
-            return CsvParseError(f"line {lineno}: could not parse '{line}'")
-        if not (math.isfinite(t) and math.isfinite(v)):
-            return CsvParseError(f"line {lineno}: non-finite entry '{line}'")
+    not two finite floats, or giving ``reason`` if no line is at fault. Two
+    streaming passes: the UTF-8 check, then the line scan."""
+    fault = _utf8_fault(path)
+    if fault is not None:
+        return CsvFormatError(f"file is not UTF-8: {fault}")
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in _data_lines(fh):
+            parts = line.split(",")
+            if len(parts) != 2:
+                return CsvParseError(f"line {lineno}: expected 2 fields, got {len(parts)}")
+            try:
+                t, v = map(_reader_float, parts)
+            except ValueError:
+                return CsvParseError(f"line {lineno}: could not parse '{line}'")
+            if not (math.isfinite(t) and math.isfinite(v)):
+                return CsvParseError(f"line {lineno}: non-finite entry '{line}'")
     return CsvParseError(reason)
+
+
+def _utf8_fault(path) -> str | None:
+    """The first UTF-8 decode error of the file, worded as a whole-file decode
+    words it (the position counts from the start of the file), or None; the
+    file is decoded a block at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0  # file position of the next block
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(_SCAN_BLOCK)
+            held = len(decoder.getstate()[0])  # bytes of a split character, decoded with this block
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                lo = offset - held + exc.start
+                where = (f"byte 0x{exc.object[exc.start]:02x} in position {lo}" if exc.end == exc.start + 1
+                         else f"bytes in position {lo}-{lo + exc.end - exc.start - 1}")
+                return f"'utf-8' codec can't decode {where}: {exc.reason}"
+            if not block:
+                return None
+            offset += len(block)
 
 
 def _reader_float(field: str) -> float:

@@ -1,11 +1,15 @@
 import hashlib
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gyromoe.cli import main as cli_main
 from gyromoe.errors import ContractError, CsvFormatError, CsvParseError
 from gyromoe.signal import (
+    _SCAN_BLOCK,
     ClipSpec,
     SampleSeries,
     SynthConfig,
@@ -20,6 +24,7 @@ from gyromoe.signal import (
     synth_motion,
     synth_noise_segments,
     synth_peak_segments,
+    write_csv,
 )
 
 
@@ -235,6 +240,84 @@ class TestCsv:
         data = path.read_bytes()
         assert data.startswith(b"t,omega\n0.0,91.84255692870084\n0.01,-74.61803753752208\n")
         assert hashlib.sha256(data).hexdigest() == "1bec2d5863bfbf98c4348ac8bb80ada63b7e8621fd306813281b44369a717e6f"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("t,omega\n0,1\n\n0.01,2\n0.005,3\n", 5), ("t,omega\n0,1\n0.01,2\n0.005,3\n", 4),
+         ("t,omega\r\n\r\n0,1\r\n\r\n0.01,2\r\n0.01,3\r\n", 6), ("t,omega\r0,1\r\r0.01,2\r0.005,3\r", 5)],
+        ids=["blank_line", "no_blank_line", "crlf_blank_lines", "cr_blank_line"],
+    )
+    def test_time_order_fault_names_its_file_line(self, tmp_path, text, line):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(CsvFormatError, match=f"^time column not strictly increasing at line {line}$"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("offset", [-5000, -2, -1, 0, 1, None], ids=lambda o: "at_end" if o is None else str(o))
+    @pytest.mark.parametrize(
+        "bad", [b"\xff", b"\xe2\x82x", b"\xe2\x82", b"\xe2\x82\xac\xff"],
+        ids=["start", "continuation", "truncated", "after_a_whole_char"],
+    )
+    def test_non_utf8_message_counts_from_the_start_of_the_file(self, tmp_path, offset, bad):
+        # the scan decodes in blocks; its message equals a whole-file decode's,
+        # also for a character split across the edge of the first block
+        text = b"t,omega\n" + b"".join(b"%d.0,1.0\n" % i for i in range(20000))
+        at = len(text) if offset is None else _SCAN_BLOCK + offset
+        data = text[:at] + bad + text[at:]
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(path)
+        assert str(err.value) == f"file is not UTF-8: {whole.value}"
+
+
+def _one_shot(header, a, b):
+    # the writer's contract: every row formatted in one pass
+    return header + "\n" + "".join([f"{x!r},{y!r}\n" for x, y in zip(a, b)])
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("n", [1, 2, 16383, 16384, 16385, 3 * 16384 + 7])
+    def test_bytes_equal_one_shot_formatting(self, tmp_path, n):
+        values = np.random.default_rng(n).normal(0.0, 100.0, n)
+        path = tmp_path / "s.csv"
+        save_csv(SampleSeries(values, 333.3), path)
+        times = (np.arange(n, dtype=np.float64) / 333.3).tolist()
+        assert path.read_bytes() == _one_shot("t,omega", times, values.tolist()).encode()
+        stream = io.StringIO()
+        write_csv(stream, "step,loss", range(n), values)
+        assert stream.getvalue() == _one_shot("step,loss", range(n), values.tolist())
+
+    def test_round_trip_across_a_block_boundary_bit_exact(self, tmp_path):
+        values = np.random.default_rng(16384).normal(0.0, 450.0, 16384 + 5)
+        values[16382:16387] = [5e-324, -0.0, 1.7976931348623157e308, 0.1, -2.2250738585072014e-308]
+        path = tmp_path / "s.csv"
+        save_csv(SampleSeries(values, 100.0), path)
+        back = load_csv(path)
+        np.testing.assert_array_equal(back.values.view(np.int64), values.view(np.int64))
+        assert back.sample_rate == pytest.approx(100.0, rel=1e-9)
+
+    def test_allan_stdout_equals_out_file(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        save_csv(SampleSeries(np.random.default_rng(3).normal(size=3000), 100.0), path)
+        assert cli_main(["allan", "--input", str(path)]) == 0
+        printed = capsys.readouterr().out
+        assert cli_main(["allan", "--input", str(path), "--out", str(tmp_path / "curve.csv")]) == 0
+        assert printed.startswith("tau_s,sigma\n")
+        assert (tmp_path / "curve.csv").read_bytes() == printed.encode()
+
+    def test_save_memory_does_not_grow_with_the_series(self, tmp_path):
+        # a one-string writer peaks near 22 MiB here; blocks of 16 384 rows stay near 2.5 MiB
+        series = SampleSeries(np.random.default_rng(17).normal(0.0, 100.0, 1 << 17), 100.0)
+        tracemalloc.start()
+        try:
+            save_csv(series, tmp_path / "s.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSynth:

@@ -1,9 +1,10 @@
 """Print the sha256 of every artifact of the C11 pipeline.
 
 Runs ``synth``, ``train-ore``, ``train-de`` (both with ``--trace``),
-``enhance`` and ``bench`` through ``gyromoe.cli.main`` on the config of
+``enhance``, ``bench`` and ``allan`` (the curve of ``data/clean.csv``)
+through ``gyromoe.cli.main`` on the config of
 ``tests/test_acceptance.py::_pipeline_config`` with seeds 5, 6 and 7, and
-prints one ``sha256  name`` line for each of the eight files it writes.
+prints one ``sha256  name`` line for each of the nine files it writes.
 Two checkouts that print the same lines produce the same bytes.
 
     python3 tools/pipeline_digests.py OUT_DIR [--gd-placement P]
@@ -25,7 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ARTIFACTS = ("ore.ckpt", "ore.trace.csv", "de.ckpt", "de.trace.csv", "enhanced.csv", "report.json",
-             "data/clean.csv", "data/clipped.csv")
+             "data/clean.csv", "data/clipped.csv", "allan.csv")
 
 
 def _acceptance_module():
@@ -52,18 +53,22 @@ def main(argv=None) -> int:
         settings = json.loads(Path(cfg).read_text())
         settings["backbone"]["gd_placement"] = args.gd_placement
         Path(cfg).write_text(json.dumps(settings))
-    steps = [
-        ["synth", "--seed", "5", "--out", str(out / "data")],
-        ["train-ore", "--seed", "6", "--out", str(out / "ore.ckpt"), "--trace", str(out / "ore.trace.csv")],
-        ["train-de", "--seed", "7", "--out", str(out / "de.ckpt"), "--trace", str(out / "de.trace.csv")],
-        ["enhance", "--input", str(out / "data" / "clipped.csv"), "--ore-ckpt", str(out / "ore.ckpt"),
-         "--de-ckpt", str(out / "de.ckpt"), "--out", str(out / "enhanced.csv")],
-        ["bench", "--raw", str(out / "data" / "clipped.csv"), "--enhanced", str(out / "enhanced.csv"),
-         "--truth", str(out / "data" / "clean.csv"), "--out", str(out / "report.json")],
+    steps = [  # allan takes no --config
+        ["synth", "--config", cfg, "--seed", "5", "--out", str(out / "data")],
+        ["train-ore", "--config", cfg, "--seed", "6", "--out", str(out / "ore.ckpt"),
+         "--trace", str(out / "ore.trace.csv")],
+        ["train-de", "--config", cfg, "--seed", "7", "--out", str(out / "de.ckpt"),
+         "--trace", str(out / "de.trace.csv")],
+        ["enhance", "--config", cfg, "--input", str(out / "data" / "clipped.csv"),
+         "--ore-ckpt", str(out / "ore.ckpt"), "--de-ckpt", str(out / "de.ckpt"), "--out", str(out / "enhanced.csv")],
+        ["bench", "--config", cfg, "--raw", str(out / "data" / "clipped.csv"),
+         "--enhanced", str(out / "enhanced.csv"), "--truth", str(out / "data" / "clean.csv"),
+         "--out", str(out / "report.json")],
+        ["allan", "--input", str(out / "data" / "clean.csv"), "--out", str(out / "allan.csv")],
     ]
     for step in steps:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main(step[:1] + ["--config", cfg] + step[1:])
+            code = cli_main(step)
         if code != 0:
             print(f"pipeline step {step[0]} exited {code}", file=sys.stderr)
             return code
