@@ -9,6 +9,47 @@ evaluation bench (peak PSNR/MSE/correlation, SNR, Allan-deviation noise
 figures) plus classical smoothing and extrapolation baselines.
 """
 
+import logging
+import os
+
+# glibc malloc policy set once on import: blocks below _MMAP_THRESHOLD come
+# from the heap, and up to _TRIM_THRESHOLD of freed heap stays mapped, so one
+# training tape's freed activations are reused by the next chunk's forward
+# instead of being returned to the kernel and faulted back in
+_MMAP_THRESHOLD = 4 << 20
+_TRIM_THRESHOLD = 16 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters of glibc's <malloc.h>
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_")
+
+
+def _keep_heap() -> bool:
+    """Set the malloc thresholds above on glibc; returns whether they were set.
+
+    A policy already chosen in the environment (glibc's ``MALLOC_*_``
+    variables or a ``glibc.malloc.`` tunable) is left alone.
+    """
+    log = logging.getLogger("gyromoe")
+    if any(name in os.environ for name in _MALLOC_ENV) or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        log.debug("malloc policy left to the environment")
+        return False
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        glibc = None
+    if not glibc:
+        log.debug("not glibc: malloc policy left as is")
+        return False
+    import ctypes
+
+    libc = ctypes.CDLL(None)
+    if not (libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) and libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)):
+        log.debug("mallopt refused the malloc thresholds: policy left as is")
+        return False
+    return True
+
+
+_heap_kept = _keep_heap()
+
 from .backbone import BackboneConfig, gd_attention, gd_bias
 from .denoise import (
     AugmentConfig,

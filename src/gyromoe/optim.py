@@ -17,7 +17,8 @@ from .errors import ConfigError
 log = logging.getLogger("gyromoe.optim")
 
 # most items one training tape records: a longer tape runs fewer, larger
-# numpy calls but keeps more activations alive until its backward
+# numpy calls but keeps more activations alive until its backward; the heap
+# policy set on import keeps one tape's freed activations for the next chunk
 TRAIN_CHUNK = 8
 
 # global gradient-norm limit fit clips each step's gradients to
