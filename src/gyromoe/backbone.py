@@ -62,9 +62,9 @@ class BackboneConfig:
     def __post_init__(self):
         if self.patch_len < 1:
             raise ConfigError(f"patch_len must be >= 1, got {self.patch_len}")
-        if self.embed_dim < 1 or self.embed_dim % self.heads != 0:
-            raise ConfigError(
-                f"embed_dim {self.embed_dim} must be a positive multiple of heads {self.heads}"
+        if self.embed_dim < 1 or self.embed_dim % self.heads != 0 or self.embed_dim % 2 != 0:
+            raise ConfigError(  # even: the position codes pair sine and cosine columns
+                f"embed_dim {self.embed_dim} must be an even, positive multiple of heads {self.heads}"
             )
         if self.enc_layers < 1 or self.dec_layers < 1:
             raise ConfigError("need at least one encoder and one decoder layer")

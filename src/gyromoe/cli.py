@@ -29,6 +29,7 @@ from . import ore as ore_mod
 from .backbone import BackboneConfig
 from .errors import ConfigError, GyroMoeError
 from .signal import (
+    RATE_RTOL,
     ClipSpec,
     SampleSeries,
     SynthConfig,
@@ -335,9 +336,9 @@ def _check_expert(expert: str, expert_cfg, gate_cfg: gate_mod.GateConfig, min_pa
 
 def _check_sample_rate(cfg: _Config, series: SampleSeries):
     """Reject a stream whose CSV-derived rate differs from the config's
-    ``sample_rate``, within the uniformity tolerance ``load_csv`` allows."""
+    ``sample_rate`` by more than ``signal.RATE_RTOL``."""
     want = cfg.sample_rate
-    if want is not None and abs(series.sample_rate - want) > 1e-6 * want:
+    if want is not None and abs(series.sample_rate - want) > RATE_RTOL * want:
         raise ConfigError(
             f"input stream is sampled at {series.sample_rate!r} Hz, config sample_rate is {want!r} Hz"
         )

@@ -12,8 +12,8 @@ through. The quiet threshold must sit below the rail, so no sample is both
 quiet and saturated.
 
 ``enhance`` routes every window first, then calls each expert once per
-chunk of up to ``EXPERT_CHUNK`` windows whose mask is not empty, and splices
-each expert's output into the whole window array with one ``np.where``.
+chunk of up to ``EXPERT_CHUNK`` windows whose mask is not empty, and writes
+each chunk's output into one output array at that chunk's rows only.
 """
 
 from __future__ import annotations
@@ -114,19 +114,6 @@ def route(values: np.ndarray, config: GateConfig) -> RouteDecision:
     return RouteDecision(peak, noise)
 
 
-def _expert_outputs(fn, windows: np.ndarray, name: str) -> np.ndarray:
-    """``fn`` over the rows of ``windows`` in chunks of EXPERT_CHUNK, as one
-    ``[k, L]`` array of output rows, one per window."""
-    outs = []
-    for start in range(0, len(windows), EXPERT_CHUNK):
-        chunk = windows[start : start + EXPERT_CHUNK]
-        out = np.asarray(fn(chunk), dtype=np.float64)
-        if out.shape != chunk.shape:
-            raise ContractError(f"{name} expert returned shape {out.shape}, expected {chunk.shape}")
-        outs.append(out)
-    return np.concatenate(outs)
-
-
 def enhance(
     series: SampleSeries,
     config: GateConfig,
@@ -141,9 +128,11 @@ def enhance(
     ``EXPERT_CHUNK`` such windows; if a route fires and its expert is
     missing, that is a configuration error, raised before any expert runs.
     Each expert's output replaces exactly the samples of its route's mask;
-    the rest pass through untouched. Only a window's real samples are
-    routed and spliced; the zero padding that ``segment`` adds past the end
-    of the stream is not.
+    the rest pass through untouched; experts read the unspliced windows.
+    Only a window's real samples are routed and spliced; the zero padding
+    that ``segment`` adds past the end of the stream is not. Besides one
+    chunk per expert call, ``enhance`` holds the window array, one output
+    array and the ``[2, n, L]`` boolean replacement masks.
     """
     n = len(series)
     L = config.segment_len
@@ -163,11 +152,15 @@ def enhance(
             )
         replace[:, w, :real] = decision.peak_samples, decision.noise_samples
     fired = replace.any(axis=2)
-    out = windows
+    out = windows.copy()
     for fn, rows, samples, name in zip((peak_fn, noise_fn), fired, replace, ("peak", "noise")):
-        if rows.any():
-            hat = np.zeros(windows.shape)
-            hat[rows] = _expert_outputs(fn, windows[rows], name)
-            out = np.where(samples, hat, out)
+        routed = np.flatnonzero(rows)
+        for start in range(0, len(routed), EXPERT_CHUNK):
+            at = routed[start : start + EXPERT_CHUNK]
+            chunk = windows[at]
+            hat = np.asarray(fn(chunk), dtype=np.float64)
+            if hat.shape != chunk.shape:
+                raise ContractError(f"{name} expert returned shape {hat.shape}, expected {chunk.shape}")
+            out[at] = np.where(samples[at], hat, out[at])
     log.info("enhance: %d segments, %d peak-routed, %d noise-routed", len(windows), *fired.sum(axis=1))
     return SampleSeries(stitch(out, n), series.sample_rate)

@@ -26,6 +26,10 @@ CSV_HEADER = "t,omega"
 # magnitude reaches level * (1 - CLIP_EPS) sits on the clip rail
 CLIP_EPS = 1e-6
 
+# relative tolerance of a sample rate: of each CSV time step from their
+# median, and of a CSV-derived rate from the configured one
+RATE_RTOL = 1e-6
+
 
 def _as_float_array(values, name="values"):
     arr = np.asarray(values, dtype=np.float64)
@@ -215,7 +219,7 @@ def load_csv(path) -> SampleSeries:
     ------
     CsvFormatError
         Not UTF-8, wrong header, fewer than 2 rows, or a non-uniform/non-increasing
-        time column (relative jitter above 1e-6).
+        time column (relative jitter above ``RATE_RTOL``).
     CsvParseError
         A row that does not parse as two finite floats; the message names the
         1-based line number.
@@ -242,7 +246,7 @@ def load_csv(path) -> SampleSeries:
             line = next(itertools.islice(_data_lines(fh), row, None))[0]
         raise CsvFormatError(f"time column not strictly increasing at line {line}")
     med = float(np.median(dt))
-    if np.abs(dt - med).max() > 1e-6 * med:
+    if np.abs(dt - med).max() > RATE_RTOL * med:
         raise CsvFormatError("time column is not uniformly spaced")
     return SampleSeries(rows[:, 1].copy(), 1.0 / med)
 

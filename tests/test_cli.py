@@ -410,6 +410,7 @@ class TestEnhanceStartupChecks:
 _INVALID_FILES = [
     ({"gate.quiet_threshold": 450.0}, "quiet_threshold"),  # on the rail at clip_level 450
     ({"backbone.heads": 3}, "heads 3"),  # embed_dim 8
+    ({"backbone.embed_dim": 9, "backbone.heads": 3}, "embed_dim"),
     ({"backbone.sigma_min": 9.0}, "sigma_min"),  # above sigma_init 8
     ({"backbone.gd_placement": "x"}, "gd_placement"),
     ({"train_de.beta": -1}, "beta"),

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,3 +397,20 @@ class TestBatchedExperts:
         peak, noise = small_experts()
         with pytest.raises(MaskError):
             enhance(SampleSeries(x, 100.0), cfg, peak_fn=peak, noise_fn=noise)
+
+    def test_temporaries_stay_bounded(self):
+        # every 64-sample window holds a 3-sample rail run and a 16-sample quiet run
+        cfg = gate_config()
+        window = np.full(64, 0.5)
+        window[10:13] = LEVEL
+        window[30:46] = 0.0
+        n = 2**16
+        series = SampleSeries(np.tile(window, n // 64), 100.0)
+        assert route(window, cfg).peak and route(window, cfg).noise
+        tracemalloc.start()
+        try:
+            enhance(series, cfg, peak_fn=lambda w: w + 1.0, noise_fn=lambda w: w + 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * n, f"enhance peaked at {peak / (8 * n):.2f} stream-length arrays"
