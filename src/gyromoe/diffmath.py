@@ -20,6 +20,10 @@ bias, or a constant shared by every batch row).
 Gradients land in :class:`Param` buffers and accumulate across backward
 calls until explicitly zeroed, so one optimizer step can sum losses from
 several tapes.
+
+:func:`gelu` and :func:`sigmoid` run ``scipy.special.erf`` and ``expit``,
+imported inside each call: scipy loads on the first GELU or sigmoid, so a
+process that never runs an expert never loads it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp_special
 
 from .errors import ContractError, DimensionError
 
@@ -383,9 +386,11 @@ def layer_norm(ctx: DiffContext, x, gain, bias) -> Tensor:
 
 def gelu(ctx: DiffContext, x) -> Tensor:
     """Exact Gaussian-error linear unit."""
+    from scipy.special import erf
+
     xv = value(x)
     cdf = xv * _INV_SQRT2
-    sp_special.erf(cdf, out=cdf)
+    erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
 
@@ -398,7 +403,9 @@ def gelu(ctx: DiffContext, x) -> Tensor:
 
 def sigmoid(ctx: DiffContext, x) -> Tensor:
     """Logistic map, numerically stable at large magnitudes."""
-    out = sp_special.expit(value(x))
+    from scipy.special import expit
+
+    out = expit(value(x))
 
     def vjp(g, keys):
         return (g * out * (1.0 - out),)

@@ -245,9 +245,13 @@ def load_csv(path) -> SampleSeries:
         with open(path, "r", encoding="utf-8") as fh:
             line = next(itertools.islice(_data_lines(fh), row, None))[0]
         raise CsvFormatError(f"time column not strictly increasing at line {line}")
-    med = float(np.median(dt))
-    if np.abs(dt - med).max() > RATE_RTOL * med:
+    # dt is partitioned by the median, reused for |dt - med| and freed before
+    # the values are copied out, so at most one column is held beside the rows
+    med = float(np.median(dt, overwrite_input=True))
+    dt -= med
+    if np.abs(dt, out=dt).max() > RATE_RTOL * med:
         raise CsvFormatError("time column is not uniformly spaced")
+    del dt
     return SampleSeries(rows[:, 1].copy(), 1.0 / med)
 
 

@@ -1,5 +1,8 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -600,6 +603,45 @@ class TestPublicApi:
             read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             unread += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
         assert unread == []
+
+
+# runs synth, bench and allan, reports whether scipy was loaded, then runs
+# one GELU and one sigmoid and reports whether scipy.special was loaded
+SCIPY_CHILD = """
+import json
+import sys
+
+from gyromoe import diffmath
+from gyromoe.cli import main
+
+cfg, data = sys.argv[1], sys.argv[2]
+clean, clipped = data + "/clean.csv", data + "/clipped.csv"
+codes = [
+    main(["synth", "--config", cfg, "--seed", "1", "--out", data]),
+    main(["bench", "--config", cfg, "--raw", clipped, "--enhanced", clipped, "--truth", clean,
+          "--out", data + "/report.json"]),
+    main(["allan", "--input", clean, "--out", data + "/curve.csv"]),
+]
+unloaded = "scipy" not in sys.modules
+ctx = diffmath.DiffContext(record=False)
+diffmath.gelu(ctx, [0.5, -1.0])
+diffmath.sigmoid(ctx, [0.5, -1.0])
+print(json.dumps([codes, unloaded, "scipy.special" in sys.modules]))
+"""
+
+
+class TestScipyLoadsOnFirstUse:
+    def test_only_gelu_and_sigmoid_load_scipy(self, tmp_path):
+        cfg = write_config(tmp_path)
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", SCIPY_CHILD, cfg, str(tmp_path / "data")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+        ).stdout
+        codes, unloaded, special_loaded = json.loads(out.splitlines()[-1])
+        assert codes == [0, 0, 0]
+        assert unloaded
+        assert special_loaded
 
 
 class TestLogging:

@@ -272,6 +272,21 @@ class TestCsv:
             load_csv(path)
         assert str(err.value) == f"file is not UTF-8: {whole.value}"
 
+    def test_load_memory_is_bounded_in_stream_lengths(self, tmp_path):
+        # the [n, 2] rows plus the time steps, freed before the values are
+        # copied out; a median copy and an |dt - med| temporary peak near 5
+        n = 1 << 17
+        path = tmp_path / "s.csv"
+        save_csv(SampleSeries(np.random.default_rng(18).normal(0.0, 100.0, n), 100.0), path)
+        load_csv(path)  # warm: the reader's one-time allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * 8
+
 
 def _one_shot(header, a, b):
     # the writer's contract: every row formatted in one pass
