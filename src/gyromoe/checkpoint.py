@@ -1,4 +1,8 @@
-"""Flat named-array checkpoint container, format tag ``gyromoe-ckpt-v1``.
+"""Flat named-array checkpoint container, format tag ``gyromoe-ckpt-v2``.
+
+v2 experts run the tanh GELU. A v1 file holds weights trained under the
+exact erf GELU, so it is refused at load rather than run under another
+activation; such an expert must be retrained.
 
 Layout: a UTF-8 text header (format tag, entry count, then one
 ``name ndim dims... byte_offset`` line per array, then a blank line)
@@ -17,7 +21,7 @@ from .backbone import GD_PLACEMENTS, BackboneConfig
 from .errors import CheckpointError, ConfigError, ContractError, DimensionError
 from .signal import ClipSpec
 
-FORMAT_TAG = "gyromoe-ckpt-v1"
+FORMAT_TAG = "gyromoe-ckpt-v2"
 
 
 def save_arrays(path, arrays: dict) -> None:

@@ -21,9 +21,8 @@ Gradients land in :class:`Param` buffers and accumulate across backward
 calls until explicitly zeroed, so one optimizer step can sum losses from
 several tapes.
 
-:func:`gelu` and :func:`sigmoid` run ``scipy.special.erf`` and ``expit``,
-imported inside each call: scipy loads on the first GELU or sigmoid, so a
-process that never runs an expert never loads it.
+The module needs numpy and the standard library only: :func:`gelu` is the
+tanh form of GELU, and :func:`sigmoid` calls ``math.exp`` once per entry.
 """
 
 from __future__ import annotations
@@ -36,8 +35,9 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# tanh GELU: tanh(x * (_GELU_C + _GELU_C3 * x^2))
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_C3 = _GELU_C * 0.044715
 
 # variance floor inside layer_norm's square root
 LAYER_NORM_EPS = 1e-5
@@ -385,27 +385,51 @@ def layer_norm(ctx: DiffContext, x, gain, bias) -> Tensor:
 
 
 def gelu(ctx: DiffContext, x) -> Tensor:
-    """Exact Gaussian-error linear unit."""
-    from scipy.special import erf
-
+    """Gaussian-error linear unit in its tanh form (Hendrycks & Gimpel,
+    arXiv 1606.08415): ``0.5 x (1 + tanh(sqrt(2/pi) x (1 + 0.044715 x^2)))``,
+    within 5e-4 of the exact ``x Phi(x)``."""
     xv = value(x)
-    cdf = xv * _INV_SQRT2
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    th = xv * xv
+    th *= _GELU_C3
+    th += _GELU_C
+    th *= xv
+    np.tanh(th, out=th)
+    out = th + 1.0
+    out *= xv
+    out *= 0.5
 
     def vjp(g, keys):
-        pdf = np.exp(-0.5 * xv * xv) * _INV_SQRT_2PI
-        return (g * (cdf + xv * pdf),)
+        # d/dx = 0.5 (1 + th) + 0.5 x (1 - th^2) sqrt(2/pi) (1 + 3 * 0.044715 x^2)
+        slope = xv * xv
+        slope *= 3.0 * _GELU_C3
+        slope += _GELU_C
+        slope *= 1.0 - th * th
+        slope *= xv
+        slope += th
+        slope += 1.0
+        slope *= 0.5
+        slope *= g
+        return (slope,)
 
-    return ctx._record(xv * cdf, vjp, x)
+    return ctx._record(out, vjp, x)
+
+
+def _logistic(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # exp(-v) beyond the float range: the limit is 0
+        return 0.0
 
 
 def sigmoid(ctx: DiffContext, x) -> Tensor:
-    """Logistic map, numerically stable at large magnitudes."""
-    from scipy.special import expit
+    """Logistic map ``1 / (1 + exp(-x))``, entry by entry with libm's ``exp``.
 
-    out = expit(value(x))
+    Meant for small inputs (the energy barrier's ``[B, 1]``): each entry is
+    one Python call. The result is bit-equal to ``scipy.special.expit``,
+    which ``np.exp`` does not give on every machine.
+    """
+    xv = value(x)
+    out = np.array([_logistic(v) for v in xv.ravel().tolist()]).reshape(xv.shape)
 
     def vjp(g, keys):
         return (g * out * (1.0 - out),)

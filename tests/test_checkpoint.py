@@ -84,6 +84,14 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="format"):
             load_arrays(path)
 
+    def test_v1_file_is_refused(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_arrays(path, {"w": np.ones(2)})
+        path.write_bytes(path.read_bytes().replace(FORMAT_TAG.encode(), b"gyromoe-ckpt-v1"))
+        with pytest.raises(CheckpointError) as err:
+            load_arrays(path)
+        assert str(err.value) == "unknown checkpoint format 'gyromoe-ckpt-v1', expected 'gyromoe-ckpt-v2'"
+
     def test_truncated_blob(self, tmp_path):
         path = tmp_path / "x.ckpt"
         save_arrays(path, {"w": np.ones(8)})
@@ -93,7 +101,7 @@ class TestValidation:
 
     def test_missing_header_terminator(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        path.write_bytes(b"gyromoe-ckpt-v1\n1\nw 1 2 0\n")
+        path.write_bytes(FORMAT_TAG.encode() + b"\n1\nw 1 2 0\n")
         with pytest.raises(CheckpointError):
             load_arrays(path)
 

@@ -605,43 +605,42 @@ class TestPublicApi:
         assert unread == []
 
 
-# runs synth, bench and allan, reports whether scipy was loaded, then runs
-# one GELU and one sigmoid and reports whether scipy.special was loaded
+# runs every command through the CLI entry point, experts included, and
+# reports the exit codes and whether scipy was ever loaded
 SCIPY_CHILD = """
 import json
 import sys
 
-from gyromoe import diffmath
 from gyromoe.cli import main
 
-cfg, data = sys.argv[1], sys.argv[2]
-clean, clipped = data + "/clean.csv", data + "/clipped.csv"
+cfg, out = sys.argv[1], sys.argv[2]
+data, ore, de = out + "/data", out + "/ore.ckpt", out + "/de.ckpt"
+clean, clipped, enhanced = data + "/clean.csv", data + "/clipped.csv", out + "/enhanced.csv"
 codes = [
     main(["synth", "--config", cfg, "--seed", "1", "--out", data]),
-    main(["bench", "--config", cfg, "--raw", clipped, "--enhanced", clipped, "--truth", clean,
-          "--out", data + "/report.json"]),
-    main(["allan", "--input", clean, "--out", data + "/curve.csv"]),
+    main(["train-ore", "--config", cfg, "--seed", "2", "--out", ore]),
+    main(["train-de", "--config", cfg, "--seed", "3", "--out", de]),
+    main(["enhance", "--config", cfg, "--input", clipped, "--ore-ckpt", ore, "--de-ckpt", de,
+          "--out", enhanced]),
+    main(["bench", "--config", cfg, "--raw", clipped, "--enhanced", enhanced, "--truth", clean,
+          "--out", out + "/report.json"]),
+    main(["allan", "--input", clean, "--out", out + "/curve.csv"]),
 ]
-unloaded = "scipy" not in sys.modules
-ctx = diffmath.DiffContext(record=False)
-diffmath.gelu(ctx, [0.5, -1.0])
-diffmath.sigmoid(ctx, [0.5, -1.0])
-print(json.dumps([codes, unloaded, "scipy.special" in sys.modules]))
+print(json.dumps([codes, "scipy" not in sys.modules]))
 """
 
 
-class TestScipyLoadsOnFirstUse:
-    def test_only_gelu_and_sigmoid_load_scipy(self, tmp_path):
+class TestNoCommandLoadsScipy:
+    def test_every_command_runs_without_scipy(self, tmp_path):
         cfg = write_config(tmp_path)
         src = Path(__file__).resolve().parents[1] / "src"
         out = subprocess.run(
-            [sys.executable, "-c", SCIPY_CHILD, cfg, str(tmp_path / "data")],
+            [sys.executable, "-c", SCIPY_CHILD, cfg, str(tmp_path)],
             env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
         ).stdout
-        codes, unloaded, special_loaded = json.loads(out.splitlines()[-1])
-        assert codes == [0, 0, 0]
+        codes, unloaded = json.loads(out.splitlines()[-1])
+        assert codes == [0] * 6
         assert unloaded
-        assert special_loaded
 
 
 class TestLogging:

@@ -252,16 +252,15 @@ class TestOpSemantics:
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_forward_ops_equal_their_plain_numpy_forms_bit_for_bit(self):
-        from scipy import special
-
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 5, 8)) * 3.0
         w, b, r = rng.normal(size=(8, 8)), rng.normal(size=8), rng.normal(size=(2, 5, 8))
         ctx = DiffContext(record=False)
         shifted = np.exp(x - x.max(axis=-1, keepdims=True))
+        c = np.sqrt(2.0 / np.pi)
         cases = [
             (dm.row_softmax(ctx, x), shifted / shifted.sum(axis=-1, keepdims=True)),
-            (dm.gelu(ctx, x), x * (0.5 * (1.0 + special.erf(x * (1.0 / np.sqrt(2.0)))))),
+            (dm.gelu(ctx, x), 0.5 * x * (1.0 + np.tanh(x * (c + x * x * (c * 0.044715))))),
             (dm.linear(ctx, x, w, b), np.matmul(x, w) + b),
             (dm.linear(ctx, x, w, b, residual=r), r + (np.matmul(x, w) + b)),
         ]
@@ -272,6 +271,21 @@ class TestOpSemantics:
         dm.layer_norm(ctx, x, b, b)
         for before, after in zip(inputs, (x, w, b, r)):
             np.testing.assert_array_equal(before, after)
+
+    def test_sigmoid_equals_expit_bit_for_bit(self):
+        from scipy.special import expit
+
+        edges = [800.0, -800.0, 709.79, -709.79, 40.0, -40.0, 0.0, -0.0]
+        x = np.concatenate([np.random.default_rng(5).normal(0.0, 5.0, 100_000), edges])
+        got = dm.sigmoid(DiffContext(record=False), x).data
+        np.testing.assert_array_equal(got.view(np.int64), expit(x).view(np.int64))
+
+    def test_tanh_gelu_is_within_5e_4_of_exact_gelu(self):
+        from scipy.special import erf
+
+        x = np.linspace(-10.0, 10.0, 200_001)
+        exact = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+        assert np.abs(dm.gelu(DiffContext(record=False), x).data - exact).max() <= 5e-4
 
     def test_non_finite_rejected(self):
         with pytest.raises(ContractError):
