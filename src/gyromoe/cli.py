@@ -368,9 +368,9 @@ def cmd_enhance(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
     _check_outputs(args, "json path")
-    raw = load_csv(args.raw)
-    enhanced = load_csv(args.enhanced)
-    truth = load_csv(args.truth)
+    raw, enhanced, truth = (load_csv(path) for path in (args.raw, args.enhanced, args.truth))
+    for series in (raw, enhanced, truth):
+        _check_sample_rate(cfg, series)
     rep = me.report(
         raw,
         enhanced,

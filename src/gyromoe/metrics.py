@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .signal import ClipSpec, SampleSeries, saturated_mask, segment, true_runs
+from .signal import RATE_RTOL, ClipSpec, SampleSeries, saturated_mask, true_runs
 
 _BI_FACTOR = math.sqrt(2.0 * math.log(2.0) / math.pi)
 
@@ -163,7 +163,8 @@ def allan_deviation(series: SampleSeries, cluster_sizes=None) -> AllanCurve:
     the previous one and the whole curve costs O(n), not O(n log n). Means
     of a size are kept only while a later size is a multiple of it. Means
     of means equal block means in exact arithmetic; only the summation
-    order differs.
+    order differs. Each level's differences are squared in place and freed
+    before the next level is built.
     """
     x = series.values
     n = x.size
@@ -195,8 +196,9 @@ def allan_deviation(series: SampleSeries, cluster_sizes=None) -> AllanCurve:
             means /= r
         levels[m] = means
         levels = {s: v for s, v in levels.items() if s == 1 or last_use[s] > i}
-        d = np.diff(means)
-        var = float((d * d).sum()) / (2.0 * (big_m - 1))
+        d = np.subtract(means[1:], means[:-1])
+        var = float(np.add.reduce(np.multiply(d, d, out=d))) / (2.0 * (big_m - 1))
+        del d  # one level's differences at a time
         taus.append(m / series.sample_rate)
         devs.append(math.sqrt(var))
     return AllanCurve(np.asarray(taus), np.asarray(devs), skipped)
@@ -387,19 +389,32 @@ def report(
     Peak metrics appear only when the truth exceeds the rail somewhere;
     noise metrics only when ``static_region`` (a half-open sample range)
     is given. Reductions compare the enhanced stream against the raw one
-    and are None whenever either side is unavailable.
+    and are None whenever either side is unavailable. The three series
+    must share one length and one sample rate (within
+    ``signal.RATE_RTOL``).
     """
     if not (len(raw) == len(enhanced) == len(truth)):
         raise ContractError(
             f"series lengths differ: raw {len(raw)}, enhanced {len(enhanced)}, truth {len(truth)}"
         )
+    rates = (raw.sample_rate, enhanced.sample_rate, truth.sample_rate)
+    if max(rates) - min(rates) > RATE_RTOL * min(rates):
+        raise ContractError(
+            f"series sample rates differ: raw {rates[0]!r} Hz, enhanced {rates[1]!r} Hz, truth {rates[2]!r} Hz"
+        )
     rep = MetricReport()
     idx = peak_indices(truth.values, clip)
     if idx.size:
-        # zero padding never exceeds the rail, so padded tail windows pool the same samples
-        truth_wins = segment(truth, segment_len)
-        peaked = (np.abs(truth_wins) > clip.level).any(axis=1)
-        rep.psnr_db = psnr(truth_wins[peaked], segment(enhanced, segment_len)[peaked], clip)
+        if segment_len < 1:
+            raise ContractError(f"segment length must be >= 1, got {segment_len}")
+        # the windows of ``segment_len`` that hold a peak; a partial last window
+        # pools the same samples as its zero-padded form, since padding never exceeds the rail
+        starts = (np.unique(idx // segment_len) * segment_len).tolist()
+        rep.psnr_db = psnr(
+            [truth.values[s : s + segment_len] for s in starts],
+            [enhanced.values[s : s + segment_len] for s in starts],
+            clip,
+        )
         rep.p_mse = p_mse(truth.values, enhanced.values, idx)
         raw_p_mse = p_mse(truth.values, raw.values, idx)
         rep.p_mse_reduction_pct = _reduction_or_none(raw_p_mse, rep.p_mse)
@@ -413,12 +428,11 @@ def report(
             raise ContractError(
                 f"static region [{lo}, {hi}) outside series of {len(truth)}"
             )
-        noise_mask = np.zeros(len(truth), dtype=bool)
-        noise_mask[lo:hi] = True
-        if (~noise_mask).any():
-            rep.snr_db = snr(enhanced.values[~noise_mask], enhanced.values[noise_mask])
+        v = enhanced.values
+        if lo > 0 or hi < v.size:
+            rep.snr_db = snr(np.concatenate((v[:lo], v[hi:])), v[lo:hi])
         fs = enhanced.sample_rate
-        curve_enh = allan_deviation(SampleSeries(enhanced.values[lo:hi], fs))
+        curve_enh = allan_deviation(SampleSeries(v[lo:hi], fs))
         curve_raw = allan_deviation(SampleSeries(raw.values[lo:hi], fs))
         rep.qn_dps = quantization_noise(curve_enh)
         rep.arw_dsqrth = angle_random_walk(curve_enh)

@@ -520,6 +520,19 @@ class TestBench:
         main(args + ["--out", str(tmp_path / "rep2.json")])
         assert (tmp_path / "rep1.json").read_bytes() == (tmp_path / "rep2.json").read_bytes()
 
+    def test_each_stream_rate_must_match_the_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sample_rate=200.0, bench={"static_region": [0, 256]})
+        values = np.random.default_rng(6).normal(0.0, 5.0, size=512)
+        paths = []
+        for name, fs in [("raw", 100.0), ("enhanced", 50.0), ("truth", 25.0)]:
+            paths += [f"--{name}", str(tmp_path / f"{name}.csv")]
+            save_csv(SampleSeries(values, fs), paths[-1])
+        out = tmp_path / "report.json"
+        assert main(["bench", "--config", cfg, *paths, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"sampled at {load_csv(paths[1]).sample_rate!r} Hz" in err and "sample_rate is 200.0 Hz" in err
+        assert not out.exists()
+
     def test_missing_out_fails_before_reading_inputs(self, tmp_path, capsys):
         # the inputs do not exist, so only an up-front --out check gives this error
         cfg = write_config(tmp_path)

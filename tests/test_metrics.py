@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from gyromoe.errors import ConfigError, ContractError
 from gyromoe.metrics import (
     AllanCurve,
+    MetricReport,
     allan_deviation,
     angle_random_walk,
     bias_instability,
@@ -23,7 +25,7 @@ from gyromoe.metrics import (
     savgol_weights,
     snr,
 )
-from gyromoe.signal import ClipSpec, SampleSeries, clip
+from gyromoe.signal import ClipSpec, SampleSeries, clip, segment
 
 CLIP = ClipSpec(level=450.0)
 
@@ -395,3 +397,160 @@ class TestReport:
         assert data["snr_db"] is None
         assert list(data) == sorted(data)
         assert rep.to_json().endswith("\n")
+
+    def test_mixed_sample_rates_rejected_by_name(self):
+        raw, enh, truth = self.make_streams()
+        slow = SampleSeries(enh.values, 50.0)
+        with pytest.raises(ContractError, match=r"raw 100\.0 Hz, enhanced 50\.0 Hz, truth 100\.0 Hz"):
+            report(raw, slow, truth, CLIP, static_region=(1024, 2048))
+        # jitter within signal.RATE_RTOL is one rate
+        report(raw, SampleSeries(enh.values, 100.0 * (1.0 + 1e-9)), truth, CLIP)
+
+
+# ---------------------------------------------------------------------------
+# The earlier whole-series forms of ``allan_deviation`` and ``report``, kept as
+# oracles: the current forms must reproduce them to the last bit.
+
+
+def allan_whole_levels(series, cluster_sizes=None):
+    """The halving pass with two whole temporaries per level: ``np.diff``,
+    then ``(d * d).sum()``."""
+    x = series.values
+    n = x.size
+    sizes = [int(m) for m in (default_cluster_sizes(n) if cluster_sizes is None else cluster_sizes)]
+    last_use = {k: max(i for i, m in enumerate(sizes) if m % k == 0) for k in set(sizes)}
+    levels = {1: x}
+    taus, devs, skipped = [], [], []
+    for i, m in enumerate(sizes):
+        big_m = n // m
+        if big_m < 2:
+            skipped.append(m)
+            continue
+        k = max(s for s in levels if m % s == 0)
+        r = m // k
+        base = levels[k][: big_m * r]
+        means = base[::r]
+        if r > 1:
+            means = means + base[1::r]
+            for j in range(2, r):
+                means += base[j::r]
+            means /= r
+        levels[m] = means
+        levels = {s: v for s, v in levels.items() if s == 1 or last_use[s] > i}
+        d = np.diff(means)
+        taus.append(m / series.sample_rate)
+        devs.append(math.sqrt(float((d * d).sum()) / (2.0 * (big_m - 1))))
+    return AllanCurve(np.asarray(taus), np.asarray(devs), skipped)
+
+
+def report_whole_series(raw, enhanced, truth, clip_spec, segment_len=256, static_region=None):
+    """``report`` with both series cut into whole windows and the static
+    region split off by boolean masks."""
+
+    def reduction(a, b):
+        return None if a is None or b is None or a == 0.0 else percent_reduction(a, b)
+
+    rep = MetricReport()
+    idx = peak_indices(truth.values, clip_spec)
+    if idx.size:
+        truth_wins = segment(truth, segment_len)
+        peaked = (np.abs(truth_wins) > clip_spec.level).any(axis=1)
+        rep.psnr_db = psnr(truth_wins[peaked], segment(enhanced, segment_len)[peaked], clip_spec)
+        rep.p_mse = p_mse(truth.values, enhanced.values, idx)
+        rep.p_mse_reduction_pct = reduction(p_mse(truth.values, raw.values, idx), rep.p_mse)
+        try:
+            rep.corr = pearson_corr(truth.values[idx], enhanced.values[idx])
+        except ContractError:
+            rep.corr = None
+    if static_region is not None:
+        lo, hi = static_region
+        noise_mask = np.zeros(len(truth), dtype=bool)
+        noise_mask[lo:hi] = True
+        if (~noise_mask).any():
+            rep.snr_db = snr(enhanced.values[~noise_mask], enhanced.values[noise_mask])
+        fs = enhanced.sample_rate
+        curve_enh = allan_whole_levels(SampleSeries(enhanced.values[lo:hi], fs))
+        curve_raw = allan_whole_levels(SampleSeries(raw.values[lo:hi], fs))
+        rep.qn_dps = quantization_noise(curve_enh)
+        rep.arw_dsqrth = angle_random_walk(curve_enh)
+        rep.bi_dph = bias_instability(curve_enh)
+        rep.qn_reduction_pct = reduction(quantization_noise(curve_raw), rep.qn_dps)
+        rep.arw_reduction_pct = reduction(angle_random_walk(curve_raw), rep.arw_dsqrth)
+        rep.bi_reduction_pct = reduction(bias_instability(curve_raw), rep.bi_dph)
+    return rep
+
+
+def noisy_record(n, peaks, seed):
+    """(raw, enhanced, truth) at 100 Hz: a biased walk, the truth lifted over
+    the rail at each ``(start, stop)`` of ``peaks``; the raw stream adds white
+    noise and angle quantization, so every noise figure is defined."""
+    rng = np.random.default_rng(seed)
+    truth = 0.5 + np.cumsum(rng.normal(0.0, 2e-4, n))
+    for lo, hi in peaks:
+        truth[lo:hi] = 520.0 * np.sin(np.pi * (np.arange(lo, hi) - lo + 0.5) / (hi - lo)) * rng.choice([-1, 1])
+    angle = np.cumsum(truth + rng.normal(0.0, 0.3, n)) / 100.0
+    raw = clip(np.diff(np.round(angle / 0.05) * 0.05, prepend=0.0) * 100.0, CLIP)
+    enhanced = truth + 0.4 * (raw - truth)
+    return tuple(SampleSeries(v, 100.0) for v in (raw, enhanced, truth))
+
+
+class TestKeepsTheWholeSeriesBytes:
+    @pytest.mark.parametrize(
+        "n, peaks, segment_len, region",
+        [
+            pytest.param(3000, [(2200, 2240), (2990, 3000)], 256, (0, 2048), id="peaked-partial-last-window"),
+            pytest.param(4096, [(3500, 3530)], 256, (0, 3072), id="static-from-0"),
+            pytest.param(4096, [(100, 140), (250, 262)], 64, (1024, 4096), id="static-to-n"),
+            pytest.param(4096, [], 256, (512, 3584), id="no-peak"),
+            pytest.param(4096, [(1000, 1030)], 100, (0, 4096), id="static-is-whole"),
+        ],
+    )
+    def test_report_json_equals_whole_series_form(self, n, peaks, segment_len, region):
+        streams = noisy_record(n, peaks, seed=n + len(peaks))
+        for static_region in (region, None):
+            got = report(*streams, CLIP, segment_len=segment_len, static_region=static_region)
+            want = report_whole_series(*streams, CLIP, segment_len=segment_len, static_region=static_region)
+            assert got.to_json() == want.to_json()
+        assert (got.psnr_db is None) == (not peaks)
+
+    @pytest.mark.parametrize(
+        "n, sizes",
+        [
+            (5000, None),
+            (5000, [12, 3, 1, 7, 6, 24, 5, 48, 600]),
+            (4099, [9, 27, 3, 81, 10, 5, 20, 2000, 4000]),
+        ],
+    )
+    def test_allan_devs_equal_whole_level_form(self, n, sizes):
+        series = noisy_record(n, [], seed=n)[0]
+        got = allan_deviation(series, cluster_sizes=sizes)
+        want = allan_whole_levels(series, cluster_sizes=sizes)
+        assert got.skipped_m == want.skipped_m
+        np.testing.assert_array_equal(got.taus.view(np.int64), want.taus.view(np.int64))
+        np.testing.assert_array_equal(got.devs.view(np.int64), want.devs.view(np.int64))
+
+
+def traced_peak(fn, *args, **kwargs):
+    fn(*args, **kwargs)  # warm: one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoiseAnalysisMemory:
+    N = 1 << 17
+
+    def test_allan_holds_one_levels_differences(self):
+        # the first level's differences are the one stream-length temporary
+        series = noisy_record(self.N, [], seed=1)[0]
+        assert traced_peak(allan_deviation, series) <= 1.25 * self.N * 8
+
+    def test_report_holds_no_whole_series_copies(self):
+        # the |truth| of the peak search, or one level's differences, at a time
+        n = self.N
+        streams = noisy_record(n, [(n - 3000, n - 2950), (n - 1000, n - 990)], seed=2)
+        peak = traced_peak(report, *streams, CLIP, static_region=(0, n - 4096))
+        assert peak <= 1.5 * n * 8

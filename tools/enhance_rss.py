@@ -1,15 +1,17 @@
-"""Measure the peak memory and wall time of ``gyromoe enhance`` and
-``gyromoe allan`` on long logs.
+"""Measure the peak memory and wall time of ``gyromoe enhance``,
+``gyromoe allan`` and ``gyromoe bench`` on long logs.
 
 For each ``LOG2`` it writes a seeded static log of ``2**LOG2`` samples into
 a temporary directory: 0.5 + N(0, 2) deg/s at 100 Hz, with one burst every
-2048 samples clipped at 450 deg/s. Beside it go seeded random experts of
-the default backbone geometry and a config with ``segment_len`` 256. It
-then runs ``gyromoe enhance`` and ``gyromoe allan --input`` on that log,
-each in a fresh ``sys.executable`` child with ``OPENBLAS_NUM_THREADS=1``,
-and prints one line per size:
+2048 samples clipped at 450 deg/s, and the same log unclipped as
+``clean.csv``. Beside them go seeded random experts of the default backbone
+geometry and a config with ``segment_len`` 256 and a ``bench.static_region``
+that covers the whole log. It then runs ``gyromoe enhance``, ``gyromoe allan
+--input`` and ``gyromoe bench`` (raw: the log, enhanced: the enhance output,
+truth: ``clean.csv``), each in a fresh ``sys.executable`` child with
+``OPENBLAS_NUM_THREADS=1``, and prints one line per size:
 
-    log2  samples  peak_rss_mb  wall_s  allan_rss_mb  allan_wall_s  sha256(enhanced.csv)
+    log2  samples  peak_rss_mb  wall_s  allan_rss_mb  allan_wall_s  bench_rss_mb  bench_wall_s  sha256(enhanced.csv)
 
 A peak RSS is the child's own ``ru_maxrss`` (from ``os.wait4``) in
 KiB / 1024, as ``perfbench`` reports it; a wall time counts from the
@@ -65,6 +67,7 @@ def _write_inputs(work: str, log2: int) -> None:
     burst = 2.0 * CLIP_LEVEL * np.sin(np.pi * (np.arange(BURST_LEN) + 0.5) / BURST_LEN)
     for start in range(BURST_EVERY // 2, values.size - BURST_LEN, BURST_EVERY):
         values[start : start + BURST_LEN] += burst
+    save_csv(SampleSeries(values, SAMPLE_RATE), work / "clean.csv")
     save_csv(SampleSeries(np.clip(values, -CLIP_LEVEL, CLIP_LEVEL), SAMPLE_RATE), work / "log.csv")
 
     clip, backbone = ClipSpec(CLIP_LEVEL), BackboneConfig()
@@ -72,7 +75,8 @@ def _write_inputs(work: str, log2: int) -> None:
     save_ore(work / "ore.ckpt", init_params(backbone, experts), OreConfig(clip, backbone))
     de_cfg = DeConfig(clip, backbone)
     save_de(work / "de.ckpt", build_de_params(de_cfg, experts), de_cfg)
-    config = {"clip_level": CLIP_LEVEL, "sample_rate": SAMPLE_RATE, "segment_len": 256}
+    config = {"clip_level": CLIP_LEVEL, "sample_rate": SAMPLE_RATE, "segment_len": 256,
+              "bench": {"static_region": [0, values.size]}}
     (work / "config.json").write_text(json.dumps(config))
 
 
@@ -102,19 +106,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if min(args.log2) < 12:
         parser.error("LOG2 must be at least 12, so the log holds a burst")
-    print("log2  samples  peak_rss_mb  wall_s  allan_rss_mb  allan_wall_s  sha256(enhanced.csv)")
+    print("log2  samples  peak_rss_mb  wall_s  allan_rss_mb  allan_wall_s  bench_rss_mb  bench_wall_s  "
+          "sha256(enhanced.csv)")
     for log2 in args.log2:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             subprocess.run([sys.executable, "-c", WRITER, tmp, str(log2)], env=_env(HERE, ROOT / "src"),
                            check=True)
-            log = str(work / "log.csv")
-            rss, wall = _run_child(["enhance", "--config", str(work / "config.json"), "--input", log,
+            log, config, enhanced = str(work / "log.csv"), str(work / "config.json"), str(work / "enhanced.csv")
+            rss, wall = _run_child(["enhance", "--config", config, "--input", log,
                                     "--ore-ckpt", str(work / "ore.ckpt"), "--de-ckpt", str(work / "de.ckpt"),
-                                    "--out", str(work / "enhanced.csv")])
+                                    "--out", enhanced])
             allan_rss, allan_wall = _run_child(["allan", "--input", log])
+            bench_rss, bench_wall = _run_child(["bench", "--config", config, "--raw", log, "--enhanced", enhanced,
+                                                "--truth", str(work / "clean.csv"), "--out", str(work / "report.json")])
             digest = hashlib.sha256((work / "enhanced.csv").read_bytes()).hexdigest()
-        print(f"{log2}  {2**log2}  {rss:.1f}  {wall:.2f}  {allan_rss:.1f}  {allan_wall:.2f}  {digest}", flush=True)
+        print(f"{log2}  {2**log2}  {rss:.1f}  {wall:.2f}  {allan_rss:.1f}  {allan_wall:.2f}  "
+              f"{bench_rss:.1f}  {bench_wall:.2f}  {digest}", flush=True)
     return 0
 
 
