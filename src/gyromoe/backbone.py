@@ -126,8 +126,12 @@ class ModelParams:
             if name.rpartition(".")[2] == "gd_sigma"
         }
 
+    def buffers(self) -> dict:
+        """Each parameter's own value array by store name, not a copy."""
+        return {name: p.tensor.data for name, p in self.store.items()}
+
     def to_arrays(self) -> dict:
-        return {name: p.tensor.data.copy() for name, p in self.store.items()}
+        return {name: arr.copy() for name, arr in self.buffers().items()}
 
 
 def _block_spec(prefix: str, d: int, r: int) -> list:

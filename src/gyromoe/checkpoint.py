@@ -25,9 +25,11 @@ FORMAT_TAG = "gyromoe-ckpt-v2"
 
 
 def save_arrays(path, arrays: dict) -> None:
-    """Write named float64 arrays; names must be whitespace-free."""
+    """Write named float64 arrays; names must be whitespace-free. The
+    header goes first, then each array's bytes straight from its buffer
+    (copied only if it is not contiguous little-endian float64)."""
     names = sorted(arrays.keys())
-    blobs = []
+    data = []
     lines = [FORMAT_TAG, str(len(names))]
     offset = 0
     for name in names:
@@ -41,13 +43,13 @@ def save_arrays(path, arrays: dict) -> None:
             entry += f" {dims}"
         entry += f" {offset}"
         lines.append(entry)
-        blobs.append(arr.astype("<f8").tobytes())
+        data.append(arr)
         offset += arr.size * 8
     header = "\n".join(lines) + "\n\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
-        for blob in blobs:
-            fh.write(blob)
+        for arr in data:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_arrays(path) -> dict:
@@ -61,7 +63,7 @@ def load_arrays(path) -> dict:
         header_lines = raw[:sep].decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"checkpoint header is not UTF-8: {exc}") from None
-    data = raw[sep + 2 :]
+    data = memoryview(raw)[sep + 2 :]
     if not header_lines or header_lines[0] != FORMAT_TAG:
         got = header_lines[0] if header_lines else "<empty>"
         raise CheckpointError(f"unknown checkpoint format {got!r}, expected {FORMAT_TAG!r}")
@@ -99,8 +101,7 @@ def load_arrays(path) -> dict:
             raise CheckpointError(
                 f"entry '{name}' spans [{offset}, {end}) outside data of {len(data)} bytes"
             )
-        arr = np.frombuffer(data[offset:end], dtype="<f8").astype(np.float64).reshape(dims)
-        out[name] = arr
+        out[name] = np.frombuffer(data, "<f8", count=size, offset=offset).astype(np.float64).reshape(dims)
     return out
 
 

@@ -334,13 +334,13 @@ def _check_expert(expert: str, expert_cfg, gate_cfg: gate_mod.GateConfig, min_pa
         )
 
 
-def _check_sample_rate(cfg: _Config, series: SampleSeries):
-    """Reject a stream whose CSV-derived rate differs from the config's
-    ``sample_rate`` by more than ``signal.RATE_RTOL``."""
+def _check_sample_rate(cfg: _Config, series: SampleSeries, flag: str):
+    """Reject the stream read from ``flag`` if its CSV-derived rate differs
+    from the config's ``sample_rate`` by more than ``signal.RATE_RTOL``."""
     want = cfg.sample_rate
     if want is not None and abs(series.sample_rate - want) > RATE_RTOL * want:
         raise ConfigError(
-            f"input stream is sampled at {series.sample_rate!r} Hz, config sample_rate is {want!r} Hz"
+            f"{flag} stream is sampled at {series.sample_rate!r} Hz, config sample_rate is {want!r} Hz"
         )
 
 
@@ -358,7 +358,7 @@ def cmd_enhance(args) -> int:
         _check_expert("noise-expert", de_cfg, cfg.gate, min_patches=2)
         noise_fn = make_noise_fn(de_params, de_cfg)
     series = load_csv(args.input)
-    _check_sample_rate(cfg, series)
+    _check_sample_rate(cfg, series, "--input")
     enhanced = gate_mod.enhance(series, cfg.gate, peak_fn=peak_fn, noise_fn=noise_fn)
     save_csv(enhanced, args.out)
     print(f"enhanced {len(series)} samples into {args.out}")
@@ -369,8 +369,8 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
     _check_outputs(args, "json path")
     raw, enhanced, truth = (load_csv(path) for path in (args.raw, args.enhanced, args.truth))
-    for series in (raw, enhanced, truth):
-        _check_sample_rate(cfg, series)
+    for series, flag in zip((raw, enhanced, truth), ("--raw", "--enhanced", "--truth")):
+        _check_sample_rate(cfg, series, flag)
     rep = me.report(
         raw,
         enhanced,

@@ -369,7 +369,7 @@ def make_noise_fn(de_params: DeParams, config: DeConfig):
 # Checkpoint glue.
 
 def save_de(path, de_params: DeParams, config: DeConfig) -> None:
-    save_expert(path, de_params.to_arrays(), "noise-expert", config.backbone, config.clip,
+    save_expert(path, de_params.buffers(), "noise-expert", config.backbone, config.clip,
                 {"weight_share": config.weight_share})
 
 

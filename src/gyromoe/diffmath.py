@@ -75,17 +75,26 @@ class Tensor:
 
 
 class Param:
-    """A trainable tensor with a persistent gradient buffer."""
+    """A trainable tensor with a persistent gradient buffer. The buffer is
+    made on first read of ``grad`` (by :meth:`zero_grad`, :func:`backward`
+    or a caller), so a Param that only runs forward passes holds its
+    values alone."""
 
-    __slots__ = ("tensor", "grad")
+    __slots__ = ("tensor", "_grad")
 
     def __init__(self, data):
         self.tensor = Tensor(data)
-        self.grad = Tensor(np.zeros_like(self.tensor.data))
+        self._grad = None
 
     @property
     def shape(self):
         return self.tensor.shape
+
+    @property
+    def grad(self) -> Tensor:
+        if self._grad is None:
+            self._grad = Tensor(np.zeros_like(self.tensor.data))
+        return self._grad
 
     def zero_grad(self):
         self.grad.data[...] = 0.0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .signal import ClipSpec, SampleSeries, saturated_mask, segment, stitch
+from .signal import ClipSpec, SampleSeries, saturated_mask, segment, stitch, true_runs
 
 log = logging.getLogger("gyromoe.gate")
 
@@ -79,16 +79,6 @@ class RouteDecision:
         return bool(self.noise_samples.any())
 
 
-def _runs(mask: np.ndarray):
-    """Starts and stops of the maximal True runs of a 1-D boolean mask, as
-    two index arrays. Rows of a 2-D mask, each padded with a False column
-    and raveled, give runs that never cross a row."""
-    padded = np.zeros(mask.size + 2, dtype=bool)
-    padded[1:-1] = mask
-    edges = np.nonzero(padded[1:] != padded[:-1])[0]
-    return edges[::2], edges[1::2]
-
-
 def _cover(size: int, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """A boolean mask of ``size`` samples, True on ``[start, start + length)``
     for each pair. Starts must be distinct, and so must stops, and spans
@@ -105,11 +95,11 @@ def route(values: np.ndarray, config: GateConfig) -> RouteDecision:
     if x.ndim != 1 or x.size == 0:
         raise ContractError("route needs a nonempty 1-D window")
     peak = saturated_mask(x, config.clip)
-    starts, stops = _runs(peak)
+    starts, stops = true_runs(peak)
     if (stops - starts).max(initial=0) < config.peak_run:
         peak = np.zeros(x.size, dtype=bool)
     q = config.quiet_run
-    starts, stops = _runs(np.abs(x) < config.quiet_tau)
+    starts, stops = true_runs(np.abs(x) < config.quiet_tau)
     noise = _cover(x.size, starts, q * ((stops - starts) // q))
     return RouteDecision(peak, noise)
 

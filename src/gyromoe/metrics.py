@@ -30,8 +30,12 @@ SLOPE_TOL = 0.15
 
 
 def peak_indices(truth: np.ndarray, clip: ClipSpec) -> np.ndarray:
-    """Samples where the true magnitude strictly exceeds the rail."""
-    return np.nonzero(np.abs(np.asarray(truth, dtype=np.float64)) > clip.level)[0]
+    """Samples where the true magnitude strictly exceeds the rail, found
+    with two boolean compares rather than a float ``|truth|``."""
+    t = np.asarray(truth, dtype=np.float64)
+    over = t > clip.level
+    over |= t < -clip.level
+    return np.nonzero(over)[0]
 
 
 def p_mse(truth, recon, idx) -> float:
@@ -224,11 +228,12 @@ def fit_slope_region(curve: AllanCurve, target_slope: float):
     slopes[0] = (ls[1] - ls[0]) / (lt[1] - lt[0])
     slopes[-1] = (ls[-1] - ls[-2]) / (lt[-1] - lt[-2])
     ok = np.abs(slopes - target_slope) <= SLOPE_TOL
-    # max keeps the first of equally long runs
-    start, stop = max(true_runs(ok), key=lambda run: run[1] - run[0], default=(0, 0))
-    if stop - start < 2:
+    starts, stops = true_runs(ok)
+    lengths = stops - starts
+    if lengths.max(initial=0) < 2:
         return None
-    sl = slice(start, stop)
+    i = np.argmax(lengths)  # the first of equally long runs
+    sl = slice(starts[i], stops[i])
     a, b = np.polyfit(lt[sl], ls[sl], 1)
     return float(math.exp(b))
 
@@ -320,7 +325,8 @@ def poly_extrapolate_peaks(
     sat = saturated_mask(x, clip)
     replaced = []
     skipped = []
-    for s, e in true_runs(sat):
+    starts, stops = true_runs(sat)
+    for s, e in zip(starts.tolist(), stops.tolist()):
         left = np.arange(s - flank, s)
         right = np.arange(e, e + flank)
         support = np.concatenate((left, right))

@@ -241,7 +241,7 @@ def make_peak_fn(params: bb.ModelParams, config: OreConfig):
 # Checkpoint glue.
 
 def save_ore(path, params: bb.ModelParams, config: OreConfig) -> None:
-    save_expert(path, params.to_arrays(), "peak-expert", config.backbone, config.clip, {})
+    save_expert(path, params.buffers(), "peak-expert", config.backbone, config.clip, {})
 
 
 def load_ore(path) -> tuple[bb.ModelParams, OreConfig]:

@@ -109,14 +109,13 @@ def saturated_mask(values: np.ndarray, spec: ClipSpec) -> np.ndarray:
     return np.abs(arr) >= spec.level * (1.0 - CLIP_EPS)
 
 
-def true_runs(mask: np.ndarray) -> list:
-    """Maximal True runs of a 1-D boolean mask as half-open (start, stop)
-    pairs, left to right."""
-    padded = np.concatenate(([False], mask, [False]))
-    edges = np.diff(padded.astype(np.int8))
-    starts = np.nonzero(edges == 1)[0]
-    stops = np.nonzero(edges == -1)[0]
-    return list(zip(starts.tolist(), stops.tolist()))
+def true_runs(mask: np.ndarray) -> tuple:
+    """Maximal True runs of a 1-D boolean mask as two index arrays, the
+    starts and the (exclusive) stops, left to right."""
+    padded = np.zeros(mask.size + 2, dtype=bool)
+    padded[1:-1] = mask
+    edges = np.nonzero(padded[1:] != padded[:-1])[0]
+    return edges[::2], edges[1::2]
 
 
 def segment(series: SampleSeries, seg_len: int) -> np.ndarray:

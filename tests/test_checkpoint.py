@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 import tracemalloc
@@ -15,9 +16,9 @@ from gyromoe.checkpoint import (
     save_arrays,
     save_checkpoint,
 )
-from gyromoe.denoise import SHARE_MODES, DeConfig, build_de_params, load_de, save_de
+from gyromoe.denoise import SHARE_MODES, DeConfig, build_de_params, denoise, load_de, save_de
 from gyromoe.errors import CheckpointError, ConfigError, ContractError, DimensionError
-from gyromoe.ore import OreConfig, load_ore, save_ore
+from gyromoe.ore import OreConfig, load_ore, reconstruct, save_ore
 from gyromoe.signal import ClipSpec
 
 
@@ -40,6 +41,22 @@ class TestRoundTrip:
         for name, arr in arrays.items():
             np.testing.assert_array_equal(loaded[name], arr)
             assert loaded[name].shape == arr.shape
+
+    def test_any_layout_writes_its_float64_values(self, tmp_path):
+        # strided, big-endian, float32, integer and empty arrays, the empty one last in the file
+        w = np.random.default_rng(5).normal(size=(4, 3))
+        arrays = {"t": w.T, "be": w.astype(">f8"), "f32": w.astype(np.float32), "i": np.arange(5),
+                  "zz": np.zeros((0, 3))}
+        plain = {name: np.array(arr, dtype=np.float64, order="C") for name, arr in arrays.items()}
+        p1, p2 = tmp_path / "any.ckpt", tmp_path / "plain.ckpt"
+        save_arrays(p1, arrays)
+        save_arrays(p2, plain)
+        assert p1.read_bytes() == p2.read_bytes()
+        loaded = load_arrays(p1)
+        for name, arr in plain.items():
+            np.testing.assert_array_equal(loaded[name], arr)
+            assert loaded[name].shape == arr.shape and loaded[name].dtype == np.float64
+            assert loaded[name].flags.writeable  # a copy: a view of the file's bytes is read-only
 
     def test_scalar_shape_preserved(self, tmp_path):
         path = tmp_path / "s.ckpt"
@@ -132,14 +149,14 @@ C11_BACKBONE = BackboneConfig(patch_len=4, embed_dim=8, enc_layers=1, dec_layers
 LOADERS = {"ore": load_ore, "de": load_de}
 
 
-def write_expert(tmp_path, expert: str, backbone: BackboneConfig):
+def write_expert(tmp_path, expert: str, backbone: BackboneConfig, weight_share: str = "both"):
     """An untrained ``expert`` checkpoint at ``backbone`` geometry; returns its path."""
     path = tmp_path / f"{expert}.ckpt"
     rng = np.random.default_rng(4)
     if expert == "ore":
         save_ore(path, init_params(backbone, rng), OreConfig(clip=ClipSpec(1.0), backbone=backbone))
     else:
-        cfg = DeConfig(clip=ClipSpec(1.0), backbone=backbone)
+        cfg = DeConfig(clip=ClipSpec(1.0), backbone=backbone, weight_share=weight_share)
         save_de(path, build_de_params(cfg, rng), cfg)
     return path
 
@@ -253,3 +270,86 @@ class TestExpertCodec:
         monkeypatch.setattr(bb, "init_param_array", refuse)
         params, _ = LOADERS[expert](path)
         assert_same_arrays(params.to_arrays(), {k: v for k, v in want.items() if not k.startswith("meta.")})
+
+
+SAVERS = {"ore": save_ore, "de": save_de}
+# (expert, weight_share): the peak expert has no branches to share
+EXPERT_FILES = [("ore", "both"), ("de", "none"), ("de", "both")]
+EXPERT_IDS = ["ore", "de-none", "de-both"]
+RUNNERS = {"ore": reconstruct, "de": denoise}
+
+
+def traced(fn):
+    """``fn()``'s result with the bytes it left allocated and its peak."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        return out, held, peak
+    finally:
+        tracemalloc.stop()
+
+
+def param_bytes(params) -> int:
+    return sum(p.tensor.data.nbytes for p in params.all_params())
+
+
+class TestExpertMemory:
+    """At the default geometry a save holds no copy of the parameters, and a
+    loaded expert holds them once: the file's bytes are freed after the load,
+    and no gradient buffer is made unless training asks for one."""
+
+    @pytest.fixture(params=EXPERT_FILES, ids=EXPERT_IDS)
+    def expert_file(self, request, tmp_path):
+        expert, share = request.param
+        return expert, write_expert(tmp_path, expert, BackboneConfig(), share)
+
+    def test_save_copies_no_parameter(self, expert_file):
+        expert, path = expert_file
+        params, config = LOADERS[expert](path)
+        SAVERS[expert](path, params, config)  # warm: one-time allocations stay out of the peak
+        _, _, peak = traced(lambda: SAVERS[expert](path, params, config))
+        assert peak <= 0.25 * param_bytes(params)
+
+    def test_load_holds_the_parameters_once(self, expert_file):
+        expert, path = expert_file
+        LOADERS[expert](path)
+        (params, _), held, peak = traced(lambda: LOADERS[expert](path))
+        assert peak <= 2.25 * param_bytes(params)  # the file's bytes and the arrays read from them
+        assert held <= 1.25 * param_bytes(params)
+
+    def test_inference_makes_no_gradient_buffer(self, expert_file):
+        expert, path = expert_file
+        # one quiet window with a short run on the rail
+        x = 0.01 * np.sin(np.arange(BackboneConfig().patch_len * 8))[None, :]
+        x[:, 20:26] = 1.0
+
+        def load_and_run():
+            params, config = LOADERS[expert](path)
+            RUNNERS[expert](x * config.clip.level, params, config)
+            return params
+
+        load_and_run()
+        params, held, _ = traced(load_and_run)
+        assert held <= 1.25 * param_bytes(params)
+
+    @pytest.mark.parametrize("expert, share", EXPERT_FILES, ids=EXPERT_IDS)
+    def test_save_load_save_keeps_the_bytes(self, tmp_path, expert, share):
+        path = write_expert(tmp_path, expert, ODD_BACKBONE, share)
+        params, config = LOADERS[expert](path)
+        again = tmp_path / "again.ckpt"
+        SAVERS[expert](again, params, config)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "expert, share, digest",
+        [
+            ("ore", "both", "245c3f25e692a55a4f37b1be57e8bf0c1c63f2f959683ec2d065ea24794039b8"),
+            ("de", "none", "e08f18d918641dbc4a0dd3001d5df8081040843cc8206d165723ec1b5ca5edd7"),
+            ("de", "both", "f581ff4e226b17e0a499abf504b1c58803fb606420c20fc9a8146883ceee88c4"),
+        ],
+        ids=EXPERT_IDS,
+    )
+    def test_seeded_c11_expert_bytes_are_pinned(self, tmp_path, expert, share, digest):
+        path = write_expert(tmp_path, expert, C11_BACKBONE, share)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

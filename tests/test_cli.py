@@ -338,6 +338,14 @@ class TestEnhanceStartupChecks:
         assert code == 2 and not out.exists()
         assert "sample_rate" in capsys.readouterr().err
 
+    def test_rate_error_names_the_input(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)  # sample_rate 100
+        src = tmp_path / "in.csv"
+        save_csv(SampleSeries(np.full(64, 200.0), 50.0), src)
+        main(["enhance", "--config", cfg, "--input", str(src), "--out", str(tmp_path / "out.csv")])
+        rate = load_csv(src).sample_rate
+        assert f"error: --input stream is sampled at {rate!r} Hz, config sample_rate is 100.0 Hz" in capsys.readouterr().err
+
     def test_stream_rate_is_free_without_a_config_rate(self, tmp_path):
         cfg = json.loads(Path(write_config(tmp_path)).read_text())
         del cfg["sample_rate"]
@@ -531,6 +539,20 @@ class TestBench:
         assert main(["bench", "--config", cfg, *paths, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"sampled at {load_csv(paths[1]).sample_rate!r} Hz" in err and "sample_rate is 200.0 Hz" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("off", ["raw", "enhanced", "truth"])
+    def test_rate_error_names_the_stream(self, tmp_path, capsys, off):
+        cfg = write_config(tmp_path, sample_rate=200.0, bench={"static_region": [0, 256]})
+        values = np.random.default_rng(6).normal(0.0, 5.0, size=512)
+        paths = []
+        for name in ("raw", "enhanced", "truth"):
+            paths += [f"--{name}", str(tmp_path / f"{name}.csv")]
+            save_csv(SampleSeries(values, 50.0 if name == off else 200.0), paths[-1])
+        out = tmp_path / "report.json"
+        assert main(["bench", "--config", cfg, *paths, "--out", str(out)]) == 2
+        rate = load_csv(tmp_path / f"{off}.csv").sample_rate
+        assert f"error: --{off} stream is sampled at {rate!r} Hz, config sample_rate is 200.0 Hz" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_out_fails_before_reading_inputs(self, tmp_path, capsys):

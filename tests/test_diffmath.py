@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,30 @@ class TestTape:
         with pytest.raises(ContractError):
             dm.backward(out, ctx)
         np.testing.assert_allclose(p.grad.data, [1.0, -2.0])
+
+    def test_grad_read_before_backward_is_zeros(self):
+        p = Param(np.arange(6.0).reshape(2, 3))
+        assert p.grad.data.shape == (2, 3) and not p.grad.data.any()
+        assert Param(np.asarray(1.5)).grad.data.shape == ()
+
+    def test_param_holds_no_gradient_buffer_until_asked(self):
+        data = np.ones(1 << 16)
+        tracemalloc.start()
+        try:
+            p = Param(data)
+            held_before = tracemalloc.get_traced_memory()[0]
+            p.zero_grad()
+            held_after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held_before < 0.25 * data.nbytes <= data.nbytes <= held_after
+        assert not p.grad.data.any()
+
+    def test_backward_fills_a_buffer_that_was_never_read(self):
+        p = Param(np.array([3.0, -1.0]))
+        ctx = DiffContext()
+        dm.backward(dm.mean(ctx, dm.square(ctx, p)), ctx)
+        np.testing.assert_allclose(p.grad.data, [3.0, -1.0])
 
     def test_context_without_tape_records_nothing(self):
         p = Param(np.array([1.0, -2.0]))

@@ -249,11 +249,11 @@ def route_by_run_lists(x, config):
     """``route`` as one Python list of runs per mask: the reference that
     the array form must equal."""
     peak = saturated_mask(x, config.clip)
-    if not any(e - s >= config.peak_run for s, e in true_runs(peak)):
+    if not any(e - s >= config.peak_run for s, e in zip(*true_runs(peak))):
         peak = np.zeros(x.size, dtype=bool)
     q = config.quiet_run
     noise = np.zeros(x.size, dtype=bool)
-    for s, e in true_runs(np.abs(x) < config.quiet_tau):
+    for s, e in zip(*true_runs(np.abs(x) < config.quiet_tau)):
         noise[s : s + q * ((e - s) // q)] = True
     return peak, noise
 

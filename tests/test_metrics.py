@@ -35,6 +35,16 @@ class TestPeakMse:
         truth = np.array([0.0, 450.0, 451.0, -452.0])
         np.testing.assert_array_equal(peak_indices(truth, CLIP), [2, 3])
 
+    def test_indices_equal_the_magnitude_form(self):
+        # on the rail, one ulp either side of it, and zero, in both signs
+        level = CLIP.level
+        edges = [level, np.nextafter(level, np.inf), np.nextafter(level, 0.0), 0.0, -0.0]
+        values = np.array(edges + [-v for v in edges] + [1e300, -1e300, 5e-324])
+        truth = np.random.default_rng(0).permutation(np.tile(values, 7))
+        got = peak_indices(truth, CLIP)
+        np.testing.assert_array_equal(got, np.nonzero(np.abs(truth) > level)[0])
+        assert got.size == 7 * 4
+
     def test_oracle(self):
         truth = np.array([0.0, 500.0, 470.0])
         recon = np.array([0.0, 490.0, 480.0])
@@ -248,6 +258,15 @@ class TestNoiseFigures:
         assert fit_slope_region(curve, -0.5) is None
         assert angle_random_walk(curve) is None
 
+    def test_equally_long_stretches_fit_the_first(self):
+        # log-log slopes -1/2 on points 0..3, +2 up to point 8, -1/2 after:
+        # the two stretches that qualify both hold 3 points
+        lt = np.arange(12) * math.log(2.0)
+        slope = np.array([0.0] + [-0.5] * 3 + [2.0] * 5 + [-0.5] * 3)
+        ls = np.concatenate(([0.0], np.cumsum(slope[1:] * np.diff(lt))))
+        assert fit_slope_region(AllanCurve(np.exp(lt), np.exp(ls)), -0.5) == pytest.approx(1.0, rel=1e-12)
+        assert fit_slope_region(AllanCurve(np.exp(lt[6:]), np.exp(ls[6:])), -0.5) > 1e3
+
     def test_mixed_curve_finds_the_right_stretch(self):
         # -1/2 region at small tau, +1/2 drift at large tau
         taus = np.logspace(-2, 2, 30)
@@ -330,6 +349,15 @@ class TestPolyPeaks:
         railed[27] = 450.0  # pollutes the right flank
         res = poly_extrapolate_peaks(SampleSeries(railed, 100.0), CLIP, flank=6)
         assert (20, 25) in res.skipped_runs
+
+    def test_runs_are_int_pairs_left_to_right(self):
+        railed = np.full(80, 100.0)
+        for lo, hi in [(0, 3), (20, 25), (40, 41), (60, 66)]:
+            railed[lo:hi] = 450.0 * (-1) ** lo
+        res = poly_extrapolate_peaks(SampleSeries(railed, 100.0), CLIP, flank=6)
+        assert res.replaced_runs == [(20, 25), (40, 41), (60, 66)]
+        assert res.skipped_runs == [(0, 3)]
+        assert all(type(i) is int for run in res.replaced_runs + res.skipped_runs for i in run)
 
     def test_flank_must_support_order(self):
         with pytest.raises(ConfigError):
@@ -548,8 +576,17 @@ class TestNoiseAnalysisMemory:
         series = noisy_record(self.N, [], seed=1)[0]
         assert traced_peak(allan_deviation, series) <= 1.25 * self.N * 8
 
+    def test_peak_search_holds_no_float_copy(self):
+        # two boolean compares find the peaks, where |truth| was a float64 array
+        n = self.N
+        streams = noisy_record(n, [(n - 3000, n - 2950), (n - 1000, n - 990)], seed=2)
+        assert traced_peak(report, *streams, CLIP) <= 0.5 * n * 8
+        # with a static region, the first Allan level's differences are the
+        # one stream-length temporary
+        assert traced_peak(report, *streams, CLIP, static_region=(0, n - 4096)) <= 1.0625 * n * 8
+
     def test_report_holds_no_whole_series_copies(self):
-        # the |truth| of the peak search, or one level's differences, at a time
+        # one level's differences, or snr's squares of the region, at a time
         n = self.N
         streams = noisy_record(n, [(n - 3000, n - 2950), (n - 1000, n - 990)], seed=2)
         peak = traced_peak(report, *streams, CLIP, static_region=(0, n - 4096))

@@ -24,6 +24,7 @@ from gyromoe.signal import (
     synth_motion,
     synth_noise_segments,
     synth_peak_segments,
+    true_runs,
     write_csv,
 )
 
@@ -64,6 +65,23 @@ class TestClip:
         spec = ClipSpec(450.0)
         x = np.array([450.0, 450.0 * (1 - 1e-7), 449.0, -450.0])
         assert saturated_mask(x, spec).tolist() == [True, True, False, True]
+
+
+class TestTrueRuns:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+    def test_equals_a_scan(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(30):
+            mask = rng.random(n) < rng.random()
+            pairs = []
+            for i, on in enumerate(mask):
+                if on and (i == 0 or not mask[i - 1]):
+                    pairs.append([i, i + 1])
+                elif on:
+                    pairs[-1][1] = i + 1
+            starts, stops = true_runs(mask)
+            assert starts.tolist() == [s for s, _ in pairs]
+            assert stops.tolist() == [e for _, e in pairs]
 
 
 class TestSegment:
