@@ -141,7 +141,6 @@ def _block_spec(prefix: str, d: int, r: int) -> list:
         (f"{prefix}.attn.wq", (d, d), "weight"),
         (f"{prefix}.attn.bq", (d,), "bias"),
         (f"{prefix}.attn.wk", (d, d), "weight"),
-        (f"{prefix}.attn.bk", (d,), "bias"),
         (f"{prefix}.attn.wv", (d, d), "weight"),
         (f"{prefix}.attn.bv", (d,), "bias"),
         (f"{prefix}.attn.wo", (d, d), "weight"),
@@ -294,10 +293,11 @@ def _attention_sublayer(ctx, params, prefix, config, x, bias_term):
     h = dm.layer_norm(ctx, x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     # q, k and v are three products stacked afterwards, not one product over
     # concatenated weights, so each input-gradient term sums over d entries
-    # (a 3d-wide product would round differently)
-    qkv = dm.concat(
-        ctx, [dm.linear(ctx, h, params[a + f"w{p}"], params[a + f"b{p}"]) for p in "qkv"], axis=2
-    )  # [B, n, 3d]
+    # (a 3d-wide product would round differently). The keys carry no bias:
+    # q . b_k is the same for every key of a query, and softmax ignores it.
+    qkv = dm.concat(ctx, [dm.linear(ctx, h, params[a + "wq"], params[a + "bq"]),
+                          dm.matmul(ctx, h, params[a + "wk"]),
+                          dm.linear(ctx, h, params[a + "wv"], params[a + "bv"])], axis=2)  # [B, n, 3d]
     # column (part * heads + head) * d_k + j of qkv is entry j of that head's
     # query (part 0), key (1) or value (2)
     per_head = gd_attention(ctx, dm.split_heads(ctx, qkv, 3 * config.heads), bias_term)

@@ -1,36 +1,46 @@
-"""Flat named-array checkpoint container, format tag ``gyromoe-ckpt-v2``.
+"""Expert files, format tag ``gyromoe-ckpt-v3``.
 
-v2 experts run the tanh GELU. A v1 file holds weights trained under the
-exact erf GELU, so it is refused at load rather than run under another
-activation; such an expert must be retrained.
+v3 experts have no key-projection bias, which softmax ignores. A v2 file
+holds one, and a v1 file weights trained under the exact erf GELU, so both
+are refused at load; such an expert must be retrained.
 
-Layout: a UTF-8 text header (format tag, entry count, then one
-``name ndim dims... byte_offset`` line per array, then a blank line)
+Layout: a UTF-8 text header (format tag; the expert's settings as one
+sorted-key JSON object in the config file's own key names; entry count;
+one ``name ndim dims... byte_offset`` line per array; a blank line)
 followed by raw little-endian float64 data. Entries are written in sorted
-name order so identical contents give identical bytes.
+name order so identical contents give identical bytes. The settings are
+read back by the config file's own reader (:func:`gyromoe.config.read`).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
+import json
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
 
-from .backbone import GD_PLACEMENTS, BackboneConfig
+from .backbone import BackboneConfig
+from .config import BACKBONE_KEYS, number, read, string
 from .errors import CheckpointError, ConfigError, ContractError, DimensionError
 from .signal import ClipSpec
 
-FORMAT_TAG = "gyromoe-ckpt-v2"
+FORMAT_TAG = "gyromoe-ckpt-v3"
+
+# the settings every expert file holds, and each expert's: those plus the
+# fields its config adds
+_COMMON = {"kind": string, "clip_level": number, "backbone": BACKBONE_KEYS}
+_SETTINGS = {"peak-expert": _COMMON, "noise-expert": {**_COMMON, "weight_share": string}}
 
 
-def save_arrays(path, arrays: dict) -> None:
-    """Write named float64 arrays; names must be whitespace-free. The
-    header goes first, then each array's bytes straight from its buffer
-    (copied only if it is not contiguous little-endian float64)."""
+def save_checkpoint(path, arrays: dict, settings: dict) -> None:
+    """Write named float64 arrays, names whitespace-free, and a JSON object
+    of ``settings``. The header goes first, then each array's bytes straight
+    from its buffer (copied only if it is not contiguous little-endian
+    float64)."""
     names = sorted(arrays.keys())
     data = []
-    lines = [FORMAT_TAG, str(len(names))]
+    lines = [FORMAT_TAG, json.dumps(settings, sort_keys=True), str(len(names))]
     offset = 0
     for name in names:
         if not name or any(c.isspace() for c in name):
@@ -52,8 +62,9 @@ def save_arrays(path, arrays: dict) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
-def load_arrays(path) -> dict:
-    """Read a checkpoint back into name -> float64 ndarray."""
+def load_checkpoint(path) -> tuple[dict, dict]:
+    """Inverse of :func:`save_checkpoint`: ``(arrays, settings)``, each
+    array a float64 copy, the settings as parsed and not yet checked."""
     with open(path, "rb") as fh:
         raw = fh.read()
     sep = raw.find(b"\n\n")
@@ -64,21 +75,26 @@ def load_arrays(path) -> dict:
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"checkpoint header is not UTF-8: {exc}") from None
     data = memoryview(raw)[sep + 2 :]
-    if not header_lines or header_lines[0] != FORMAT_TAG:
-        got = header_lines[0] if header_lines else "<empty>"
-        raise CheckpointError(f"unknown checkpoint format {got!r}, expected {FORMAT_TAG!r}")
-    if len(header_lines) < 2:
-        raise CheckpointError("checkpoint header is missing the entry count")
+    if header_lines[0] != FORMAT_TAG:
+        raise CheckpointError(f"unknown checkpoint format {header_lines[0]!r}, expected {FORMAT_TAG!r}")
+    if len(header_lines) < 3:
+        raise CheckpointError("checkpoint header is missing its settings or entry count")
     try:
-        count = int(header_lines[1])
+        settings = json.loads(header_lines[1])
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint settings are not JSON: {exc}") from None
+    if not isinstance(settings, dict):
+        raise CheckpointError("checkpoint settings are not a JSON object")
+    try:
+        count = int(header_lines[2])
     except ValueError:
-        raise CheckpointError(f"bad entry count {header_lines[1]!r}") from None
-    if count < 0 or len(header_lines) != 2 + count:
+        raise CheckpointError(f"bad entry count {header_lines[2]!r}") from None
+    if count < 0 or len(header_lines) != 3 + count:
         raise CheckpointError(
-            f"header declares {count} entries but carries {len(header_lines) - 2}"
+            f"header declares {count} entries but carries {len(header_lines) - 3}"
         )
     out = {}
-    for line in header_lines[2:]:
+    for line in header_lines[3:]:
         fields = line.split(" ")
         if len(fields) < 3:
             raise CheckpointError(f"malformed entry line {line!r}")
@@ -102,73 +118,20 @@ def load_arrays(path) -> dict:
                 f"entry '{name}' spans [{offset}, {end}) outside data of {len(data)} bytes"
             )
         out[name] = np.frombuffer(data, "<f8", count=size, offset=offset).astype(np.float64).reshape(dims)
-    return out
-
-
-def save_checkpoint(path, arrays: dict, meta: dict | None = None) -> None:
-    """Save arrays along with scalar metadata stored under ``meta.*``."""
-    merged = dict(arrays)
-    for key, val in (meta or {}).items():
-        name = f"meta.{key}"
-        if name in merged:
-            raise CheckpointError(f"metadata key collides with array name '{name}'")
-        merged[name] = np.asarray(float(val))
-    save_arrays(path, merged)
-
-
-def load_checkpoint(path) -> tuple[dict, dict]:
-    """Inverse of :func:`save_checkpoint`; returns (arrays, meta). Metadata
-    must be finite, as config values are."""
-    raw = load_arrays(path)
-    arrays = {}
-    meta = {}
-    for name, arr in raw.items():
-        if name.startswith("meta."):
-            if arr.shape != ():
-                raise CheckpointError(f"metadata entry '{name}' has shape {arr.shape}, not a scalar")
-            if not np.isfinite(arr):
-                raise ConfigError(f"checkpoint metadata '{name[5:]}' = {float(arr)} is not a finite number")
-            meta[name[5:]] = float(arr)
-        else:
-            arrays[name] = arr
-    return arrays, meta
+    return out, settings
 
 
 # ---------------------------------------------------------------------------
 # Expert checkpoints: the one codec from an expert file to its config and
-# parameter store. The metadata holds all the config inference needs, each
-# value one finite float, a choice stored as its index in its table (so the
-# tables are part of the format).
-
-# which backbone stacks the noise expert's two branches share
-SHARE_MODES = ("none", "encoder", "decoder", "both")
-_CHOICES = {"gd_placement": GD_PLACEMENTS, "weight_share": SHARE_MODES}
-# each expert's kind tag and the choices its file adds
-_EXPERTS = {"peak-expert": (1.0, ()), "noise-expert": (2.0, ("weight_share",))}
+# parameter store.
 
 
-def _meta_int(meta: dict, key: str) -> int:
-    """The whole number stored under ``key``; a fractional one is a :class:`ConfigError`."""
-    val = meta[key]
-    if not val.is_integer():
-        raise ConfigError(f"checkpoint metadata '{key}' = {val} is not an integer")
-    return int(val)
-
-
-def meta_choice(meta: dict, key: str) -> str:
-    """The entry of ``key``'s table whose index is stored under ``key``."""
-    i = _meta_int(meta, key)
-    if not 0 <= i < len(_CHOICES[key]):
-        raise ConfigError(f"checkpoint metadata '{key}' = {i} is no index into {_CHOICES[key]}")
-    return _CHOICES[key][i]
-
-
-def save_expert(path, arrays: dict, expert: str, backbone: BackboneConfig, clip: ClipSpec,
-                choices: dict) -> None:
-    """Write an expert's arrays and metadata; ``choices`` holds the choices its file adds."""
-    meta = dict(asdict(backbone), **choices, kind=_EXPERTS[expert][0], clip_level=clip.level)
-    save_checkpoint(path, arrays, {k: _CHOICES[k].index(v) if k in _CHOICES else v
-                                   for k, v in meta.items()})
+def save_expert(path, arrays: dict, expert: str, config) -> None:
+    """Write an expert's arrays and the settings of its ``config``: the
+    clip level, the backbone and the fields ``expert``'s file adds."""
+    settings = {key: getattr(config, key) for key in _SETTINGS[expert].keys() - _COMMON.keys()}
+    settings.update(kind=expert, clip_level=config.clip.level, backbone=asdict(config.backbone))
+    save_checkpoint(path, arrays, settings)
 
 
 def _spec_arrays(path, arrays: dict, spec) -> dict:
@@ -178,7 +141,7 @@ def _spec_arrays(path, arrays: dict, spec) -> dict:
     names = [name for name, _, _ in spec]
     if set(names) != arrays.keys():
         raise ConfigError(f"checkpoint parameters {sorted(arrays.keys() ^ set(names))[:3]} "
-                          "disagree with its metadata")
+                          "disagree with its settings")
     for name, shape, _ in spec:
         if arrays[name].shape != shape:
             raise DimensionError(f"parameter '{name}' shape {arrays[name].shape} does not match {shape}")
@@ -187,25 +150,23 @@ def _spec_arrays(path, arrays: dict, spec) -> dict:
     return {name: arrays[name] for name in names}
 
 
-def load_expert(path, expert: str) -> tuple:
-    """Read an expert checkpoint into ``(backbone, clip, picks, fill)``:
-    ``picks`` holds the choices the expert's file adds, and ``fill`` hands
-    the file's arrays to :func:`~gyromoe.backbone.build_params` or the
-    denoise store once their names match the spec it is given
-    (:class:`ConfigError` if not), their shapes too (:class:`DimensionError`)
-    and every entry is finite (:class:`ContractError`, naming the file and
-    the parameter).
-    Bad metadata or a file of another kind is a :class:`ConfigError`."""
-    kind, choices = _EXPERTS[expert]
-    arrays, meta = load_checkpoint(path)
-    if meta.get("kind") != kind:
-        raise ConfigError(f"checkpoint at {path} is not a {expert} checkpoint")
+def load_expert(path, expert: str, config_cls) -> tuple:
+    """Read an expert checkpoint into ``(config, fill)``: ``config_cls``
+    built from the file's settings, and ``fill``, which hands the file's
+    arrays to :func:`~gyromoe.backbone.build_params` or the denoise store
+    once their names match the spec it is given (:class:`ConfigError` if
+    not), their shapes too (:class:`DimensionError`) and every entry is
+    finite (:class:`ContractError`, naming the file and the parameter).
+    Settings of another kind, or any they lack, add or hold wrong, are a
+    :class:`ConfigError` naming the file and the key."""
+    arrays, settings = load_checkpoint(path)
     try:
-        read = {int: _meta_int, float: dict.__getitem__, str: meta_choice}  # by field type
-        backbone = BackboneConfig(**{f.name: read[type(f.default)](meta, f.name)
-                                     for f in fields(BackboneConfig)})
-        clip = ClipSpec(meta["clip_level"])
-        picks = tuple(meta_choice(meta, key) for key in choices)
-    except KeyError as exc:
-        raise ConfigError(f"checkpoint metadata incomplete: {exc}") from None
-    return backbone, clip, picks, partial(_spec_arrays, path, arrays)
+        if settings.get("kind") != expert:
+            raise ConfigError(f"settings value kind = {settings.get('kind')!r} is not {expert!r}")
+        settings = read(settings, _SETTINGS[expert], source="settings", complete=True)
+        del settings["kind"]
+        config = config_cls(clip=ClipSpec(settings.pop("clip_level")),
+                            backbone=BackboneConfig(**settings.pop("backbone")), **settings)
+    except (ConfigError, ContractError) as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from None
+    return config, partial(_spec_arrays, path, arrays)

@@ -27,6 +27,7 @@ from . import gate as gate_mod
 from . import metrics as me
 from . import ore as ore_mod
 from .backbone import BackboneConfig
+from .config import BACKBONE_KEYS, integer, number, positive_integer, read, string
 from .errors import ConfigError, GyroMoeError
 from .signal import (
     RATE_RTOL,
@@ -48,38 +49,9 @@ log = logging.getLogger("gyromoe.cli")
 _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING, "error": logging.ERROR}
 
 
-def _number(value) -> float:
-    """``value`` as a float: a finite JSON number, not a boolean or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(float(value)):
-        raise ValueError(f"{value!r} is not a finite number")
-    return float(value)
-
-
-def _integer(value) -> int:
-    """``value`` as an int; a fractional number is rejected, not truncated."""
-    if not _number(value).is_integer():
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
-
-
-def _positive_integer(value) -> int:
-    """``value`` as an int of at least 1."""
-    n = _integer(value)
-    if n < 1:
-        raise ValueError(f"{value!r} is not a positive whole number")
-    return n
-
-
-def _string(value) -> str:
-    """``value`` as given: a JSON string, not a number or a boolean."""
-    if not isinstance(value, str):
-        raise ValueError(f"{value!r} is not a string")
-    return value
-
-
 def _sample_range(value) -> tuple:
     """``value`` as a half-open sample range ``(lo, hi)`` with ``0 <= lo < hi``."""
-    lo, hi = map(_integer, value)
+    lo, hi = map(integer, value)
     if lo < 0 or hi <= lo:
         raise ValueError(f"{value!r} is not a sample range [lo, hi) with 0 <= lo < hi")
     return lo, hi
@@ -88,30 +60,27 @@ def _sample_range(value) -> tuple:
 # the keys the config accepts, each with the cast that reads its value or,
 # for a section, the keys that section accepts; any other key is a typo
 _CONFIG_KEYS = {
-    "clip_level": _number,
-    "sample_rate": _number,
-    "segment_len": _positive_integer,
-    "backbone": {
-        f.name: {int: _positive_integer, float: _number, str: _string}[type(f.default)]
-        for f in dataclasses.fields(BackboneConfig)
-    },
+    "clip_level": number,
+    "sample_rate": number,
+    "segment_len": positive_integer,
+    "backbone": BACKBONE_KEYS,
     "synth": {
-        "duration_s": _number, "white_noise_sigma": _number, "drift_rate": _number,
-        "peak_events": lambda events: [tuple(map(_number, event)) for event in events],
+        "duration_s": number, "white_noise_sigma": number, "drift_rate": number,
+        "peak_events": lambda events: [tuple(map(number, event)) for event in events],
     },
     "train_ore": {
-        "n_segments": _positive_integer, "epochs": _positive_integer, "batch_size": _positive_integer,
-        "learn_rate": _number, "amp_lo_x": _number, "amp_hi_x": _number, "width_lo_s": _number,
-        "width_hi_s": _number, "noise_sigma": _number,
+        "n_segments": positive_integer, "epochs": positive_integer, "batch_size": positive_integer,
+        "learn_rate": number, "amp_lo_x": number, "amp_hi_x": number, "width_lo_s": number,
+        "width_hi_s": number, "noise_sigma": number,
     },
     "train_de": {
-        "n_segments": _positive_integer, "epochs": _positive_integer, "batch_size": _positive_integer,
-        "learn_rate": _number, "noise_sigma": _number, "beta": _number, "corruption_gain": _number,
-        "n_snippets": _positive_integer, "weight_share": _string,
+        "n_segments": positive_integer, "epochs": positive_integer, "batch_size": positive_integer,
+        "learn_rate": number, "noise_sigma": number, "beta": number, "corruption_gain": number,
+        "n_snippets": positive_integer, "weight_share": string,
     },
     "gate": {
-        "peak_run": _positive_integer, "quiet_run": _positive_integer,
-        "quiet_threshold": lambda tau: None if tau is None else _number(tau),
+        "peak_run": positive_integer, "quiet_run": positive_integer,
+        "quiet_threshold": lambda tau: None if tau is None else number(tau),
     },
     "bench": {"static_region": _sample_range},
 }
@@ -161,7 +130,7 @@ def _load_config(path) -> _Config:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    cfg = _read(cfg, _CONFIG_KEYS, None)
+    cfg = read(cfg, _CONFIG_KEYS)
     if "clip_level" not in cfg:
         raise ConfigError("config is missing 'clip_level'")
     spec = ClipSpec(cfg["clip_level"])
@@ -193,27 +162,6 @@ def _load_config(path) -> _Config:
         train_de=de,
         static_region=cfg.get("bench", {}).get("static_region"),
     )
-
-
-def _read(mapping, casts: dict, section: str | None) -> dict:
-    """Every value of ``mapping`` cast by its key's entry in ``casts``, a
-    section read by its own table; the one way a config value is read. An
-    absent key stays absent, so the dataclass default applies. An unknown
-    key or a value its cast rejects raises ConfigError naming ``section.key``."""
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"config {section or 'root'} must be a JSON object")
-    unknown = set(mapping) - set(casts)
-    if unknown:
-        raise ConfigError(f"unknown {section or 'config'} keys: {sorted(unknown)}")
-    out = {}
-    for key, value in mapping.items():
-        cast = casts[key]
-        try:
-            out[key] = _read(value, cast, key) if isinstance(cast, dict) else cast(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            name = key if section is None else f"{section}.{key}"
-            raise ConfigError(f"config value {name} = {value!r} is invalid: {exc}") from None
-    return out
 
 
 def _fields(cls, section: dict) -> dict:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import backbone as bb
 from . import diffmath as dm
-from .checkpoint import SHARE_MODES, load_expert, save_expert
+from .checkpoint import load_expert, save_expert
 from .diffmath import DiffContext, Param, Tensor
 from .errors import ConfigError, ContractError, DimensionError
 from .optim import TrainTrace, fit
@@ -42,6 +42,10 @@ class AugmentConfig:
             raise ConfigError(f"beta must be positive, got {self.beta}")
         if self.corruption_gain < 0.0:
             raise ConfigError(f"corruption_gain must be >= 0, got {self.corruption_gain}")
+
+
+# which backbone stacks the noise expert's two branches share
+SHARE_MODES = ("none", "encoder", "decoder", "both")
 
 
 @dataclass
@@ -369,11 +373,9 @@ def make_noise_fn(de_params: DeParams, config: DeConfig):
 # Checkpoint glue.
 
 def save_de(path, de_params: DeParams, config: DeConfig) -> None:
-    save_expert(path, de_params.buffers(), "noise-expert", config.backbone, config.clip,
-                {"weight_share": config.weight_share})
+    save_expert(path, de_params.buffers(), "noise-expert", config)
 
 
 def load_de(path) -> tuple[DeParams, DeConfig]:
-    backbone, clip_spec, (share,), fill = load_expert(path, "noise-expert")
-    config = DeConfig(clip=clip_spec, backbone=backbone, weight_share=share)
+    config, fill = load_expert(path, "noise-expert", DeConfig)
     return _de_store(config, fill), config

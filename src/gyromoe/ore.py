@@ -241,10 +241,9 @@ def make_peak_fn(params: bb.ModelParams, config: OreConfig):
 # Checkpoint glue.
 
 def save_ore(path, params: bb.ModelParams, config: OreConfig) -> None:
-    save_expert(path, params.buffers(), "peak-expert", config.backbone, config.clip, {})
+    save_expert(path, params.buffers(), "peak-expert", config)
 
 
 def load_ore(path) -> tuple[bb.ModelParams, OreConfig]:
-    backbone, clip_spec, _, fill = load_expert(path, "peak-expert")
-    config = OreConfig(clip=clip_spec, backbone=backbone)
-    return bb.build_params(backbone, fill), config
+    config, fill = load_expert(path, "peak-expert", OreConfig)
+    return bb.build_params(config.backbone, fill), config

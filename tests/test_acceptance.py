@@ -523,26 +523,31 @@ def _pipeline_config(tmp_path):
     return str(path)
 
 
+# every file _run_pipeline writes, relative to its out_dir
+PIPELINE_ARTIFACTS = ("ore.ckpt", "ore.trace.csv", "de.ckpt", "de.trace.csv", "enhanced.csv", "report.json",
+                      "data/clean.csv", "data/clipped.csv", "allan.csv")
+
+
 def _run_pipeline(cfg, out_dir):
-    out_dir.mkdir()
-    ore = out_dir / "ore.ckpt"
-    de = out_dir / "de.ckpt"
-    assert main(["synth", "--config", cfg, "--seed", "5", "--out", str(out_dir / "data")]) == 0
-    assert main(["train-ore", "--config", cfg, "--seed", "6", "--out", str(ore)]) == 0
-    assert main(["train-de", "--config", cfg, "--seed", "7", "--out", str(de)]) == 0
-    assert main([
-        "enhance", "--config", cfg,
-        "--input", str(out_dir / "data" / "clipped.csv"),
-        "--ore-ckpt", str(ore), "--de-ckpt", str(de),
-        "--out", str(out_dir / "enhanced.csv"),
-    ]) == 0
-    assert main([
-        "bench", "--config", cfg,
-        "--raw", str(out_dir / "data" / "clipped.csv"),
-        "--enhanced", str(out_dir / "enhanced.csv"),
-        "--truth", str(out_dir / "data" / "clean.csv"),
-        "--out", str(out_dir / "report.json"),
-    ]) == 0
+    """Run ``synth`` (which makes ``out_dir``), ``train-ore`` and ``train-de``
+    (both with ``--trace``), ``enhance``, ``bench`` and ``allan`` (the curve
+    of ``data/clean.csv``) with seeds 5, 6 and 7, writing
+    :data:`PIPELINE_ARTIFACTS`."""
+    data = out_dir / "data"
+    steps = [  # allan takes no --config
+        ["synth", "--config", cfg, "--seed", "5", "--out", str(data)],
+        ["train-ore", "--config", cfg, "--seed", "6", "--out", str(out_dir / "ore.ckpt"),
+         "--trace", str(out_dir / "ore.trace.csv")],
+        ["train-de", "--config", cfg, "--seed", "7", "--out", str(out_dir / "de.ckpt"),
+         "--trace", str(out_dir / "de.trace.csv")],
+        ["enhance", "--config", cfg, "--input", str(data / "clipped.csv"), "--ore-ckpt", str(out_dir / "ore.ckpt"),
+         "--de-ckpt", str(out_dir / "de.ckpt"), "--out", str(out_dir / "enhanced.csv")],
+        ["bench", "--config", cfg, "--raw", str(data / "clipped.csv"), "--enhanced", str(out_dir / "enhanced.csv"),
+         "--truth", str(data / "clean.csv"), "--out", str(out_dir / "report.json")],
+        ["allan", "--input", str(data / "clean.csv"), "--out", str(out_dir / "allan.csv")],
+    ]
+    for step in steps:
+        assert main(step) == 0, f"pipeline step {step[0]} failed"
 
 
 def test_c11_reproducibility(tmp_path, capsys):
@@ -550,8 +555,7 @@ def test_c11_reproducibility(tmp_path, capsys):
     _run_pipeline(cfg, tmp_path / "run1")
     _run_pipeline(cfg, tmp_path / "run2")
 
-    names = ["ore.ckpt", "de.ckpt", "enhanced.csv", "report.json",
-             "data/clean.csv", "data/clipped.csv"]
+    names = PIPELINE_ARTIFACTS
     diffs = [n for n in names
              if (tmp_path / "run1" / n).read_bytes() != (tmp_path / "run2" / n).read_bytes()]
     # the enhanced stream must actually differ from its clipped input

@@ -27,6 +27,7 @@ from gyromoe.checkpoint import load_expert, save_expert
 from gyromoe.diffmath import DiffContext, backward, constant, gather, mean, square, sub
 from gyromoe.errors import ConfigError, DimensionError, MaskError
 from gyromoe.optim import Adam
+from gyromoe.ore import OreConfig
 from gyromoe.signal import ClipSpec
 
 SMALL = BackboneConfig(
@@ -295,9 +296,9 @@ class TestParamStore:
     def file_fill(tmp_path, arrays):
         """The parameter source a checkpoint of ``arrays`` at SMALL geometry loads into."""
         path = tmp_path / "params.ckpt"
-        save_expert(path, arrays, "peak-expert", SMALL, ClipSpec(1.0), {})
-        config, _, _, fill = load_expert(path, "peak-expert")
-        assert config == SMALL
+        save_expert(path, arrays, "peak-expert", OreConfig(ClipSpec(1.0), SMALL))
+        config, fill = load_expert(path, "peak-expert", OreConfig)
+        assert config.backbone == SMALL
         return fill
 
     def test_array_round_trip(self, tmp_path):
@@ -424,9 +425,9 @@ def _primitive_attention_sublayer(ctx, params, prefix, config, x, bias_term):
     heads, d_k = config.heads, config.embed_dim // config.heads
     a = f"{prefix}.attn."
     h = dm.layer_norm(ctx, x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    qkv = dm.concat(
-        ctx, [_primitive_linear(ctx, h, params[a + f"w{p}"], params[a + f"b{p}"]) for p in "qkv"], axis=2
-    )
+    qkv = dm.concat(ctx, [_primitive_linear(ctx, h, params[a + "wq"], params[a + "bq"]),
+                          dm.matmul(ctx, h, params[a + "wk"]),
+                          _primitive_linear(ctx, h, params[a + "wv"], params[a + "bv"])], axis=2)
     cols = dm.reshape(ctx, dm.transpose(ctx, qkv), (B, 3 * heads, d_k, n))
     rows = dm.transpose(ctx, cols)
     q = dm.gather(ctx, rows, np.arange(0, heads), axis=1)

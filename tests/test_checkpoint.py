@@ -9,15 +9,9 @@ import pytest
 
 from gyromoe import backbone as bb
 from gyromoe.backbone import GD_PLACEMENTS, BackboneConfig, init_params
-from gyromoe.checkpoint import (
-    FORMAT_TAG,
-    load_arrays,
-    load_checkpoint,
-    save_arrays,
-    save_checkpoint,
-)
+from gyromoe.checkpoint import FORMAT_TAG, load_checkpoint, save_checkpoint
 from gyromoe.denoise import SHARE_MODES, DeConfig, build_de_params, denoise, load_de, save_de
-from gyromoe.errors import CheckpointError, ConfigError, ContractError, DimensionError
+from gyromoe.errors import CheckpointError, ConfigError, ContractError, DimensionError, GyroMoeError
 from gyromoe.ore import OreConfig, load_ore, reconstruct, save_ore
 from gyromoe.signal import ClipSpec
 
@@ -31,12 +25,20 @@ def sample_arrays(seed=0):
     }
 
 
+def write_arrays(path, arrays):
+    save_checkpoint(path, arrays, {})
+
+
+def read_arrays(path):
+    return load_checkpoint(path)[0]
+
+
 class TestRoundTrip:
     def test_exact_values(self, tmp_path):
         arrays = sample_arrays()
         path = tmp_path / "model.ckpt"
-        save_arrays(path, arrays)
-        loaded = load_arrays(path)
+        write_arrays(path, arrays)
+        loaded = read_arrays(path)
         assert set(loaded) == set(arrays)
         for name, arr in arrays.items():
             np.testing.assert_array_equal(loaded[name], arr)
@@ -49,10 +51,10 @@ class TestRoundTrip:
                   "zz": np.zeros((0, 3))}
         plain = {name: np.array(arr, dtype=np.float64, order="C") for name, arr in arrays.items()}
         p1, p2 = tmp_path / "any.ckpt", tmp_path / "plain.ckpt"
-        save_arrays(p1, arrays)
-        save_arrays(p2, plain)
+        write_arrays(p1, arrays)
+        write_arrays(p2, plain)
         assert p1.read_bytes() == p2.read_bytes()
-        loaded = load_arrays(p1)
+        loaded = read_arrays(p1)
         for name, arr in plain.items():
             np.testing.assert_array_equal(loaded[name], arr)
             assert loaded[name].shape == arr.shape and loaded[name].dtype == np.float64
@@ -60,81 +62,91 @@ class TestRoundTrip:
 
     def test_scalar_shape_preserved(self, tmp_path):
         path = tmp_path / "s.ckpt"
-        save_arrays(path, {"x": np.asarray(2.5)})
-        assert load_arrays(path)["x"].shape == ()
+        write_arrays(path, {"x": np.asarray(2.5)})
+        assert read_arrays(path)["x"].shape == ()
 
     def test_byte_determinism(self, tmp_path):
         arrays = sample_arrays(1)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_arrays(p1, arrays)
-        save_arrays(p2, dict(reversed(list(arrays.items()))))
+        save_checkpoint(p1, arrays, {"kind": "x", "clip_level": 2.0})
+        save_checkpoint(p2, dict(reversed(list(arrays.items()))), {"clip_level": 2.0, "kind": "x"})
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_is_sorted_text(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_arrays(path, sample_arrays(2))
+        save_checkpoint(path, sample_arrays(2), {"kind": "x", "backbone": {"heads": 2, "embed_dim": 8}})
         header = path.read_bytes().split(b"\n\n", 1)[0].decode()
         lines = header.split("\n")
         assert lines[0] == FORMAT_TAG
-        assert lines[1] == "3"
-        names = [ln.split()[0] for ln in lines[2:]]
+        assert lines[1] == '{"backbone": {"embed_dim": 8, "heads": 2}, "kind": "x"}'
+        assert lines[2] == "3"
+        names = [ln.split()[0] for ln in lines[3:]]
         assert names == sorted(names)
 
-    def test_meta_round_trip(self, tmp_path):
-        path = tmp_path / "meta.ckpt"
-        save_checkpoint(path, {"w": np.ones((2, 2))}, {"kind": 1.0, "patch_len": 16.0})
-        arrays, meta = load_checkpoint(path)
+    def test_settings_round_trip(self, tmp_path):
+        path = tmp_path / "settings.ckpt"
+        settings = {"kind": "peak-expert", "clip_level": 0.1 + 0.2, "backbone": {"patch_len": 16}}
+        save_checkpoint(path, {"w": np.ones((2, 2))}, settings)
+        arrays, loaded = load_checkpoint(path)
         assert set(arrays) == {"w"}
-        assert meta == {"kind": 1.0, "patch_len": 16.0}
+        assert loaded == settings
 
 
 class TestValidation:
     def test_bad_name_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
-            save_arrays(tmp_path / "x.ckpt", {"has space": np.ones(2)})
+            write_arrays(tmp_path / "x.ckpt", {"has space": np.ones(2)})
 
     def test_wrong_tag(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        save_arrays(path, {"w": np.ones(2)})
+        write_arrays(path, {"w": np.ones(2)})
         raw = path.read_bytes().replace(FORMAT_TAG.encode(), b"other-format-v9")
         path.write_bytes(raw)
         with pytest.raises(CheckpointError, match="format"):
-            load_arrays(path)
+            read_arrays(path)
 
-    def test_v1_file_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("tag", ["gyromoe-ckpt-v1", "gyromoe-ckpt-v2"])
+    def test_v1_file_is_refused(self, tmp_path, tag):
         path = tmp_path / "x.ckpt"
-        save_arrays(path, {"w": np.ones(2)})
-        path.write_bytes(path.read_bytes().replace(FORMAT_TAG.encode(), b"gyromoe-ckpt-v1"))
+        write_arrays(path, {"w": np.ones(2)})
+        path.write_bytes(path.read_bytes().replace(FORMAT_TAG.encode(), tag.encode()))
         with pytest.raises(CheckpointError) as err:
-            load_arrays(path)
-        assert str(err.value) == "unknown checkpoint format 'gyromoe-ckpt-v1', expected 'gyromoe-ckpt-v2'"
+            read_arrays(path)
+        assert str(err.value) == f"unknown checkpoint format '{tag}', expected 'gyromoe-ckpt-v3'"
 
     def test_truncated_blob(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        save_arrays(path, {"w": np.ones(8)})
+        write_arrays(path, {"w": np.ones(8)})
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CheckpointError):
-            load_arrays(path)
+            read_arrays(path)
 
     def test_missing_header_terminator(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        path.write_bytes(FORMAT_TAG.encode() + b"\n1\nw 1 2 0\n")
+        path.write_bytes(FORMAT_TAG.encode() + b"\n{}\n1\nw 1 2 0\n")
         with pytest.raises(CheckpointError):
-            load_arrays(path)
+            read_arrays(path)
 
     def test_garbled_entry_line(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        path.write_bytes(FORMAT_TAG.encode() + b"\n1\nw one 2 0\n\n" + b"\x00" * 16)
+        path.write_bytes(FORMAT_TAG.encode() + b"\n{}\n1\nw one 2 0\n\n" + b"\x00" * 16)
         with pytest.raises(CheckpointError):
-            load_arrays(path)
+            read_arrays(path)
 
     def test_entry_count_mismatch(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        save_arrays(path, {"w": np.ones(2)})
+        write_arrays(path, {"w": np.ones(2)})
         raw = path.read_bytes().replace(b"\n1\n", b"\n2\n", 1)
         path.write_bytes(raw)
         with pytest.raises(CheckpointError):
-            load_arrays(path)
+            read_arrays(path)
+
+    @pytest.mark.parametrize("line", [b"{kind: 1}", b"[1, 2]", b""], ids=["not-json", "not-object", "empty"])
+    def test_settings_line_must_be_a_json_object(self, tmp_path, line):
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(FORMAT_TAG.encode() + b"\n" + line + b"\n1\nw 1 2 0\n\n" + b"\x00" * 16)
+        with pytest.raises(CheckpointError, match="settings"):
+            read_arrays(path)
 
 
 # every field away from its default, so a field the codec drops shows up
@@ -159,6 +171,24 @@ def write_expert(tmp_path, expert: str, backbone: BackboneConfig, weight_share: 
         cfg = DeConfig(clip=ClipSpec(1.0), backbone=backbone, weight_share=weight_share)
         save_de(path, build_de_params(cfg, rng), cfg)
     return path
+
+
+DROP = object()  # an edit_settings value that removes the key
+
+
+def edit_settings(path, key: str, value):
+    """Rewrite the expert file at ``path`` with its settings key ``key``
+    (``section.key`` inside a section) set to ``value``, or removed."""
+    arrays, settings = load_checkpoint(path)
+    *sections, last = key.split(".")
+    owner = settings
+    for section in sections:
+        owner = owner[section]
+    if value is DROP:
+        del owner[last]
+    else:
+        owner[last] = value
+    save_checkpoint(path, arrays, settings)
 
 
 def assert_same_arrays(a: dict, b: dict):
@@ -204,52 +234,69 @@ class TestExpertCodec:
         with pytest.raises(CheckpointError):
             load_ore(path)
 
+    # each bad value, and what the error names beside the file
     @pytest.mark.parametrize(
-        "expert, key, value, error",
+        "expert, key, value, named",
         [
-            ("ore", "patch_len", np.array([2.0, 2.0]), CheckpointError),
-            ("ore", "patch_len", math.nan, ConfigError),
-            ("ore", "patch_len", 2.7, ConfigError),
-            ("ore", "heads", math.inf, ConfigError),
-            ("ore", "sigma_max", math.inf, ConfigError),
-            ("ore", "gd_placement", -1.0, ConfigError),
-            ("de", "weight_share", math.nan, ConfigError),
-            ("de", "weight_share", -1.0, ConfigError),
+            ("ore", "backbone.patch_len", math.nan, "backbone.patch_len"),
+            ("ore", "backbone.patch_len", 2.7, "backbone.patch_len"),
+            ("ore", "backbone.heads", math.inf, "backbone.heads"),
+            ("ore", "backbone.heads", True, "backbone.heads"),
+            ("ore", "backbone.sigma_max", math.inf, "backbone.sigma_max"),
+            ("ore", "clip_level", math.nan, "clip_level"),
+            ("ore", "clip_level", -1.0, "clip level"),
+            ("ore", "backbone.gd_placement", "sideways", "gd_placement"),
+            ("ore", "backbone.gd_placement", 1, "backbone.gd_placement"),
+            ("de", "weight_share", "halves", "weight_share"),
+            ("de", "weight_share", 3, "weight_share"),
+            ("ore", "backbone.heads", DROP, "backbone.heads"),
+            ("ore", "clip_level", DROP, "clip_level"),
+            ("de", "weight_share", DROP, "weight_share"),
+            ("ore", "backbone.depth", 3, "depth"),
+            ("ore", "weight_share", "both", "weight_share"),
+            ("ore", "backbone", [1], "backbone"),
+            ("ore", "kind", "noise-expert", "kind"),
+            ("ore", "kind", DROP, "kind"),
         ],
-        ids=["non-scalar", "nan-int", "fractional-int", "inf-int", "inf-float", "negative-placement",
-             "nan-share", "negative-share"],
+        ids=["nan-int", "fractional-int", "inf-int", "bool-int", "inf-float", "nan-clip", "negative-clip",
+             "unknown-placement", "placement-index", "unknown-share", "share-index", "missing-backbone-key",
+             "missing-clip", "missing-share", "unknown-backbone-key", "unknown-key", "section-not-object",
+             "wrong-kind", "missing-kind"],
     )
-    def test_corrupt_metadata_is_a_named_error(self, tmp_path, expert, key, value, error):
+    def test_bad_settings_are_errors_naming_file_and_key(self, tmp_path, expert, key, value, named):
         path = write_expert(tmp_path, expert, ODD_BACKBONE)
-        arrays = load_arrays(path)
-        arrays[f"meta.{key}"] = np.asarray(value)
-        save_arrays(path, arrays)
-        with pytest.raises(error):
+        edit_settings(path, key, value)
+        with pytest.raises(ConfigError) as err:
             LOADERS[expert](path)
+        assert str(path) in str(err.value) and named in str(err.value)
+
+    @pytest.mark.parametrize("written, read_as", [("ore", "de"), ("de", "ore")])
+    def test_file_of_the_other_kind_is_refused(self, tmp_path, written, read_as):
+        path = write_expert(tmp_path, written, ODD_BACKBONE)
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: settings value kind"):
+            LOADERS[read_as](path)
 
     @pytest.mark.parametrize("expert", ["ore", "de"])
     def test_non_finite_weight_is_a_contract_error(self, tmp_path, expert):
         path = write_expert(tmp_path, expert, ODD_BACKBONE)
-        arrays = load_arrays(path)
+        arrays, settings = load_checkpoint(path)
         name = next(n for n in sorted(arrays) if n.endswith("attn.wq"))
         arrays[name][1, 2] = math.nan
-        save_arrays(path, arrays)
+        save_checkpoint(path, arrays, settings)
         with pytest.raises(ContractError, match=f"{re.escape(str(path))}.*'{re.escape(name)}'"):
             LOADERS[expert](path)
 
     @pytest.mark.parametrize("expert", ["ore", "de"])
     @pytest.mark.parametrize(
         "key, value, error",
-        [("embed_dim", 256.0, DimensionError), ("gd_placement", 0.0, ConfigError),
-         ("enc_layers", 2.0, ConfigError)],
+        [("backbone.embed_dim", 256, DimensionError), ("backbone.gd_placement", "none", ConfigError),
+         ("backbone.enc_layers", 2, ConfigError)],
         ids=["wider", "array-unknown", "array-missing"],
     )
-    def test_arrays_that_disagree_with_metadata_fail_first(self, tmp_path, expert, key, value, error):
-        # C11 geometry; the metadata claims another, so the arrays no longer fit it
+    def test_arrays_that_disagree_with_settings_fail_first(self, tmp_path, expert, key, value, error):
+        # C11 geometry; the settings claim another, so the arrays no longer fit it
         path = write_expert(tmp_path, expert, C11_BACKBONE)
-        arrays = load_arrays(path)
-        arrays[f"meta.{key}"] = np.asarray(value)
-        save_arrays(path, arrays)
+        edit_settings(path, key, value)
         tracemalloc.start()
         try:
             with pytest.raises(error):
@@ -262,14 +309,14 @@ class TestExpertCodec:
     @pytest.mark.parametrize("expert", ["ore", "de"])
     def test_loading_draws_no_parameters(self, tmp_path, monkeypatch, expert):
         path = write_expert(tmp_path, expert, ODD_BACKBONE)
-        want = load_arrays(path)
+        want = read_arrays(path)
 
         def refuse(*args):
             raise AssertionError("a loader drew a parameter")
 
         monkeypatch.setattr(bb, "init_param_array", refuse)
         params, _ = LOADERS[expert](path)
-        assert_same_arrays(params.to_arrays(), {k: v for k, v in want.items() if not k.startswith("meta.")})
+        assert_same_arrays(params.to_arrays(), want)
 
 
 SAVERS = {"ore": save_ore, "de": save_de}
@@ -344,12 +391,37 @@ class TestExpertMemory:
     @pytest.mark.parametrize(
         "expert, share, digest",
         [
-            ("ore", "both", "245c3f25e692a55a4f37b1be57e8bf0c1c63f2f959683ec2d065ea24794039b8"),
-            ("de", "none", "e08f18d918641dbc4a0dd3001d5df8081040843cc8206d165723ec1b5ca5edd7"),
-            ("de", "both", "f581ff4e226b17e0a499abf504b1c58803fb606420c20fc9a8146883ceee88c4"),
+            ("ore", "both", "0389f5f9938429ddad0506b24b469c518cc6c22ca53db30328fe46328964e011"),
+            ("de", "none", "628dd664399042ff84682bc4a6025f253c690b80ed16b6a9fb13ca611849b2a3"),
+            ("de", "both", "0fcb82d99679c9ffab872e077ae6b2659cd29798aa99ccf16233eb31ae5c61e3"),
         ],
         ids=EXPERT_IDS,
     )
     def test_seeded_c11_expert_bytes_are_pinned(self, tmp_path, expert, share, digest):
         path = write_expert(tmp_path, expert, C11_BACKBONE, share)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestHeaderBitFlips:
+    """A flipped bit in an expert file's header either loads or fails with a
+    named error, never another exception."""
+
+    @pytest.mark.parametrize("expert, share", [("ore", "both"), ("de", "none")], ids=["ore", "de-none"])
+    def test_each_flip_loads_or_is_a_named_error(self, tmp_path, expert, share):
+        path = write_expert(tmp_path, expert, C11_BACKBONE, share)
+        raw = path.read_bytes()
+        tag_end = raw.index(b"\n")
+        settings_end = raw.index(b"\n", tag_end + 1)
+        # every bit of the settings line, and one bit of each other header byte
+        flips = [(i, bit) for i in range(tag_end + 1, settings_end) for bit in range(8)]
+        flips += [(i, i % 8) for i in (*range(tag_end + 1), *range(settings_end, raw.index(b"\n\n") + 2))]
+        for i, bit in flips:
+            flipped = bytearray(raw)
+            flipped[i] ^= 1 << bit
+            path.write_bytes(flipped)
+            try:
+                LOADERS[expert](path)
+            except GyroMoeError:
+                pass
+            except Exception as exc:  # any other type fails the test, naming the flip
+                pytest.fail(f"flipping bit {bit} of header byte {i} raised {exc!r}")

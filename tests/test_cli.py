@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from gyromoe.backbone import BackboneConfig, init_params
-from gyromoe.checkpoint import load_arrays, save_arrays
+from gyromoe.checkpoint import load_checkpoint, save_checkpoint
 import gyromoe.cli as cli
 from gyromoe.cli import main
+from gyromoe.config import read
 from gyromoe.denoise import DeConfig, build_de_params, save_de
 from gyromoe.ore import OreConfig, save_ore
 from gyromoe.signal import ClipSpec, SampleSeries, load_csv, save_csv
@@ -145,7 +146,7 @@ class TestConfigKeys:
         for key, casts in cli._CONFIG_KEYS.items():
             if isinstance(casts, dict):
                 assert set(block[key]) == set(casts), key
-        cli._read(block, cli._CONFIG_KEYS, None)  # every value shown passes its cast
+        read(block, cli._CONFIG_KEYS)  # every value shown passes its cast
 
 
 class TestTraining:
@@ -359,12 +360,13 @@ class TestEnhanceStartupChecks:
     def test_corrupt_checkpoint_metadata(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         path = untrained_checkpoints(tmp_path)["--ore-ckpt"]
-        arrays = load_arrays(path)
-        arrays["meta.gd_placement"] = np.asarray(-1.0)
-        save_arrays(path, arrays)
-        for ckpt in (path, str(tmp_path / "missing.ckpt")):
-            assert self.run(tmp_path, cfg, {"--ore-ckpt": ckpt}) == 2
-            assert "error:" in capsys.readouterr().err
+        arrays, settings = load_checkpoint(path)
+        settings["backbone"]["heads"] = 2.5
+        save_checkpoint(path, arrays, settings)
+        assert self.run(tmp_path, cfg, {"--ore-ckpt": path}) == 2
+        assert f"error: checkpoint {path}: settings value backbone.heads = 2.5 is invalid" in capsys.readouterr().err
+        assert self.run(tmp_path, cfg, {"--ore-ckpt": str(tmp_path / "missing.ckpt")}) == 2
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [None, b"t,omega\n0.0,\xb0\n0.01,1.0\n"], ids=["missing", "not_utf8"])
     def test_unreadable_input(self, tmp_path, capsys, content):

@@ -1,10 +1,10 @@
 """Print the sha256 of every artifact of the C11 pipeline.
 
-Runs ``synth``, ``train-ore``, ``train-de`` (both with ``--trace``),
-``enhance``, ``bench`` and ``allan`` (the curve of ``data/clean.csv``)
-through ``gyromoe.cli.main`` on the config of
-``tests/test_acceptance.py::_pipeline_config`` with seeds 5, 6 and 7, and
-prints one ``sha256  name`` line for each of the nine files it writes.
+Runs the steps of C11 (``_run_pipeline`` in ``tests/test_acceptance.py``:
+``synth``, ``train-ore`` and ``train-de`` with ``--trace``, ``enhance``,
+``bench`` and ``allan`` on ``data/clean.csv``, seeds 5, 6 and 7) on the
+config of its ``_pipeline_config``, and prints one ``sha256  name`` line
+for each of the nine files they write.
 Two checkouts that print the same lines produce the same bytes.
 
     python3 tools/pipeline_digests.py OUT_DIR [--gd-placement P]
@@ -25,8 +25,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ARTIFACTS = ("ore.ckpt", "ore.trace.csv", "de.ckpt", "de.trace.csv", "enhanced.csv", "report.json",
-             "data/clean.csv", "data/clipped.csv", "allan.csv")
 
 
 def _acceptance_module():
@@ -45,34 +43,16 @@ def main(argv=None) -> int:
     if out.exists():
         parser.error(f"{out} already exists")
     sys.path.insert(0, str(ROOT / "src"))
-    from gyromoe.cli import main as cli_main
-
+    acceptance = _acceptance_module()
     out.mkdir(parents=True)
-    cfg = _acceptance_module()._pipeline_config(out)
+    cfg = acceptance._pipeline_config(out)
     if args.gd_placement is not None:
         settings = json.loads(Path(cfg).read_text())
         settings["backbone"]["gd_placement"] = args.gd_placement
         Path(cfg).write_text(json.dumps(settings))
-    steps = [  # allan takes no --config
-        ["synth", "--config", cfg, "--seed", "5", "--out", str(out / "data")],
-        ["train-ore", "--config", cfg, "--seed", "6", "--out", str(out / "ore.ckpt"),
-         "--trace", str(out / "ore.trace.csv")],
-        ["train-de", "--config", cfg, "--seed", "7", "--out", str(out / "de.ckpt"),
-         "--trace", str(out / "de.trace.csv")],
-        ["enhance", "--config", cfg, "--input", str(out / "data" / "clipped.csv"),
-         "--ore-ckpt", str(out / "ore.ckpt"), "--de-ckpt", str(out / "de.ckpt"), "--out", str(out / "enhanced.csv")],
-        ["bench", "--config", cfg, "--raw", str(out / "data" / "clipped.csv"),
-         "--enhanced", str(out / "enhanced.csv"), "--truth", str(out / "data" / "clean.csv"),
-         "--out", str(out / "report.json")],
-        ["allan", "--input", str(out / "data" / "clean.csv"), "--out", str(out / "allan.csv")],
-    ]
-    for step in steps:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main(step)
-        if code != 0:
-            print(f"pipeline step {step[0]} exited {code}", file=sys.stderr)
-            return code
-    for name in ARTIFACTS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        acceptance._run_pipeline(cfg, out)
+    for name in acceptance.PIPELINE_ARTIFACTS:
         print(f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {name}")
     return 0
 
